@@ -1,0 +1,36 @@
+"""Byte-for-byte regression guard on the machine output of the CLI.
+
+The files under tests/golden hold the --machine output of the README
+quick-start commands and of the built-in suite at n = 3.  They are a
+drift detector, not a correctness oracle: a change that alters any
+certificate, evidence field or pivot order shows up here as a diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from levelbounds.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("paper_suite_n3.jsonl", ["paper-suite", "--n", "3"]),
+    ("koszul_free.jsonl", ["koszul", "--vars", "2", "--seq", "x1, x2"]),
+    (
+        "koszul_artinian.jsonl",
+        ["koszul", "--vars", "2", "--quotient", "x1^2, x1*x2, x2^3", "--seq", "x1, x2"],
+    ),
+    (
+        "invariants_meet.jsonl",
+        ["invariants", "--vars", "3", "--quotient", "meet(x1; x2, x3)", "--ideal", "x2, x3"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
+def test_machine_output_matches_golden(name, argv, capsys):
+    code = main(argv + ["--machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
