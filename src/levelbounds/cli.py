@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,14 +131,9 @@ def _complex_label(spec: tuple) -> str:
     return f"hom(koszul({spec[1]}),koszul({spec[2]}))"
 
 
-def run_session(session: Session, machine: bool = False, parallel: bool = False):
+def run_session(session: Session, machine: bool = False):
     """Execute all tasks; output is buffered and emitted in order."""
-    tasks = list(enumerate(session.tasks))
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            outcomes = list(pool.map(lambda t: _execute_task(session, t[1], t[0]), tasks))
-    else:
-        outcomes = [_execute_task(session, spec, i) for i, spec in tasks]
+    outcomes = [_execute_task(session, spec, i) for i, spec in enumerate(session.tasks)]
     blocks = []
     for out in outcomes:
         if machine:
@@ -174,7 +168,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read session file: {exc}")
     session = parse_session(text)
-    code, output = run_session(session, machine=args.machine, parallel=args.parallel)
+    code, output = run_session(session, machine=args.machine)
     print(output)
     return code
 
@@ -224,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a session file")
     p_run.add_argument("file")
     p_run.add_argument("--machine", action="store_true", help="JSON records instead of tables")
-    p_run.add_argument("--parallel", action="store_true", help="run independent tasks concurrently")
     p_run.set_defaults(fn=_cmd_run)
 
     p_suite = sub.add_parser("paper-suite", help="run the built-in example battery")

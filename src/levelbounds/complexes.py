@@ -1,9 +1,9 @@
 """Finite free chain complexes over R: Koszul, Hom, homology, minimality.
 
 Complexes are stored with internal homological degrees 0..length-1 and a
-recorded shift, so lo is always 0 internally.  Differentials are degree
-zero maps and the composite of consecutive differentials is checked to
-vanish at construction time.
+recorded shift, so the lowest internal degree is always 0.  Differentials
+are degree zero maps and the composite of consecutive differentials is
+checked to vanish at construction time.
 
 Koszul complexes built here carry their defining sequence as metadata;
 Hom complexes of two tagged Koszul complexes inherit the concatenated
@@ -13,7 +13,6 @@ shifted Koszul complex on the concatenation).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ from .modules import (
     GradedModule,
     ModMap,
     PresentedSubmodule,
+    cancel_units,
     kernel_presented,
     subquotient,
     zero_map,
@@ -84,11 +84,6 @@ class ChainComplex:
         self.shift = shift
         self.koszul = koszul
         self._homology: dict = {}
-        self._lock = threading.Lock()
-
-    @property
-    def lo(self) -> int:
-        return 0
 
     @property
     def hi(self) -> int:
@@ -121,19 +116,17 @@ class ChainComplex:
         if not 0 <= i <= self.hi:
             raise UsageError(f"degree {i} outside 0..{self.hi}")
         if i not in self._homology:
-            with self._lock:
-                if i not in self._homology:
-                    free = self.modules[i]
-                    if i + 1 <= self.hi:
-                        image = self.diffs[i].columns()
-                    else:
-                        image = []
-                    if i >= 1:
-                        ker = kernel_presented(self.diffs[i - 1])
-                        numer = list(ker.vectors)
-                    else:
-                        numer = [free.basis_vector(k) for k in range(free.rank)]
-                    self._homology[i] = HomologyData(i, subquotient(free, numer, image))
+            free = self.modules[i]
+            if i + 1 <= self.hi:
+                image = self.diffs[i].columns()
+            else:
+                image = []
+            if i >= 1:
+                ker = kernel_presented(self.diffs[i - 1])
+                numer = list(ker.vectors)
+            else:
+                numer = [free.basis_vector(k) for k in range(free.rank)]
+            self._homology[i] = HomologyData(i, subquotient(free, numer, image))
         return self._homology[i]
 
     def __repr__(self):
@@ -193,53 +186,14 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
 def minimalize(C: ChainComplex) -> ChainComplex:
     """Strip unit entries by Gaussian cancellation on the complex.
 
-    A constant entry u at (a, b) of the differential F_i -> F_(i-1)
-    splits off an exact summand: basis b of F_i and a of F_(i-1) are
-    removed, the remaining entries of that differential pick up the
-    correction -D[a][col] * D[row][b] / u, the next differential loses
-    row b and the previous one loses column a, both unchanged otherwise.
-    The result is homotopy equivalent to C and has all entries in m.
+    Each unit entry of a differential splits off an exact summand (see
+    cancel_units); zero modules left at either end are trimmed.  The
+    result is homotopy equivalent to C and has all entries in m.
     """
     ring = C.ring
-    p = ring.char
     twists = [list(m.twists) for m in C.modules]
     mats = [[list(row) for row in d.rows] for d in C.diffs]
-
-    def find_unit():
-        for i in range(len(mats)):
-            for a in range(len(mats[i])):
-                for b in range(len(mats[i][a])):
-                    e = mats[i][a][b]
-                    if not e.is_zero() and e.is_constant():
-                        return i, a, b
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        i, a, b = hit
-        u = mats[i][a][b].constant_coeff()
-        uinv = pow(u, p - 2, p)
-        old = mats[i]
-        new_rows = []
-        for r in range(len(old)):
-            if r == a:
-                continue
-            row = []
-            for c in range(len(old[r])):
-                if c == b:
-                    continue
-                corr = old[a][c] * old[r][b]
-                row.append(ring.nf(old[r][c] - corr.scale(uinv)))
-            new_rows.append(row)
-        mats[i] = new_rows
-        if i + 1 < len(mats):
-            mats[i + 1] = [row for r, row in enumerate(mats[i + 1]) if r != b]
-        if i - 1 >= 0:
-            mats[i - 1] = [[e for c, e in enumerate(row) if c != a] for row in mats[i - 1]]
-        del twists[i + 1][b]
-        del twists[i][a]
+    cancel_units(ring, twists, mats)
 
     # trim zero modules at both ends, keeping at least one module
     lo_trim = 0

@@ -41,10 +41,6 @@ def aux_last_key(term: Term) -> tuple:
     return (e[-1], -pos, sum(body), tuple(-x for x in reversed(body)))
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
-
 def vec_lt(v: Vec, key: Callable) -> Term:
     return max(v, key=key)
 

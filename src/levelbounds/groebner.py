@@ -2,17 +2,16 @@
 
 Everything routes through the rank one case of the module engine.  The
 degrevlex reduced Groebner basis is the canonical form of an ideal;
-intersections use one auxiliary variable with a block order, colons and
-saturations reduce to relative syzygies, radical membership uses the
-extra-variable unit trick.  Dimension theory here is combinatorial: the
-Krull dimension comes from independent variable subsets of the initial
-ideal, and minimal primes of monomial ideals are minimal vertex covers
-of the generator supports.
+intersections use one auxiliary variable with a block order, colons
+reduce to relative syzygies, radical membership uses the extra-variable
+unit trick.  Dimension theory here is combinatorial: the Krull dimension
+comes from independent variable subsets of the initial ideal, and
+minimal primes of monomial ideals are minimal vertex covers of the
+generator supports.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -40,8 +39,7 @@ def _gb_polys(ring: PolyRing, polys: Iterable[Poly], key=pot_key) -> tuple:
 class IdealData:
     """A homogeneous ideal of P with its lazily computed reduced basis.
 
-    Instances are immutable; the basis is computed once under a lock so
-    concurrent first use from several threads stays deterministic.
+    Instances are immutable; the basis is computed once, on first use.
     """
 
     def __init__(self, ring: PolyRing, gens: Sequence[Poly], require_homogeneous: bool = True):
@@ -57,15 +55,12 @@ class IdealData:
             clean.append(f)
         self.gens = tuple(clean)
         self._gb = None
-        self._lock = threading.Lock()
 
     @property
     def gb(self) -> tuple:
         """Reduced degrevlex Groebner basis, monic, descending leads."""
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    self._gb = _gb_polys(self.ring, self.gens)
+            self._gb = _gb_polys(self.ring, self.gens)
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
@@ -112,14 +107,6 @@ def ideal_sum(I: IdealData, J: IdealData) -> IdealData:
     if I.ring != J.ring:
         raise UsageError("ideals from different rings")
     return IdealData(I.ring, I.gens + J.gens)
-
-
-def reduced_gb(I: IdealData) -> tuple:
-    return I.gb
-
-
-def normal_form(f: Poly, I: IdealData) -> Poly:
-    return I.normal_form(f)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +158,6 @@ def ideal_quotient(I: IdealData, f: Poly) -> IdealData:
     )
     quotients = [_vec_to_poly(I.ring, v) for v in syz]
     return IdealData(I.ring, _gb_polys(I.ring, quotients))
-
-
-def _colon_by_ideal(I: IdealData, J: IdealData) -> IdealData:
-    out = None
-    for g in J.gens:
-        q = ideal_quotient(I, g)
-        out = q if out is None else ideal_intersection(out, q)
-    if out is None:
-        raise UsageError("colon by the zero ideal is not defined")
-    return out
-
-
-def saturation(I: IdealData, J: IdealData) -> IdealData:
-    """Union of the colon chain (I : J^s), detected by stable bases."""
-    if I.ring != J.ring:
-        raise UsageError("ideals from different rings")
-    current = I
-    while True:
-        step = _colon_by_ideal(current, J)
-        if step.gb == current.gb:
-            return current
-        current = step
 
 
 def radical_membership(f: Poly, I: IdealData) -> bool:

@@ -61,16 +61,3 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-r[i, fc]) % p
     return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of a @ x = b over F_p, or None if inconsistent."""
-    rows, cols = a.shape
-    aug = np.concatenate([a % p, (b % p).reshape(rows, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x

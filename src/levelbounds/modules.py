@@ -13,7 +13,6 @@ homogeneous of degree twist_source(j) - twist_target(i) + map degree.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +20,7 @@ from . import linalg
 from .errors import UsageError
 from .gbcore import module_gb, pot_key, relative_syzygies, submodule_nf
 from .groebner import IdealData, ideal_intersection
-from .polys import Poly
+from .polys import Poly, PolyRing
 from .rings import QuotientRing
 
 
@@ -153,7 +152,6 @@ class GradedModule:
         self.gens = gens
         self.rels = rels
         self._minimal: Optional[GradedModule] = None
-        self._lock = threading.Lock()
 
     @property
     def ring(self) -> QuotientRing:
@@ -190,9 +188,8 @@ def vec_from_polyvec(polys: Sequence[Poly]) -> dict:
     return out
 
 
-def polyvec_from_vec(free: FreeModule, v: dict) -> tuple:
-    ring = free.ring.poly_ring
-    per: list = [dict() for _ in range(free.rank)]
+def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
+    per: list = [dict() for _ in range(rank)]
     for (pos, e), c in v.items():
         per[pos][e] = c
     return tuple(ring.from_dict(d) for d in per)
@@ -251,37 +248,43 @@ class SubmoduleGB:
         return isinstance(other, SubmoduleGB) and self.free == other.free and self.gb == other.gb
 
 
-def submodule_basis(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> list:
-    """Canonical reduced basis of the R-span of vectors inside free.
-
-    Output vectors are J-reduced polynomial tuples; the list is the
-    module analog of a reduced Groebner basis and is generating-set
-    independent.
-    """
-    handle = SubmoduleGB(free, [vec_from_polyvec(v) for v in vectors])
-    out = []
-    for v in handle.gb:
-        pv = tuple(free.ring.nf(f) for f in polyvec_from_vec(free, v))
-        if any(not f.is_zero() for f in pv):
-            out.append(pv)
-    return out
-
-
 def submodule_normal_form(free: FreeModule, vectors: Sequence, v: Sequence[Poly]) -> tuple:
     """Normal form of v against the span of vectors plus J * ambient."""
     handle = SubmoduleGB(free, [vec_from_polyvec(w) for w in vectors])
-    return polyvec_from_vec(free, handle.nf(vec_from_polyvec(v)))
+    return polyvec_from_vec(free.ring.poly_ring, free.rank, handle.nf(vec_from_polyvec(v)))
 
 
 # ---------------------------------------------------------------------------
 # syzygies and kernels
 
 
+def _nonzero_normal(ring: QuotientRing, rank: int, vecs: Sequence[dict]) -> list:
+    """The raw vectors as J-normal tuples of length rank, zeros dropped."""
+    out = []
+    for v in vecs:
+        pv = tuple(ring.nf(f) for f in polyvec_from_vec(ring.poly_ring, rank, v))
+        if any(not f.is_zero() for f in pv):
+            out.append(pv)
+    return out
+
+
 def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]], untracked: Sequence[dict]) -> list:
+    """Generators of the relations among vectors modulo untracked and J.
+
+    Each relation is a nonzero J-normal tuple with one entry per vector.
+    """
     ring = free.ring
     tracked = [vec_from_polyvec(v) for v in vectors]
     extra = list(untracked) + _defining_multiples(free)
-    return relative_syzygies(tracked, extra, rank=free.rank, nvars=ring.nvars, p=ring.char)
+    raw = relative_syzygies(tracked, extra, rank=free.rank, nvars=ring.nvars, p=ring.char)
+    return _nonzero_normal(ring, len(vectors), raw)
+
+
+def _map_from_columns(target: FreeModule, cols: list) -> ModMap:
+    """The map into target with the given columns, source twists read off them."""
+    source = FreeModule(target.ring, tuple(polyvec_degree(target, c) for c in cols))
+    rows = [[c[i] for c in cols] for i in range(target.rank)]
+    return ModMap(source, target, rows)
 
 
 def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]], degrees: Optional[Sequence[int]] = None) -> ModMap:
@@ -299,18 +302,7 @@ def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]], degrees: Optio
                 raise UsageError("zero vector needs an explicit degree")
             degrees.append(d)
     target = FreeModule(ring, tuple(degrees))
-    raw = _syzygy_vectors(free, vectors, [])
-    cols = []
-    col_degs = []
-    for s in raw:
-        pv = tuple(ring.nf(f) for f in polyvec_from_vec(target, s))
-        if all(f.is_zero() for f in pv):
-            continue
-        cols.append(pv)
-        col_degs.append(polyvec_degree(target, pv))
-    source = FreeModule(ring, tuple(col_degs))
-    rows = [[cols[c][i] for c in range(len(cols))] for i in range(target.rank)]
-    return ModMap(source, target, rows)
+    return _map_from_columns(target, _syzygy_vectors(free, vectors, []))
 
 
 def subquotient(
@@ -336,19 +328,8 @@ def subquotient(
         d = polyvec_degree(free, pv)
         degs.append(0 if d is None else d)
     gens = FreeModule(ring, tuple(degs))
-    raw = _syzygy_vectors(free, kept, denom_vecs)
-    cols = []
-    col_degs = []
-    for s in raw:
-        pv = tuple(ring.nf(f) for f in polyvec_from_vec(gens, s))
-        if all(f.is_zero() for f in pv):
-            continue
-        cols.append(pv)
-        col_degs.append(polyvec_degree(gens, pv))
-    source = FreeModule(ring, tuple(col_degs))
-    rows = [[cols[c][i] for c in range(len(cols))] for i in range(gens.rank)]
-    module = GradedModule(gens, ModMap(source, gens, rows))
-    return PresentedSubmodule(module=module, ambient=free, vectors=tuple(kept))
+    rels = _map_from_columns(gens, _syzygy_vectors(free, kept, denom_vecs))
+    return PresentedSubmodule(module=GradedModule(gens, rels), ambient=free, vectors=tuple(kept))
 
 
 @dataclass
@@ -367,28 +348,63 @@ class PresentedSubmodule:
         return ModMap(self.module.gens, self.ambient, rows)
 
 
-def kernel(phi: ModMap) -> GradedModule:
-    return kernel_presented(phi).module
-
-
 def kernel_presented(phi: ModMap) -> PresentedSubmodule:
     """ker(phi) as a subquotient of the source with representatives."""
     if phi.degree != 0:
         raise UsageError("kernel is only computed for degree zero maps")
-    ring = phi.ring
-    cols = phi.columns()
-    raw = _syzygy_vectors(phi.target, cols, [])
-    src = FreeModule(ring, phi.source.twists)
-    reps = []
-    for s in raw:
-        pv = tuple(ring.nf(f) for f in polyvec_from_vec(src, s))
-        if any(not f.is_zero() for f in pv):
-            reps.append(pv)
-    return subquotient(phi.source, reps, [])
+    return subquotient(phi.source, _syzygy_vectors(phi.target, phi.columns(), []), [])
 
 
 # ---------------------------------------------------------------------------
 # minimal presentations
+
+
+def _find_unit(mats: list):
+    for i, mat in enumerate(mats):
+        for a, row in enumerate(mat):
+            for b, e in enumerate(row):
+                if not e.is_zero() and e.is_constant():
+                    return i, a, b
+    return None
+
+
+def cancel_units(ring: QuotientRing, twists: list, mats: list) -> None:
+    """Strip unit entries from a chain of matrices by Gaussian cancellation.
+
+    mats[i] maps the free module with twists twists[i + 1] to the one
+    with twists twists[i].  A constant entry u at (a, b) of mats[i]
+    splits off an exact summand: basis b of twists[i + 1] and a of
+    twists[i] are removed, the remaining entries of mats[i] pick up the
+    correction -D[a][c] * D[r][b] / u, mats[i + 1] loses row b and
+    mats[i - 1] loses column a.  Pivots are taken first in (matrix, row,
+    column) order until every entry lies in m.  Works in place.
+    """
+    p = ring.char
+    while True:
+        hit = _find_unit(mats)
+        if hit is None:
+            return
+        i, a, b = hit
+        old = mats[i]
+        uinv = pow(old[a][b].constant_coeff(), p - 2, p)
+        new_rows = []
+        for r in range(len(old)):
+            if r == a:
+                continue
+            row = []
+            for c in range(len(old[r])):
+                if c == b:
+                    continue
+                corr = old[a][c] * old[r][b]
+                row.append(ring.nf(old[r][c] - corr.scale(uinv)))
+            new_rows.append(row)
+        mats[i] = new_rows
+        if i + 1 < len(mats):
+            mats[i + 1] = [row for r, row in enumerate(mats[i + 1]) if r != b]
+        if i - 1 >= 0:
+            mats[i - 1] = [[e for c, e in enumerate(row) if c != a] for row in mats[i - 1]]
+        del twists[i + 1][b]
+        del twists[i][a]
 
 
 def minimal_presentation(M: GradedModule) -> GradedModule:
@@ -400,54 +416,23 @@ def minimal_presentation(M: GradedModule) -> GradedModule:
     """
     if M._minimal is not None:
         return M._minimal
-    with M._lock:
-        if M._minimal is not None:
-            return M._minimal
-        ring = M.ring
-        p = ring.char
-        twists = list(M.gens.twists)
-        src_twists = list(M.rels.source.twists)
-        rows = [list(r) for r in M.rels.rows]
-        while True:
-            pivot = None
-            for i in range(len(rows)):
-                for j in range(len(src_twists)):
-                    e = rows[i][j]
-                    if not e.is_zero() and e.is_constant():
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
-            if pivot is None:
-                break
-            pi, pj = pivot
-            u = rows[pi][pj].constant_coeff()
-            uinv = pow(u, p - 2, p)
-            new_rows = []
-            for i in range(len(rows)):
-                if i == pi:
-                    continue
-                row = []
-                for j in range(len(src_twists)):
-                    if j == pj:
-                        continue
-                    corr = rows[pi][j] * rows[i][pj]
-                    row.append(ring.nf(rows[i][j] - corr.scale(uinv)))
-                new_rows.append(row)
-            del twists[pi]
-            del src_twists[pj]
-            rows = new_rows
-        keep_cols = [
-            j
-            for j in range(len(src_twists))
-            if any(not rows[i][j].is_zero() for i in range(len(rows)))
-        ]
-        gens = FreeModule(ring, tuple(twists))
-        source = FreeModule(ring, tuple(src_twists[j] for j in keep_cols))
-        rows = [[rows[i][j] for j in keep_cols] for i in range(len(rows))]
-        result = GradedModule(gens, ModMap(source, gens, rows))
-        result._minimal = result
-        M._minimal = result
+    ring = M.ring
+    twists = [list(M.gens.twists), list(M.rels.source.twists)]
+    mats = [[list(r) for r in M.rels.rows]]
+    cancel_units(ring, twists, mats)
+    gen_twists, src_twists = twists
+    rows = mats[0]
+    keep_cols = [
+        j
+        for j in range(len(src_twists))
+        if any(not rows[i][j].is_zero() for i in range(len(rows)))
+    ]
+    gens = FreeModule(ring, tuple(gen_twists))
+    source = FreeModule(ring, tuple(src_twists[j] for j in keep_cols))
+    rows = [[rows[i][j] for j in keep_cols] for i in range(len(rows))]
+    result = GradedModule(gens, ModMap(source, gens, rows))
+    result._minimal = result
+    M._minimal = result
     return result
 
 
@@ -555,8 +540,17 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
     return SubmoduleGB(free, syz)
 
 
-def _relation_handle(M: GradedModule) -> SubmoduleGB:
-    return SubmoduleGB(M.gens, [vec_from_polyvec(c) for c in M.rels.columns()])
+def _stable_colon(M: GradedModule, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
+    """The union of the chain (N : I^s), N the relation submodule of M.
+
+    Iterates N -> (N : I) until the reduced basis is stable.
+    """
+    current = SubmoduleGB(M.gens, [vec_from_polyvec(c) for c in M.rels.columns()])
+    while True:
+        step = _colon_submodule(M.gens, current, ideal_gens)
+        if step.gb == current.gb:
+            return current
+        current = step
 
 
 @dataclass
@@ -579,17 +573,7 @@ def gamma_torsion(M: GradedModule, I) -> TorsionSubmodule:
         free = M.gens
         sub = subquotient(free, [free.basis_vector(k) for k in range(free.rank)], M.rels.columns())
         return TorsionSubmodule(module=sub.module, inclusion=sub.inclusion())
-    current = _relation_handle(M)
-    while True:
-        step = _colon_submodule(M.gens, current, gens)
-        if step.gb == current.gb:
-            break
-        current = step
-    numerators = []
-    for v in current.gb:
-        pv = tuple(ring.nf(f) for f in polyvec_from_vec(M.gens, v))
-        if any(not f.is_zero() for f in pv):
-            numerators.append(pv)
+    numerators = _nonzero_normal(ring, M.gens.rank, _stable_colon(M, gens).gb)
     sub = subquotient(M.gens, numerators, M.rels.columns())
     return TorsionSubmodule(module=sub.module, inclusion=sub.inclusion())
 
@@ -606,13 +590,7 @@ def is_power_torsion(M: GradedModule, I) -> bool:
     for f in gens:
         if f.is_zero():
             continue
-        current = _relation_handle(M)
-        while True:
-            step = _colon_submodule(M.gens, current, [f])
-            if step.gb == current.gb:
-                break
-            current = step
-        if not current.is_everything():
+        if not _stable_colon(M, [f]).is_everything():
             return False
     return True
 

@@ -18,7 +18,7 @@ from .errors import UsageError
 DEFAULT_CHAR = 101
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -90,7 +90,7 @@ class PolyRing:
     def __post_init__(self):
         if self.nvars < 0:
             raise UsageError("variable count must be nonnegative")
-        if not _is_prime(self.char):
+        if not is_prime(self.char):
             raise UsageError(f"characteristic {self.char} is not prime")
 
     def zero(self) -> "Poly":
@@ -183,11 +183,6 @@ class Poly:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
         return self.terms[0][0]
-
-    def leading_coeff(self) -> int:
-        if not self.terms:
-            raise UsageError("zero polynomial has no leading term")
-        return self.terms[0][1]
 
     def homogeneous_part(self, d: int) -> "Poly":
         return Poly(self.ring, tuple((e, c) for e, c in self.terms if mono_deg(e) == d))

@@ -8,7 +8,6 @@ backbone of every degreewise linear algebra computation.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations_with_replacement
 
 from .errors import UsageError
@@ -25,7 +24,6 @@ class QuotientRing:
         self.poly_ring = defining.ring
         self.defining = defining
         self._basis_cache: dict = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def free(cls, ring: PolyRing) -> "QuotientRing":
@@ -64,36 +62,19 @@ class QuotientRing:
             return ()
         key = d
         if key not in self._basis_cache:
-            with self._lock:
-                if key not in self._basis_cache:
-                    lts = self.defining.leading_monomials()
-                    out = []
-                    n = self.nvars
-                    for combo in combinations_with_replacement(range(n), d):
-                        e = [0] * n
-                        for i in combo:
-                            e[i] += 1
-                        e = tuple(e)
-                        if not any(mono_divides(m, e) for m in lts):
-                            out.append(e)
-                    out.sort(key=drl_key, reverse=True)
-                    self._basis_cache[key] = tuple(out)
+            lts = self.defining.leading_monomials()
+            out = []
+            n = self.nvars
+            for combo in combinations_with_replacement(range(n), d):
+                e = [0] * n
+                for i in combo:
+                    e[i] += 1
+                e = tuple(e)
+                if not any(mono_divides(m, e) for m in lts):
+                    out.append(e)
+            out.sort(key=drl_key, reverse=True)
+            self._basis_cache[key] = tuple(out)
         return self._basis_cache[key]
-
-    def piece_dim(self, d: int) -> int:
-        return len(self.monomial_basis(d))
-
-    def coords(self, f: Poly, d: int):
-        """Coordinates of nf(f) in the degree d monomial basis."""
-        g = self.nf(f)
-        basis = self.monomial_basis(d)
-        index = {e: i for i, e in enumerate(basis)}
-        out = [0] * len(basis)
-        for e, c in g.terms:
-            if sum(e) != d:
-                raise UsageError("element is not concentrated in the requested degree")
-            out[index[e]] = c
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientRing) and self.defining == other.defining

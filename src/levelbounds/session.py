@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .groebner import IdealData, ideal, ideal_intersection, zero_ideal
-from .polys import DEFAULT_CHAR, PolyRing, parse_poly
+from .polys import DEFAULT_CHAR, PolyRing, is_prime, parse_poly
 from .rings import QuotientRing
 
 E_SYNTAX = "E_SYNTAX"
@@ -90,17 +90,6 @@ class Session:
     ideals: dict = field(default_factory=dict)
     seqs: dict = field(default_factory=dict)
     tasks: list = field(default_factory=list)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class _Section:
@@ -233,7 +222,7 @@ def parse_session(text: str) -> Session:
 
     if "p" in ring_sec.entries:
         p, pline, pcol = _require_int(ring_sec.entries, "p", ring_sec.line)
-        if not _is_prime(p):
+        if not is_prime(p):
             raise SessionError(E_NOT_PRIME, f"p = {p} is not prime", pline, pcol)
     else:
         p = DEFAULT_CHAR

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import hom_complex, koszul_complex, minimalize
-from .errors import UsageError
+from .errors import InternalInconsistencyError, UsageError
 from .groebner import bigheight_monomial, ideal, ideal_intersection, zero_ideal
 from .invariants import depth_ring, dims
 from .level import check_torsion_dim, level_interval, verify_factorization_example
@@ -61,6 +61,8 @@ def run_suite(n: int, char: int = DEFAULT_CHAR) -> SuiteResult:
     def record(name, fn):
         try:
             ok, detail = fn()
+        except InternalInconsistencyError:
+            raise  # an interval inversion aborts the run with exit 3
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"error: {exc}"
         checks.append((name, ok, detail))

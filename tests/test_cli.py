@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, output schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from levelbounds import cli, suite
 from levelbounds.cli import SCHEMA, main
+from levelbounds.errors import InternalInconsistencyError
 
 SESSION = """\
 [ring]
@@ -78,8 +81,34 @@ def test_run_machine_schema(session_file, capsys):
 def test_machine_output_is_deterministic(session_file, capsys):
     _, first, _ = run_cli(capsys, ["run", session_file, "--machine"])
     _, second, _ = run_cli(capsys, ["run", session_file, "--machine"])
-    _, parallel, _ = run_cli(capsys, ["run", session_file, "--machine", "--parallel"])
-    assert first == second == parallel
+    assert first == second
+    # set iteration order must not leak into the bytes
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "levelbounds.cli", "run", session_file, "--machine"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == first
+
+
+def test_parallel_flag_is_usage_error(session_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", session_file, "--parallel"])
+    assert info.value.code == 2
+
+
+def _inverted(*args, **kwargs):
+    raise InternalInconsistencyError("lower bound 3 exceeds upper bound 2")
+
+
+def test_interval_inversion_exits_three(session_file, monkeypatch, capsys):
+    monkeypatch.setattr(suite, "level_interval", _inverted)
+    monkeypatch.setattr(cli, "level_interval", _inverted)
+    code, _, err = run_cli(capsys, ["paper-suite", "--n", "3"])
+    assert code == 3 and err.startswith("internal inconsistency:")
+    code, _, err = run_cli(capsys, ["run", session_file, "--machine"])
+    assert code == 3 and err.startswith("internal inconsistency:")
 
 
 def test_failing_task_exits_one(tmp_path, capsys):
