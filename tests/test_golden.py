@@ -1,7 +1,8 @@
 """Byte-for-byte regression guard on the machine output of the CLI.
 
 The files under tests/golden hold the --machine output of the README
-quick-start commands and of the built-in suite at n = 3.  They are a
+quick-start commands, of the built-in suite at n = 3 and of a session
+file that drives the Groebner core through its callers.  They are a
 drift detector, not a correctness oracle: a change that alters any
 certificate, evidence field or pivot order shows up here as a diff.
 """
@@ -25,6 +26,7 @@ CASES = [
         "invariants_meet.jsonl",
         ["invariants", "--vars", "3", "--quotient", "meet(x1; x2, x3)", "--ideal", "x2, x3"],
     ),
+    ("groebner_session.jsonl", ["run", str(GOLDEN / "groebner_session.session")]),
 ]
 
 
