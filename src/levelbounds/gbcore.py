@@ -11,12 +11,18 @@ where a term is (position, exponent tuple).  Orders are key functions on
 terms; larger key means larger term.  No pair-skipping criteria are
 applied: the product criterion is unsound for modules and desk-scale
 inputs do not need it.
+
+Leading terms and reducers are computed once: a basis element carries
+its lead from the moment it is added, interreduction reduces every tail
+against one shared basis, and callers that reduce many vectors against
+the same reduced basis build its reducer once (reducer) and pass it to
+submodule_nf.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .polys import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -84,8 +90,10 @@ class _Basis:
         self.elems: list = []  # (lt_term, vec)
         self.by_pos: dict = {}
 
-    def add(self, v: Vec) -> None:
-        lt = vec_lt(v, self.key)
+    def add(self, v: Vec, lt: Optional[Term] = None) -> None:
+        """Append v; lt is its leading term when the caller knows it."""
+        if lt is None:
+            lt = vec_lt(v, self.key)
         self.elems.append((lt, v))
         self.by_pos.setdefault(lt[0], []).append((lt[1], v))
 
@@ -124,6 +132,11 @@ def normal_form(v: Vec, basis: _Basis, key: Callable, p: int) -> Vec:
     return out
 
 
+def _add_monic(basis: _Basis, v: Vec) -> None:
+    lt = vec_lt(v, basis.key)
+    basis.add(vec_scale(v, pow(v[lt], basis.p - 2, basis.p), basis.p), lt)
+
+
 def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
     # both monic with the same leading position
     m = mono_lcm(lt1[1], lt2[1])
@@ -159,7 +172,7 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
     for v in seed:
         r = normal_form(v, basis, key, p)
         if r:
-            basis.add(vec_monic(r, key, p))
+            _add_monic(basis, r)
             push_pairs(len(basis.elems) - 1)
 
     while queue:
@@ -169,7 +182,7 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
         s = _spair(lti, vi, ltj, vj, p)
         r = normal_form(s, basis, key, p)
         if r:
-            basis.add(vec_monic(r, key, p))
+            _add_monic(basis, r)
             push_pairs(len(basis.elems) - 1)
 
     return _interreduce(basis.elems, key, p)
@@ -177,37 +190,45 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
 
 def _interreduce(elems: Sequence, key: Callable, p: int) -> list:
     # minimal: drop elements whose lead is divisible by another lead
+    buckets: dict = {}
+    for idx, (lt, _) in enumerate(elems):
+        buckets.setdefault(lt[0], []).append((idx, lt[1]))
     keep = []
     for idx, (lt, v) in enumerate(elems):
-        lp, le = lt
-        redundant = False
-        for jdx, (lt2, _) in enumerate(elems):
-            if jdx == idx or lt2[0] != lp:
-                continue
-            if mono_divides(lt2[1], le) and (lt2[1] != le or jdx < idx):
-                redundant = True
-                break
-        if not redundant:
+        le = lt[1]
+        if not any(
+            jdx != idx and mono_divides(le2, le) and (le2 != le or jdx < idx)
+            for jdx, le2 in buckets[lt[0]]
+        ):
             keep.append((lt, v))
-    # tail reduce each against the others
+    # Tail reduce each against the kept elements.  A tail term is smaller
+    # than its own lead, so that lead divides none of the terms met on
+    # the way: an element never reduces itself, and one shared basis
+    # picks the same reducers as the others-only basis would.
+    shared = _Basis(key, p)
+    for lt, v in keep:
+        shared.add(v, lt)
     out = []
-    for idx, (lt, v) in enumerate(keep):
-        others = _Basis(key, p)
-        for jdx, (lt2, v2) in enumerate(keep):
-            if jdx != idx:
-                others.add(v2)
-        out.append(normal_form(v, others, key, p))
-    out = [vec_monic(v, key, p) for v in out if v]
-    out.sort(key=lambda v: key(vec_lt(v, key)), reverse=True)
-    return out
+    for lt, v in keep:
+        tail = dict(v)
+        reduced = {lt: tail.pop(lt)}
+        reduced.update(normal_form(tail, shared, key, p))
+        out.append((key(lt), reduced))
+    out.sort(key=lambda kv: kv[0], reverse=True)
+    return [v for _, v in out]
 
 
-def submodule_nf(v: Vec, gb: Sequence, key: Callable, p: int) -> Vec:
-    """Normal form of v against a precomputed reduced basis."""
+def reducer(gb: Sequence, key: Callable, p: int) -> _Basis:
+    """The division structure of a reduced basis, for submodule_nf."""
     basis = _Basis(key, p)
     for g in gb:
         basis.add(g)
-    return normal_form(v, basis, key, p)
+    return basis
+
+
+def submodule_nf(v: Vec, basis: _Basis) -> Vec:
+    """Normal form of v against a reduced basis built by reducer."""
+    return normal_form(v, basis, basis.key, basis.p)
 
 
 def relative_syzygies(

@@ -12,11 +12,12 @@ generator supports.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import aux_last_key, module_gb, pot_key, relative_syzygies, submodule_nf
+from .gbcore import aux_last_key, module_gb, pot_key, reducer, relative_syzygies, submodule_nf
 from .polys import Poly, PolyRing
 
 _MINPRIMES_VAR_CAP = 12
@@ -39,7 +40,8 @@ def _gb_polys(ring: PolyRing, polys: Iterable[Poly], key=pot_key) -> tuple:
 class IdealData:
     """A homogeneous ideal of P with its lazily computed reduced basis.
 
-    Instances are immutable; the basis is computed once, on first use.
+    Instances are immutable; the basis and its reducer are computed once,
+    on first use.
     """
 
     def __init__(self, ring: PolyRing, gens: Sequence[Poly], require_homogeneous: bool = True):
@@ -63,11 +65,14 @@ class IdealData:
             self._gb = _gb_polys(self.ring, self.gens)
         return self._gb
 
+    @cached_property
+    def _reducer(self):
+        return reducer([_poly_to_vec(g) for g in self.gb], pot_key, self.ring.char)
+
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
             raise UsageError("polynomial from a different ring")
-        vecs = [_poly_to_vec(g) for g in self.gb]
-        return _vec_to_poly(self.ring, submodule_nf(_poly_to_vec(f), vecs, pot_key, self.ring.char))
+        return _vec_to_poly(self.ring, submodule_nf(_poly_to_vec(f), self._reducer))
 
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero()

@@ -1,7 +1,8 @@
 """Dense linear algebra over F_p on small numpy integer matrices.
 
-Entries are kept reduced mod p in int64; p^2 fits comfortably, so plain
-integer arithmetic with explicit reductions is exact.
+Entries are kept reduced mod p in int64, and elimination forms products
+of two residues.  That is exact only for p^2 < 2^63, so p must be below
+2^31; PolyRing refuses larger characteristics with E_CHAR_RANGE.
 """
 
 from __future__ import annotations

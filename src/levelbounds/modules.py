@@ -14,11 +14,12 @@ homogeneous of degree twist_source(j) - twist_target(i) + map degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import module_gb, pot_key, relative_syzygies, submodule_nf
+from .gbcore import module_gb, pot_key, reducer, relative_syzygies, submodule_nf
 from .groebner import IdealData, ideal_intersection
 from .polys import Poly, PolyRing
 from .rings import QuotientRing
@@ -231,8 +232,12 @@ class SubmoduleGB:
             vecs.extend(_defining_multiples(free))
         self.gb = module_gb(vecs, pot_key, p)
 
+    @cached_property
+    def _reducer(self):
+        return reducer(self.gb, pot_key, self.free.ring.char)
+
     def nf(self, v: dict) -> dict:
-        return submodule_nf(v, self.gb, pot_key, self.free.ring.char)
+        return submodule_nf(v, self._reducer)
 
     def contains(self, v: dict) -> bool:
         return not self.nf(v)
@@ -246,12 +251,6 @@ class SubmoduleGB:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SubmoduleGB) and self.free == other.free and self.gb == other.gb
-
-
-def submodule_normal_form(free: FreeModule, vectors: Sequence, v: Sequence[Poly]) -> tuple:
-    """Normal form of v against the span of vectors plus J * ambient."""
-    handle = SubmoduleGB(free, [vec_from_polyvec(w) for w in vectors])
-    return polyvec_from_vec(free.ring.poly_ring, free.rank, handle.nf(vec_from_polyvec(v)))
 
 
 # ---------------------------------------------------------------------------

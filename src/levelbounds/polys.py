@@ -17,6 +17,11 @@ from .errors import UsageError
 
 DEFAULT_CHAR = 101
 
+# linalg keeps entries in int64 and forms products of two residues, which
+# is exact only while p^2 < 2^63; larger characteristics are refused.
+MAX_CHAR = 2**31
+E_CHAR_RANGE = "E_CHAR_RANGE"
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -90,6 +95,8 @@ class PolyRing:
     def __post_init__(self):
         if self.nvars < 0:
             raise UsageError("variable count must be nonnegative")
+        if self.char >= MAX_CHAR:
+            raise UsageError(f"{E_CHAR_RANGE}: characteristic {self.char} is not below 2^31")
         if not is_prime(self.char):
             raise UsageError(f"characteristic {self.char} is not prime")
 

@@ -3,7 +3,7 @@
 Grammar (one statement per line, # comments, blank lines ignored):
 
     [ring]
-    p = 101            # optional, default 101, must be prime
+    p = 101            # optional, default 101, must be a prime below 2^31
     vars = 3
     quotient = meet(A, B)   # optional ideal expression, default 0
 
@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .groebner import IdealData, ideal, ideal_intersection, zero_ideal
-from .polys import DEFAULT_CHAR, PolyRing, is_prime, parse_poly
+from .polys import DEFAULT_CHAR, E_CHAR_RANGE, MAX_CHAR, PolyRing, is_prime, parse_poly
 from .rings import QuotientRing
 
 E_SYNTAX = "E_SYNTAX"
@@ -222,6 +222,8 @@ def parse_session(text: str) -> Session:
 
     if "p" in ring_sec.entries:
         p, pline, pcol = _require_int(ring_sec.entries, "p", ring_sec.line)
+        if p >= MAX_CHAR:
+            raise SessionError(E_CHAR_RANGE, f"p = {p} is not below 2^31", pline, pcol)
         if not is_prime(p):
             raise SessionError(E_NOT_PRIME, f"p = {p} is not prime", pline, pcol)
     else:

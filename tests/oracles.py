@@ -343,3 +343,40 @@ def frank_oracle(M):
     ring = M.ring
     mat = hom_eval_matrix(M)
     return linalg.rank(mat, ring.char)
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p by Gaussian elimination on plain Python integers."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def lead_divisible_terms(vectors, key):
+    """Terms of a module vector divisible by the lead of another vector.
+
+    Vectors are dicts keyed by (position, exponent tuple) and key orders
+    those terms.  Returns (i, j, term) for each term of vectors[i] that
+    the leading term of vectors[j], j != i, divides: same position and
+    exponents no larger in any variable.  A reduced basis yields [].
+    """
+    leads = [max(v, key=key) for v in vectors]
+    out = []
+    for i, v in enumerate(vectors):
+        for pos, e in v:
+            for j, (lpos, le) in enumerate(leads):
+                if j != i and lpos == pos and all(a <= b for a, b in zip(le, e)):
+                    out.append((i, j, (pos, e)))
+    return out

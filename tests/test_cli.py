@@ -135,6 +135,21 @@ def test_composite_char_exits_two(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_large_char_exits_two_with_range_code(capsys):
+    code, out, err = run_cli(
+        capsys, ["koszul", "--vars", "2", "--seq", "x1", "--char", "4294967311"]
+    )
+    assert code == 2 and out == "" and "E_CHAR_RANGE" in err
+
+
+def test_large_char_in_session_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.session"
+    path.write_text("[ring]\np = 4294967311\nvars = 2\n\n[seq S]\nelems = x1\n\n"
+                    "[task koszul-level]\nseq = S\n")
+    code, out, err = run_cli(capsys, ["run", str(path)])
+    assert code == 2 and out == "" and "E_CHAR_RANGE" in err and "(line 2," in err
+
+
 def test_unit_quotient_exits_two(capsys):
     code, _, err = run_cli(
         capsys, ["invariants", "--vars", "2", "--quotient", "x1, x2, 1"]

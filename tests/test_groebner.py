@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levelbounds.errors import UnsupportedInputError, UsageError
+from levelbounds.gbcore import aux_last_key, module_gb, pot_key
 from levelbounds.groebner import (IdealData, bigheight_monomial, height_monomial,
                                   ideal, ideal_intersection, ideal_quotient,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
@@ -193,3 +194,34 @@ def test_sum_and_intersection_bracketing(I):
     # I is squeezed between I meet I and I plus I
     assert gb_set(ideal_sum(I, I)) == gb_set(I)
     assert gb_set(ideal_intersection(I, I)) == gb_set(I)
+
+
+def homogeneous_vectors(nvars, rank):
+    """Raw vectors of P^rank whose terms all have one total degree."""
+    def for_degree(d):
+        terms = [(pos, e) for pos in range(rank) for e in oracles.monomials(nvars, d)]
+        return st.lists(st.tuples(st.sampled_from(terms), st.integers(1, 100)),
+                        min_size=1, max_size=4, unique_by=lambda t: t[0]).map(dict)
+    return st.integers(1, 3).flatmap(for_degree)
+
+
+@pytest.mark.parametrize("key", [pot_key, aux_last_key], ids=["pot_key", "aux_last_key"])
+@given(rank=st.integers(1, 2), data=st.data())
+def test_module_gb_is_reduced_and_order_free(key, rank, data):
+    vecs = data.draw(st.lists(homogeneous_vectors(3, rank), min_size=1, max_size=4))
+    rng = data.draw(st.randoms(use_true_random=False))
+    gb = module_gb(vecs, key, 101)
+    shuffled = list(vecs)
+    rng.shuffle(shuffled)
+    assert module_gb(shuffled, key, 101) == gb
+    assert all(v[max(v, key=key)] == 1 for v in gb)
+    assert oracles.lead_divisible_terms(gb, key) == []
+
+
+def test_equal_ideals_do_not_share_a_reducer():
+    I = ideal(P2, [X**2, X * Y])
+    J = ideal(P2, [X * Y, X**2])
+    assert I == J
+    f = X**2 * Y + Y**3
+    assert I.normal_form(f) == J.normal_form(f) == Y**3
+    assert I._reducer is not J._reducer

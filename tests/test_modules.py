@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from levelbounds import linalg
 from levelbounds.complexes import koszul_complex
 from levelbounds.errors import UsageError
+from levelbounds.gbcore import _Basis, normal_form, pot_key
 from levelbounds.groebner import ideal, radical_membership, zero_ideal
 from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
                                  annihilator, direct_sum, frank, gamma_torsion,
@@ -16,8 +17,8 @@ from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
                                  is_power_torsion, is_zero_module,
                                  kernel_presented, min_gens,
                                  minimal_presentation, polyvec_degree,
-                                 submodule_normal_form, syzygies,
-                                 transpose_map, vec_from_polyvec, zero_map)
+                                 polyvec_from_vec, syzygies, transpose_map,
+                                 vec_from_polyvec, zero_map)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -126,8 +127,35 @@ def test_submodule_gb_membership():
     assert span.contains_polyvec((X * Y,))
     assert not span.contains_polyvec((P2.one(),))
     assert SubmoduleGB(F, [vec_from_polyvec((P2.one(),))]).is_everything()
-    assert submodule_normal_form(F, [(X,)], (X,))[0].is_zero()
-    assert submodule_normal_form(F, [(X,)], (Y,))[0] == Y
+    x_span = SubmoduleGB(F, [vec_from_polyvec((X,))])
+    assert not x_span.nf(vec_from_polyvec((X,)))
+    assert x_span.nf(vec_from_polyvec((Y,))) == vec_from_polyvec((Y,))
+
+
+def _fresh_nf(v, gb, p):
+    basis = _Basis(pot_key, p)
+    for g in gb:
+        basis.add(g)
+    return normal_form(v, basis, pot_key, p)
+
+
+def test_cached_reducers_match_fresh_bases():
+    for C in corpus.build_corpus(8, seed=7):
+        ring = C.ring
+        p = ring.char
+        J = ring.defining
+        j_gb = [vec_from_polyvec((g,)) for g in J.gb]
+        for d in C.diffs:
+            cols = d.columns()
+            handle = SubmoduleGB(d.target, [vec_from_polyvec(cols[0])])
+            for col in cols:
+                for x in ring.poly_ring.variables():
+                    shifted = tuple(f * x for f in col)
+                    for f in shifted:
+                        want = _fresh_nf(vec_from_polyvec((f,)), j_gb, p)
+                        assert J.normal_form(f) == polyvec_from_vec(ring.poly_ring, 1, want)[0]
+                    v = vec_from_polyvec(shifted)
+                    assert handle.nf(v) == _fresh_nf(v, handle.gb, p)
 
 
 def test_kernel_vanishes_after_inclusion():
@@ -308,6 +336,24 @@ def test_frank_shifts_under_free_summand():
         S = minimal_presentation(direct_sum(
             GradedModule.free_of(FreeModule(M.ring, (0,))), M))
         assert frank(S) == 1 + want
+
+
+def test_rank_matches_integer_oracle_at_largest_char():
+    # 2^31 - 1 is the largest prime PolyRing accepts; products of two
+    # residues come close to the int64 limit there
+    p = 2**31 - 1
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        u = [int(x) for x in rng.integers(0, p, 2)]
+        v = [int(x) for x in rng.integers(0, p, 3)]
+        rows = [[a * b % p for b in v] for a in u]
+        assert linalg.rank(linalg.as_matrix(rows, p), p) == oracles.rank_mod_p(rows, p)
+    for _ in range(100):
+        a = [[int(x) for x in row] for row in rng.integers(0, p, (4, 2))]
+        b = [[int(x) for x in row] for row in rng.integers(0, p, (2, 5))]
+        rows = [[sum(a[i][k] * b[k][j] for k in range(2)) % p for j in range(5)]
+                for i in range(4)]
+        assert linalg.rank(linalg.as_matrix(rows, p), p) == oracles.rank_mod_p(rows, p)
 
 
 def test_polyvec_degree():

@@ -3,7 +3,7 @@
 import pytest
 
 from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
-from levelbounds.polys import PolyRing, format_poly
+from levelbounds.polys import E_CHAR_RANGE, PolyRing, format_poly
 from levelbounds.session import (E_NOT_HOMOGENEOUS, E_NOT_PRIME, E_SYNTAX,
                                  E_UNKNOWN_NAME, SessionError,
                                  parse_ideal_expression, parse_sequence,
@@ -149,6 +149,18 @@ def test_diagnostics(text, code, line):
     assert info.value.code == code
     assert info.value.line == line
     assert f"(line {line}," in str(info.value)
+
+
+@pytest.mark.parametrize("p", [2**31, 4294967311, 2**61 - 1])
+def test_characteristic_out_of_range(p):
+    # 2^61 - 1 is prime: the range check must come before trial division
+    with pytest.raises(SessionError) as info:
+        parse_session(f"[ring]\nvars = 2\np = {p}\n")
+    assert info.value.code == E_CHAR_RANGE and info.value.line == 3
+
+
+def test_largest_characteristic_is_accepted():
+    assert parse_session("[ring]\nvars = 2\np = 2147483647\n").char == 2**31 - 1
 
 
 def test_unknown_seq_in_complex_expr():
