@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .errors import UsageError
 from .modules import (
     FreeModule,
-    GradedModule,
     ModMap,
     PresentedSubmodule,
     cancel_units,
@@ -89,11 +88,6 @@ class ChainComplex:
     def hi(self) -> int:
         return len(self.modules) - 1
 
-    def module(self, i: int) -> FreeModule:
-        if not 0 <= i <= self.hi:
-            raise UsageError(f"degree {i} outside 0..{self.hi}")
-        return self.modules[i]
-
     def diff(self, i: int) -> ModMap:
         """The differential F_i -> F_(i-1), for 1 <= i <= hi."""
         if not 1 <= i <= self.hi:
@@ -105,9 +99,6 @@ class ChainComplex:
 
     def is_zero_complex(self) -> bool:
         return not self.nonzero_degrees()
-
-    def total_rank(self) -> int:
-        return sum(m.rank for m in self.modules)
 
     def is_minimal(self) -> bool:
         return all(d.entries_in_maximal_ideal() for d in self.diffs)
@@ -211,20 +202,6 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     return ChainComplex(ring, modules, diffs, shift=C.shift + lo_trim, koszul=C.koszul)
 
 
-def truncation_cokernel(C: ChainComplex, b: int) -> GradedModule:
-    """coker of the differential entering degree b-1 of a minimal complex.
-
-    For b = hi + 1 the incoming map is zero and the result is free.
-    """
-    if not C.is_minimal():
-        raise UsageError("truncation cokernel is only meaningful for minimal complexes")
-    if not 1 <= b <= C.hi + 1:
-        raise UsageError(f"truncation degree {b} outside 1..{C.hi + 1}")
-    if b == C.hi + 1:
-        return GradedModule.free_of(C.modules[C.hi])
-    return GradedModule(C.modules[b - 1], C.diffs[b - 1])
-
-
 # ---------------------------------------------------------------------------
 # Hom complexes
 
@@ -275,7 +252,7 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
                     if not e.is_zero():
                         r = tgt_index.get((j, u, w))
                         if r is not None:
-                            rows[r][col] = ring.nf(rows[r][col] + e)
+                            rows[r][col] = rows[r][col] + e
             if j + 1 <= F.hi:
                 dF = F.diffs[j]
                 for q in range(F.modules[j + 1].rank):
@@ -283,7 +260,7 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
                     if not e.is_zero():
                         r = tgt_index.get((j + 1, q, v))
                         if r is not None:
-                            rows[r][col] = ring.nf(rows[r][col] + e.scale(sign))
+                            rows[r][col] = rows[r][col] + e.scale(sign)
         diffs.append(ModMap(modules[i], modules[i - 1], rows))
     mods = [modules[i] for i in range(lo_h, hi_h + 1)]
     tag = None
@@ -349,17 +326,6 @@ class ChainMap:
 
     def __repr__(self):
         return f"ChainMap(degree={self.degree})"
-
-
-def identity_chain_map(C: ChainComplex) -> ChainMap:
-    comps = {}
-    one = C.ring.poly_ring.one()
-    zero = C.ring.poly_ring.zero()
-    for i in range(C.hi + 1):
-        r = C.modules[i].rank
-        rows = [[one if a == b else zero for b in range(r)] for a in range(r)]
-        comps[i] = ModMap(C.modules[i], C.modules[i], rows)
-    return ChainMap(C, C, comps)
 
 
 def scalar_chain_map(C: ChainComplex, r: Poly) -> ChainMap:

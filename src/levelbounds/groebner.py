@@ -2,12 +2,11 @@
 
 Everything routes through the rank one case of the module engine.  The
 degrevlex reduced Groebner basis is the canonical form of an ideal;
-intersections use one auxiliary variable with a block order, colons
-reduce to relative syzygies, radical membership uses the extra-variable
-unit trick.  Dimension theory here is combinatorial: the Krull dimension
-comes from independent variable subsets of the initial ideal, and
-minimal primes of monomial ideals are minimal vertex covers of the
-generator supports.
+intersections use one auxiliary variable with a block order, radical
+membership uses the extra-variable unit trick.  Dimension theory here is
+combinatorial: the Krull dimension comes from independent variable
+subsets of the initial ideal, and minimal primes of monomial ideals are
+minimal vertex covers of the generator supports.
 """
 
 from __future__ import annotations
@@ -17,10 +16,14 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import aux_last_key, module_gb, pot_key, reducer, relative_syzygies, submodule_nf
+from .gbcore import aux_last_key, module_gb, pot_key, reducer, submodule_nf
 from .polys import Poly, PolyRing
 
+# Both enumerations below walk every subset of a variable set, so the set
+# size is capped; minimal primes also filter all covers pairwise.
+_KRULL_VAR_CAP = 16
 _MINPRIMES_VAR_CAP = 12
+E_VAR_CAP = "E_VAR_CAP"
 
 
 def _poly_to_vec(f: Poly) -> dict:
@@ -56,14 +59,11 @@ class IdealData:
                 raise UsageError(f"non-homogeneous generator: {f}")
             clean.append(f)
         self.gens = tuple(clean)
-        self._gb = None
 
-    @property
+    @cached_property
     def gb(self) -> tuple:
         """Reduced degrevlex Groebner basis, monic, descending leads."""
-        if self._gb is None:
-            self._gb = _gb_polys(self.ring, self.gens)
-        return self._gb
+        return _gb_polys(self.ring, self.gens)
 
     @cached_property
     def _reducer(self):
@@ -148,23 +148,6 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     return IdealData(ring, _gb_polys(ring, kept))
 
 
-def ideal_quotient(I: IdealData, f: Poly) -> IdealData:
-    """The colon ideal (I : f), computed from relative syzygies."""
-    if f.ring != I.ring:
-        raise UsageError("polynomial from a different ring")
-    if f.is_zero():
-        raise UsageError("colon by zero is not defined")
-    syz = relative_syzygies(
-        [_poly_to_vec(f)],
-        [_poly_to_vec(g) for g in I.gens],
-        rank=1,
-        nvars=I.ring.nvars,
-        p=I.ring.char,
-    )
-    quotients = [_vec_to_poly(I.ring, v) for v in syz]
-    return IdealData(I.ring, _gb_polys(I.ring, quotients))
-
-
 def radical_membership(f: Poly, I: IdealData) -> bool:
     """True when f lies in the radical of I (extra-variable unit trick)."""
     if f.ring != I.ring:
@@ -199,18 +182,28 @@ def krull_dim(I: IdealData) -> int:
     """Krull dimension of P/I; the unit ideal reports -1.
 
     The dimension is the largest size of a variable subset S such that
-    no leading monomial of the reduced basis is supported inside S.
+    no leading monomial of the reduced basis is supported inside S.  All
+    supports lie in the set U of variables that occur in some leading
+    monomial, so only subsets of U are walked and the variables outside
+    U are added to every S.  More than _KRULL_VAR_CAP variables in U is
+    refused.
     """
     if not I.is_proper():
         return -1
-    n = I.ring.nvars
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in I.leading_monomials()]
-    for size in range(n, -1, -1):
-        for combo in combinations(range(n), size):
+    used = sorted(frozenset().union(*supports))
+    if len(used) > _KRULL_VAR_CAP:
+        raise UnsupportedInputError(
+            f"{E_VAR_CAP}: Krull dimension enumeration capped at {_KRULL_VAR_CAP} "
+            f"variables in leading monomials, got {len(used)}"
+        )
+    outside = I.ring.nvars - len(used)
+    for size in range(len(used), -1, -1):
+        for combo in combinations(used, size):
             s = frozenset(combo)
             if not any(sup <= s for sup in supports):
-                return size
-    return 0
+                return outside + size
+    return outside
 
 
 def monomial_minimal_primes(I: IdealData) -> list:
@@ -225,7 +218,7 @@ def monomial_minimal_primes(I: IdealData) -> list:
         raise UsageError("the unit ideal has no minimal primes")
     if I.ring.nvars > _MINPRIMES_VAR_CAP:
         raise UnsupportedInputError(
-            f"minimal prime enumeration capped at {_MINPRIMES_VAR_CAP} variables"
+            f"{E_VAR_CAP}: minimal prime enumeration capped at {_MINPRIMES_VAR_CAP} variables"
         )
     if I.is_zero():
         return [frozenset()]

@@ -43,17 +43,15 @@ class FreeModule:
         one = self.ring.poly_ring.one()
         return tuple(one if i == j else zero for i in range(self.rank))
 
-    def zero_vector(self) -> tuple:
-        zero = self.ring.poly_ring.zero()
-        return (zero,) * self.rank
-
 
 class ModMap:
     """A degree-homogeneous map between free modules over R.
 
     rows[i][j] is the coefficient of target basis i in the image of
-    source basis j; entries are stored as J-normal forms.  degree is the
-    uniform internal degree shift (0 for differentials and relations).
+    source basis j; entries are stored as J-normal forms.  The
+    constructor does the reducing, so callers may pass any
+    representatives.  degree is the uniform internal degree shift (0 for
+    differentials and relations).
     """
 
     def __init__(self, source: FreeModule, target: FreeModule, rows: Sequence, degree: int = 0):
@@ -106,8 +104,7 @@ class ModMap:
         """self after other."""
         if other.target != self.source:
             raise UsageError("maps are not composable")
-        ring = self.ring
-        zero = ring.poly_ring.zero()
+        zero = self.ring.poly_ring.zero()
         rows = []
         for i in range(self.target.rank):
             row = []
@@ -116,7 +113,7 @@ class ModMap:
                 for k in range(self.source.rank):
                     if not self.rows[i][k].is_zero() and not other.rows[k][j].is_zero():
                         acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(ring.nf(acc))
+                row.append(acc)
             rows.append(row)
         return ModMap(other.source, self.target, rows, degree=self.degree + other.degree)
 
@@ -311,17 +308,15 @@ def subquotient(
 ) -> "PresentedSubmodule":
     """Present (span(numerators) + D) / D inside free, D = span(denominators).
 
-    Generators whose class is zero are dropped up front; relations among
-    the remaining classes are relative syzygies modulo D and J.
+    The numerators must be J-normal: they are kept as the generator
+    representatives.  Generators whose class is zero are dropped up
+    front; relations among the remaining classes are relative syzygies
+    modulo D and J.
     """
     ring = free.ring
     denom_vecs = [vec_from_polyvec(v) for v in denominators]
     denom_gb = SubmoduleGB(free, denom_vecs)
-    kept = []
-    for v in numerators:
-        pv = tuple(ring.nf(f) for f in v)
-        if not denom_gb.contains_polyvec(pv):
-            kept.append(pv)
+    kept = [tuple(v) for v in numerators if not denom_gb.contains_polyvec(v)]
     degs = []
     for pv in kept:
         d = polyvec_degree(free, pv)
@@ -435,35 +430,6 @@ def minimal_presentation(M: GradedModule) -> GradedModule:
     return result
 
 
-def min_gens(M: GradedModule) -> int:
-    """dim_k(M tensor k), the minimal number of generators."""
-    return minimal_presentation(M).gens.rank
-
-
-def is_zero_module(M: GradedModule) -> bool:
-    return min_gens(M) == 0
-
-
-def is_free(M: GradedModule) -> bool:
-    """Free means the minimal presentation has no relations left."""
-    return minimal_presentation(M).rels.source.rank == 0
-
-
-def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
-    if A.ring != B.ring:
-        raise UsageError("modules over different rings")
-    ring = A.ring
-    zero = ring.poly_ring.zero()
-    gens = FreeModule(ring, A.gens.twists + B.gens.twists)
-    source = FreeModule(ring, A.rels.source.twists + B.rels.source.twists)
-    rows = []
-    for i in range(A.gens.rank):
-        rows.append(list(A.rels.rows[i]) + [zero] * B.rels.source.rank)
-    for i in range(B.gens.rank):
-        rows.append([zero] * A.rels.source.rank + list(B.rels.rows[i]))
-    return GradedModule(gens, ModMap(source, gens, rows))
-
-
 # ---------------------------------------------------------------------------
 # Hom, annihilator, torsion
 
@@ -484,10 +450,6 @@ def hom_into_ring_presented(M: GradedModule) -> PresentedSubmodule:
     generators of M, as elements of R with the dual twist bookkeeping.
     """
     return kernel_presented(transpose_map(M.rels))
-
-
-def hom_into_ring(M: GradedModule) -> GradedModule:
-    return hom_into_ring_presented(M).module
 
 
 def annihilator(M: GradedModule) -> IdealData:
@@ -615,36 +577,3 @@ def frank(M: GradedModule) -> int:
         return 0
     pairing = [[f.constant_coeff() for f in vec] for vec in hom.vectors]
     return linalg.rank(linalg.as_matrix(pairing, M.ring.char), M.ring.char)
-
-
-# ---------------------------------------------------------------------------
-# degreewise data
-
-
-def hilbert_function(M: GradedModule, d: int) -> int:
-    """dim_k of the degree d piece of M, by row reduction."""
-    ring = M.ring
-    gens_basis = []
-    for j in range(M.gens.rank):
-        for m in ring.monomial_basis(d - M.gens.twists[j]):
-            gens_basis.append((j, m))
-    if not gens_basis:
-        return 0
-    index = {bm: i for i, bm in enumerate(gens_basis)}
-    rows = []
-    for c in range(M.rels.source.rank):
-        col = M.rels.column(c)
-        s_c = M.rels.source.twists[c]
-        for m in ring.monomial_basis(d - s_c):
-            vec = [0] * len(gens_basis)
-            for j in range(M.gens.rank):
-                if col[j].is_zero():
-                    continue
-                prod = ring.nf(col[j].shift_mono(m))
-                for e, coeff in prod.terms:
-                    vec[index[(j, e)]] = coeff
-            rows.append(vec)
-    if not rows:
-        return len(gens_basis)
-    mat = linalg.as_matrix(rows, ring.char)
-    return len(gens_basis) - linalg.rank(mat, ring.char)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import UsageError
 
@@ -67,18 +67,6 @@ def drl_key(a: tuple) -> tuple:
     smaller exponent winning, which the negated reversed tuple encodes.
     """
     return (sum(a), tuple(-e for e in reversed(a)))
-
-
-def mono_cmp(a: tuple, b: tuple) -> int:
-    """Three-way degrevlex comparison; requires equal variable counts."""
-    if len(a) != len(b):
-        raise UsageError("cannot compare monomials in different variable counts")
-    ka, kb = drl_key(a), drl_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +128,6 @@ class PolyRing:
         terms.sort(key=lambda t: drl_key(t[0]), reverse=True)
         return Poly(self, tuple(terms))
 
-    def parse(self, text: str) -> "Poly":
-        return parse_poly(text, self)
-
 
 class Poly:
     """Immutable polynomial in canonical form.
@@ -190,9 +175,6 @@ class Poly:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
         return self.terms[0][0]
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly(self.ring, tuple((e, c) for e, c in self.terms if mono_deg(e) == d))
 
     def as_dict(self) -> dict:
         return {e: c for e, c in self.terms}
@@ -377,11 +359,3 @@ def format_poly(f: Poly) -> str:
                 factors.append(f"x{i + 1}^{k}")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def parse_poly_list(text: str, ring: PolyRing) -> tuple:
-    """Comma separated polynomial list."""
-    items = [s for s in (chunk.strip() for chunk in text.split(",")) if s]
-    if not items:
-        raise UsageError("empty polynomial list")
-    return tuple(parse_poly(s, ring) for s in items)

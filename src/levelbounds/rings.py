@@ -1,18 +1,15 @@
-"""Graded quotient rings R = F_p[x1..xn]/J with degreewise bases.
+"""Graded quotient rings R = F_p[x1..xn]/J.
 
 J must be homogeneous and proper, so R is graded with R_0 = k and the
-irrelevant maximal ideal generated by the variable images.  Monomial
-bases of graded pieces come from the initial ideal of J; they are the
-backbone of every degreewise linear algebra computation.
+irrelevant maximal ideal generated by the variable images.  Elements of
+R are represented by their normal forms modulo J.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 from .errors import UsageError
 from .groebner import IdealData, krull_dim, zero_ideal
-from .polys import Poly, PolyRing, drl_key, mono_divides
+from .polys import Poly, PolyRing
 
 
 class QuotientRing:
@@ -23,7 +20,6 @@ class QuotientRing:
             raise UsageError("defining ideal must be proper")
         self.poly_ring = defining.ring
         self.defining = defining
-        self._basis_cache: dict = {}
 
     @classmethod
     def free(cls, ring: PolyRing) -> "QuotientRing":
@@ -55,26 +51,6 @@ class QuotientRing:
             if not self.is_zero_elem(v):
                 out.append(v)
         return tuple(out)
-
-    def monomial_basis(self, d: int) -> tuple:
-        """Monomials of degree d surviving in R, descending degrevlex."""
-        if d < 0:
-            return ()
-        key = d
-        if key not in self._basis_cache:
-            lts = self.defining.leading_monomials()
-            out = []
-            n = self.nvars
-            for combo in combinations_with_replacement(range(n), d):
-                e = [0] * n
-                for i in combo:
-                    e[i] += 1
-                e = tuple(e)
-                if not any(mono_divides(m, e) for m in lts):
-                    out.append(e)
-            out.sort(key=drl_key, reverse=True)
-            self._basis_cache[key] = tuple(out)
-        return self._basis_cache[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientRing) and self.defining == other.defining

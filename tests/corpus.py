@@ -4,14 +4,16 @@ The complexes are honest by construction: a random degree zero map is
 taken as the first differential and the second is assembled out of its
 kernel generators, so d compose d = 0 holds without rigging the random
 draw.  Constant matrix entries are allowed on purpose; they exercise
-the minimalization path.
+the minimalization path.  The builders at the end (minimal generator
+count, direct sums, identity chain maps) make fixtures for the tests.
 """
 
 import random
 
-from levelbounds.complexes import ChainComplex
+from levelbounds.complexes import ChainComplex, ChainMap
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import FreeModule, ModMap, kernel_presented, polyvec_degree
+from levelbounds.modules import (FreeModule, GradedModule, ModMap, kernel_presented,
+                                 minimal_presentation, polyvec_degree)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -81,3 +83,32 @@ def build_corpus(count=24, seed=20260819):
         out.append(C)
     _cache[key] = out
     return out
+
+
+def min_gens(M):
+    """dim_k(M tensor k), the minimal number of generators."""
+    return minimal_presentation(M).gens.rank
+
+
+def direct_sum(A, B):
+    ring = A.ring
+    zero = ring.poly_ring.zero()
+    gens = FreeModule(ring, A.gens.twists + B.gens.twists)
+    source = FreeModule(ring, A.rels.source.twists + B.rels.source.twists)
+    rows = []
+    for i in range(A.gens.rank):
+        rows.append(list(A.rels.rows[i]) + [zero] * B.rels.source.rank)
+    for i in range(B.gens.rank):
+        rows.append([zero] * A.rels.source.rank + list(B.rels.rows[i]))
+    return GradedModule(gens, ModMap(source, gens, rows))
+
+
+def identity_chain_map(C):
+    comps = {}
+    one = C.ring.poly_ring.one()
+    zero = C.ring.poly_ring.zero()
+    for i in range(C.hi + 1):
+        r = C.modules[i].rank
+        rows = [[one if a == b else zero for b in range(r)] for a in range(r)]
+        comps[i] = ModMap(C.modules[i], C.modules[i], rows)
+    return ChainMap(C, C, comps)

@@ -4,11 +4,12 @@ Everything here works one graded piece at a time: the degree d slice of
 a homogeneous ideal is the row span of monomial multiples of its raw
 generators, free modules get explicit (slot, monomial) coordinates, and
 homology dimensions fall out of rank counting on the raw differential
-matrices.  Nothing touches normal forms, Groebner bases, syzygy
-computations, or the cached monomial bases of the ring objects, so
-agreement with the engine is a genuine cross-check.  Only the shared
-F_p row reduction helpers are reused.
+matrices.  Nothing touches normal forms, Groebner bases or syzygy
+computations, so agreement with the engine is a genuine cross-check.
+Only the shared F_p row reduction helpers are reused.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -117,6 +118,20 @@ def submodule_rows(vectors, twists, nvars, d, p):
     if not rows:
         return np.zeros((0, len(basis)), dtype=np.int64)
     return linalg.as_matrix(rows, p)
+
+
+def krull_dim_all_subsets(I):
+    """dim P/I for a proper monomial ideal I, read off its raw generators.
+
+    The largest variable subset containing no generator's support,
+    found by walking every subset of all n variables.
+    """
+    n = I.ring.nvars
+    supports = [{i for i, e in enumerate(g.terms[0][0]) if e} for g in I.gens]
+    for size in range(n, -1, -1):
+        for s in combinations(range(n), size):
+            if not any(sup <= set(s) for sup in supports):
+                return size
 
 
 def _jf_vectors(j_gens, rank, zero):

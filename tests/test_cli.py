@@ -150,6 +150,12 @@ def test_large_char_in_session_file_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and "E_CHAR_RANGE" in err and "(line 2," in err
 
 
+def test_too_many_variables_exit_two_with_cap_code(capsys):
+    quotient = ", ".join(f"x{i}" for i in range(1, 18))
+    code, out, err = run_cli(capsys, ["invariants", "--vars", "17", "--quotient", quotient])
+    assert code == 2 and out == "" and "E_VAR_CAP" in err
+
+
 def test_unit_quotient_exits_two(capsys):
     code, _, err = run_cli(
         capsys, ["invariants", "--vars", "2", "--quotient", "x1, x2, 1"]

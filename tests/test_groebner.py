@@ -1,12 +1,14 @@
 """Ideal arithmetic: bases, membership, intersection, radical, dimension."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import aux_last_key, module_gb, pot_key
-from levelbounds.groebner import (IdealData, bigheight_monomial, height_monomial,
-                                  ideal, ideal_intersection, ideal_quotient,
+from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
+                                  height_monomial, ideal, ideal_intersection,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
                                   radical_membership, zero_ideal)
 from levelbounds.modules import FreeModule, GradedModule, ModMap, gamma_torsion
@@ -17,6 +19,7 @@ import oracles
 
 P2 = PolyRing(2, 101)
 P3 = PolyRing(3, 101)
+P4 = PolyRing(4, 101)
 X, Y = P2.variables()
 X1, X2, X3 = P3.variables()
 
@@ -61,11 +64,6 @@ def test_intersection_examples():
 
 
 def test_quotient_and_saturation():
-    assert gb_set(ideal_quotient(ideal(P3, [X1 * X2]), X1)) == {X2}
-    I = ideal(P2, [X**2, X * Y])
-    assert gb_set(ideal_quotient(I, P2.one())) == gb_set(I)
-    with pytest.raises(UsageError):
-        ideal_quotient(I, P2.zero())
     # the saturation (x^2 y : x^oo) = (y), read off the x-power torsion
     # of P/(x^2 y): its generators are the stable colon numerators
     R = QuotientRing.free(P2)
@@ -91,6 +89,27 @@ def test_krull_dim_examples():
     assert krull_dim(zero_ideal(P3)) == 3
     assert krull_dim(ideal(P3, [X1, X2, X3])) == 0
     assert krull_dim(ideal(P2, [P2.one()])) == -1
+    assert krull_dim(ideal(P3, [X1 * X2])) == 2
+    assert krull_dim(ideal(P3, [X1**2, X1 * X2 + X2**2])) == 1
+
+
+def test_krull_dim_skips_unused_variables():
+    # 2^22 subsets of all variables, 2^12 of those in a leading monomial
+    P = PolyRing(22, 101)
+    I = ideal(P, P.variables()[:12])
+    start = time.perf_counter()
+    assert krull_dim(I) == 10
+    assert time.perf_counter() - start < 1.0
+
+
+def test_variable_caps_carry_a_code():
+    P = PolyRing(17, 101)
+    with pytest.raises(UnsupportedInputError, match=E_VAR_CAP):
+        krull_dim(ideal(P, P.variables()))
+    assert krull_dim(ideal(P, P.variables()[:16])) == 1
+    P13 = PolyRing(13, 101)
+    with pytest.raises(UnsupportedInputError, match=E_VAR_CAP):
+        monomial_minimal_primes(ideal(P13, P13.variables()[:1]))
 
 
 def test_monomial_minimal_primes():
@@ -180,6 +199,11 @@ def test_height_at_most_bigheight(I, J):
 @given(monomial_ideals(P3))
 def test_monomial_dimension_via_covers(I):
     assert krull_dim(I) == 3 - height_monomial(I, zero_ideal(P3))
+
+
+@given(monomial_ideals(P4))
+def test_krull_dim_matches_all_subsets(I):
+    assert krull_dim(I) == oracles.krull_dim_all_subsets(I)
 
 
 @given(homogeneous_ideals(P2), homogeneous_polys(P2))

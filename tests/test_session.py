@@ -185,6 +185,15 @@ def test_inline_wrappers_omit_position():
     assert "(line" not in str(info.value)
 
 
+def test_parse_sequence_list():
+    P2 = PolyRing(2, 101)
+    x1, x2 = P2.variables()
+    assert parse_sequence(P2, "x1, x2^2, x1*x2") == (x1, x2**2, x1 * x2)
+    with pytest.raises(SessionError) as info:
+        parse_sequence(P2, "")
+    assert info.value.code == E_SYNTAX
+
+
 def test_error_column_points_past_equals():
     with pytest.raises(SessionError) as info:
         parse_session("[ring]\np = 10\nvars = 2\n")
