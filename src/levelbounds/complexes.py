@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import UsageError
+from .errors import UnsupportedInputError, UsageError
+from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
     ModMap,
@@ -132,6 +133,10 @@ def single_module_complex(free: FreeModule, shift: int = 0) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Koszul complexes
 
+# A Koszul complex on m elements has total rank 2^m, and Hom of two of
+# them squares that, so the sequence length is capped.
+_KOSZUL_CAP = 10
+
 
 def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     """The Koszul complex on seq over R, basis e_S ordered lex in each degree.
@@ -139,8 +144,14 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     The differential takes e_S for S = (i_1 < .. < i_k) to the
     alternating sum of f_(i_j) e_(S minus i_j) with sign +1 on the first
     entry.  Sequence entries must be nonzero homogeneous polynomials of
-    positive degree; their images in R may vanish.
+    positive degree; their images in R may vanish.  More than
+    _KOSZUL_CAP entries is refused.
     """
+    if len(seq) > _KOSZUL_CAP:
+        raise UnsupportedInputError(
+            f"{E_VAR_CAP}: Koszul complexes capped at {_KOSZUL_CAP} elements "
+            f"(rank 2^{_KOSZUL_CAP}), got {len(seq)}"
+        )
     elems = []
     for f in seq:
         if not isinstance(f, Poly) or f.ring != ring.poly_ring:

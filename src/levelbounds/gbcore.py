@@ -8,9 +8,30 @@ position-over-term order.
 
 A vector is a dict mapping terms to nonzero coefficients in 1..p-1,
 where a term is (position, exponent tuple).  Orders are key functions on
-terms; larger key means larger term.  No pair-skipping criteria are
-applied: the product criterion is unsound for modules and desk-scale
-inputs do not need it.
+terms; larger key means larger term.
+
+module_gb skips a pair only when its S-vector is known to have a
+standard representation, which is all Buchberger's criterion asks of a
+pair; the basis never loses an element before interreduction, so such a
+representation stays valid to the end.  Three rules apply:
+
+- Pairs are formed only between elements whose leads share a position;
+  any other S-vector is undefined.
+- Product criterion, for single-position elements only (every term at
+  the lead's position).  Two such elements at position k are f*e_k and
+  g*e_k, the key restricted to position k is a monomial order, and
+  coprime leads give S(f, g)*e_k a standard representation by Buchberger's
+  first criterion.  For general vectors the criterion is unsound:
+  x*e0 + e1 and y*e0 have coprime leads, and their S-vector y*e1 is not
+  zero modulo them.
+- No pair is formed inside known.  A caller passes as known a set it
+  guarantees to be a reduced Groebner basis for the order (J * e_k for a
+  reduced basis of J, or block copies of a reduced basis in disjoint
+  position blocks); each S-vector inside it reduces to zero by it.
+  known enters the basis first, unreduced, and pairs between it and the
+  other elements are formed as usual.  Reducedness, not only the
+  Groebner property, is required: interreduction relies on no lead of
+  the basis dividing a later lead.
 
 Leading terms and reducers are computed once: a basis element carries
 its lead from the moment it is added, interreduction reduces every tail
@@ -132,11 +153,6 @@ def normal_form(v: Vec, basis: _Basis, key: Callable, p: int) -> Vec:
     return out
 
 
-def _add_monic(basis: _Basis, v: Vec) -> None:
-    lt = vec_lt(v, basis.key)
-    basis.add(vec_scale(v, pow(v[lt], basis.p - 2, basis.p), basis.p), lt)
-
-
 def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
     # both monic with the same leading position
     m = mono_lcm(lt1[1], lt2[1])
@@ -146,61 +162,75 @@ def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
     return s
 
 
-def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
-    """Reduced Groebner basis of the submodule generated by vectors.
+def module_gb(vectors: Iterable[Vec], key: Callable, p: int, known: Sequence[Vec] = ()) -> list:
+    """Reduced Groebner basis of the submodule generated by vectors and known.
 
-    Deterministic: canonical input normalization, pairs processed in
-    ascending lcm order, result interreduced, monic, sorted by
-    descending leading term.  The reduced basis is unique for the order,
-    so any generating set of the same submodule yields equal output.
+    known must be a reduced Groebner basis for key (it may be empty).
+    Its elements enter the basis unreduced, only made monic, and no pair
+    among them is formed.  Deterministic: canonical input normalization, pairs
+    processed in ascending lcm order, result interreduced, monic, sorted
+    by descending leading term.  The reduced basis is unique for the
+    order, so any generating set of the same submodule yields equal
+    output.
     """
     seed = [v for v in vectors if v]
     seed = [vec_monic(v, key, p) for v in seed]
     seed.sort(key=lambda v: vec_canon_key(v, key))
     basis = _Basis(key, p)
-    queue: list = []  # heap of (lcm deg, lcm drlkey, i, j)
+    single: list = []  # element i has every term at its lead position
+    by_pos: dict = {}  # lead position -> element indices
+    queue: list = []  # heap of (lcm deg, lcm exps, i, j)
 
-    def push_pairs(j: int):
-        ltj = basis.elems[j][0]
-        for i in range(j):
-            lti = basis.elems[i][0]
-            if lti[0] != ltj[0]:
-                continue
-            m = mono_lcm(lti[1], ltj[1])
-            heapq.heappush(queue, (mono_deg(m), tuple(m), i, j))
+    def add(v: Vec, pairs: bool) -> None:
+        lt = vec_lt(v, key)
+        j = len(basis.elems)
+        basis.add(vec_scale(v, pow(v[lt], p - 2, p), p), lt)
+        alone = all(pos == lt[0] for pos, _ in v)
+        single.append(alone)
+        bucket = by_pos.setdefault(lt[0], [])
+        if pairs:
+            for i in bucket:
+                lti = basis.elems[i][0]
+                m = mono_lcm(lti[1], lt[1])
+                d = mono_deg(m)
+                if alone and single[i] and d == mono_deg(lti[1]) + mono_deg(lt[1]):
+                    continue  # product criterion, sound at a single position
+                heapq.heappush(queue, (d, m, i, j))
+        bucket.append(j)
+
+    for g in known:
+        add(g, pairs=False)
 
     for v in seed:
         r = normal_form(v, basis, key, p)
         if r:
-            _add_monic(basis, r)
-            push_pairs(len(basis.elems) - 1)
+            add(r, pairs=True)
 
     while queue:
         _, _, i, j = heapq.heappop(queue)
         lti, vi = basis.elems[i]
         ltj, vj = basis.elems[j]
-        s = _spair(lti, vi, ltj, vj, p)
-        r = normal_form(s, basis, key, p)
+        r = normal_form(_spair(lti, vi, ltj, vj, p), basis, key, p)
         if r:
-            _add_monic(basis, r)
-            push_pairs(len(basis.elems) - 1)
+            add(r, pairs=True)
 
     return _interreduce(basis.elems, key, p)
 
 
 def _interreduce(elems: Sequence, key: Callable, p: int) -> list:
-    # minimal: drop elements whose lead is divisible by another lead
-    buckets: dict = {}
-    for idx, (lt, _) in enumerate(elems):
-        buckets.setdefault(lt[0], []).append((idx, lt[1]))
+    # Minimal: no lead divides a later one, since the known part is
+    # reduced and every later element was fully reduced against all
+    # before it.  So only a later lead can make an element redundant,
+    # and a redundant later element hands its divisor on to a kept one:
+    # walking in reverse, test against the kept leads only.
+    kept_leads: dict = {}
     keep = []
-    for idx, (lt, v) in enumerate(elems):
-        le = lt[1]
-        if not any(
-            jdx != idx and mono_divides(le2, le) and (le2 != le or jdx < idx)
-            for jdx, le2 in buckets[lt[0]]
-        ):
+    for lt, v in reversed(elems):
+        bucket = kept_leads.setdefault(lt[0], [])
+        if not any(mono_divides(le, lt[1]) for le in bucket):
+            bucket.append(lt[1])
             keep.append((lt, v))
+    keep.reverse()
     # Tail reduce each against the kept elements.  A tail term is smaller
     # than its own lead, so that lead divides none of the terms met on
     # the way: an element never reduces itself, and one shared basis
@@ -237,8 +267,9 @@ def relative_syzygies(
     rank: int,
     nvars: int,
     p: int,
+    known: Sequence[Vec] = (),
 ) -> list:
-    """Generators of {a in P^t : sum a_i * tracked_i lies in <untracked>}.
+    """Generators of {a in P^t : sum a_i * tracked_i lies in <untracked, known>}.
 
     Computed by appending a tracking coordinate per tracked vector and
     eliminating the ambient block: with position-over-term order, a
@@ -246,6 +277,9 @@ def relative_syzygies(
     relation, and those elements generate all of them.  Untracked
     vectors act as reducers whose coefficients are discarded, which is
     what makes this a relative (modulo a submodule) syzygy computation.
+    known is a reduced basis of part of that submodule under pot_key in
+    P^rank; it stays one in P^(rank + t), and module_gb forms no pairs
+    inside it.
     """
     t = len(tracked)
     if t == 0:
@@ -257,7 +291,7 @@ def relative_syzygies(
         w[(rank + i, zero)] = 1
         embedded.append(w)
     embedded.extend(dict(v) for v in untracked if v)
-    gb = module_gb(embedded, pot_key, p)
+    gb = module_gb(embedded, pot_key, p, known=known)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):

@@ -73,7 +73,7 @@ class ModMap:
             for j, entry in enumerate(row):
                 if entry.ring != ring.poly_ring:
                     raise UsageError("matrix entry from a different ring")
-                e = ring.nf(entry)
+                e = entry if entry.is_zero() else ring.nf(entry)
                 if not e.is_zero():
                     want = source.twists[j] - target.twists[i] + degree
                     if not e.is_homogeneous() or e.degree() != want:
@@ -210,7 +210,7 @@ def polyvec_degree(free: FreeModule, polys: Sequence[Poly]) -> Optional[int]:
 
 
 def _defining_multiples(free: FreeModule) -> list:
-    """J * e_k as raw vectors, the ambient relations of R inside P^rank."""
+    """J * e_k as raw vectors: a reduced basis of J * P^rank under pot_key."""
     out = []
     for g in free.ring.defining.gb:
         for k in range(free.rank):
@@ -221,13 +221,9 @@ def _defining_multiples(free: FreeModule) -> list:
 class SubmoduleGB:
     """Reduced basis of a submodule of P^rank containing J * ambient."""
 
-    def __init__(self, free: FreeModule, vectors: Sequence[dict], include_defining: bool = True):
+    def __init__(self, free: FreeModule, vectors: Sequence[dict]):
         self.free = free
-        p = free.ring.char
-        vecs = [dict(v) for v in vectors if v]
-        if include_defining:
-            vecs.extend(_defining_multiples(free))
-        self.gb = module_gb(vecs, pot_key, p)
+        self.gb = module_gb(vectors, pot_key, free.ring.char, known=_defining_multiples(free))
 
     @cached_property
     def _reducer(self):
@@ -271,8 +267,10 @@ def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]], untrack
     """
     ring = free.ring
     tracked = [vec_from_polyvec(v) for v in vectors]
-    extra = list(untracked) + _defining_multiples(free)
-    raw = relative_syzygies(tracked, extra, rank=free.rank, nvars=ring.nvars, p=ring.char)
+    raw = relative_syzygies(
+        tracked, untracked, rank=free.rank, nvars=ring.nvars, p=ring.char,
+        known=_defining_multiples(free),
+    )
     return _nonzero_normal(ring, len(vectors), raw)
 
 
@@ -493,11 +491,12 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
             for e, c in f.terms:
                 v[(i * r + k, e)] = c
         tracked.append(v)
-    untracked = []
-    for u in n_gb.gb:
-        for i in range(t):
-            untracked.append({(i * r + pos, e): c for (pos, e), c in u.items()})
-    syz = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
+    # t block copies of a reduced basis, one per block of r positions,
+    # are a reduced basis of N + .. + N
+    blocks = [
+        {(i * r + pos, e): c for (pos, e), c in u.items()} for u in n_gb.gb for i in range(t)
+    ]
+    syz = relative_syzygies(tracked, [], rank=r * t, nvars=ring.nvars, p=ring.char, known=blocks)
     return SubmoduleGB(free, syz)
 
 

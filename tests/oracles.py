@@ -6,7 +6,9 @@ generators, free modules get explicit (slot, monomial) coordinates, and
 homology dimensions fall out of rank counting on the raw differential
 matrices.  Nothing touches normal forms, Groebner bases or syzygy
 computations, so agreement with the engine is a genuine cross-check.
-Only the shared F_p row reduction helpers are reused.
+Only the shared F_p row reduction helpers are reused.  The exception is
+buchberger_closed, which uses the engine's division on purpose: it
+checks the pair selection of module_gb, not its reduction.
 """
 
 from itertools import combinations
@@ -14,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from levelbounds import linalg
+from levelbounds.gbcore import _Basis, _spair, normal_form
 
 
 def monomials(nvars, d):
@@ -395,3 +398,23 @@ def lead_divisible_terms(vectors, key):
                 if j != i and lpos == pos and all(a <= b for a, b in zip(le, e)):
                     out.append((i, j, (pos, e)))
     return out
+
+
+def buchberger_closed(gb, key, p):
+    """True when every same-position S-vector of gb reduces to zero.
+
+    gb is a list of monic vectors.  Every pair whose leads share a
+    position is formed, with no criterion, and reduced against a fresh
+    division basis of gb: Buchberger's criterion, so a pair that
+    module_gb skipped unsoundly shows here.
+    """
+    basis = _Basis(key, p)
+    for g in gb:
+        basis.add(g)
+    leads = [lt for lt, _ in basis.elems]
+    for i, j in combinations(range(len(gb)), 2):
+        if leads[i][0] == leads[j][0]:
+            s = _spair(leads[i], gb[i], leads[j], gb[j], p)
+            if normal_form(s, basis, key, p):
+                return False
+    return True

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,15 @@ def test_too_many_variables_exit_two_with_cap_code(capsys):
     quotient = ", ".join(f"x{i}" for i in range(1, 18))
     code, out, err = run_cli(capsys, ["invariants", "--vars", "17", "--quotient", quotient])
     assert code == 2 and out == "" and "E_VAR_CAP" in err
+
+
+def test_koszul_on_eleven_elements_exits_two_with_cap_code(capsys):
+    # the depth of the free ring needs the Koszul complex on all 11
+    # variables, of rank 2^11, which is refused before it is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["invariants", "--vars", "11"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "E_VAR_CAP" in err and "Koszul" in err
 
 
 def test_unit_quotient_exits_two(capsys):

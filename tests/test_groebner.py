@@ -5,13 +5,16 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from levelbounds import gbcore
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import aux_last_key, module_gb, pot_key
 from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
                                   height_monomial, ideal, ideal_intersection,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
                                   radical_membership, zero_ideal)
-from levelbounds.modules import FreeModule, GradedModule, ModMap, gamma_torsion
+from levelbounds.level import verify_factorization_example
+from levelbounds.modules import (FreeModule, GradedModule, ModMap, _defining_multiples,
+                                 gamma_torsion)
 from levelbounds.polys import PolyRing, mono_lcm
 from levelbounds.rings import QuotientRing
 
@@ -229,7 +232,19 @@ def homogeneous_vectors(nvars, rank):
     return st.integers(1, 3).flatmap(for_degree)
 
 
-@pytest.mark.parametrize("key", [pot_key, aux_last_key], ids=["pot_key", "aux_last_key"])
+KEYS = pytest.mark.parametrize("key", [pot_key, aux_last_key], ids=["pot_key", "aux_last_key"])
+
+
+def mixed_vectors(nvars, rank):
+    """Homogeneous vectors of P^rank, some with every term at one position."""
+    def at_position(pos_and_vec):
+        pos, v = pos_and_vec
+        return {(pos, e): c for (_, e), c in v.items()}
+    single = st.tuples(st.integers(0, rank - 1), homogeneous_vectors(nvars, 1)).map(at_position)
+    return st.one_of(homogeneous_vectors(nvars, rank), single)
+
+
+@KEYS
 @given(rank=st.integers(1, 2), data=st.data())
 def test_module_gb_is_reduced_and_order_free(key, rank, data):
     vecs = data.draw(st.lists(homogeneous_vectors(3, rank), min_size=1, max_size=4))
@@ -240,6 +255,66 @@ def test_module_gb_is_reduced_and_order_free(key, rank, data):
     assert module_gb(shuffled, key, 101) == gb
     assert all(v[max(v, key=key)] == 1 for v in gb)
     assert oracles.lead_divisible_terms(gb, key) == []
+
+
+@KEYS
+@given(rank=st.integers(1, 3), data=st.data())
+def test_module_gb_is_closed_under_all_spairs(key, rank, data):
+    vecs = data.draw(st.lists(mixed_vectors(3, rank), min_size=1, max_size=5))
+    gb = module_gb(vecs, key, 101)
+    assert oracles.buchberger_closed(gb, key, 101)
+    basis = gbcore.reducer(gb, key, 101)
+    assert all(not gbcore.submodule_nf(v, basis) for v in vecs)
+
+
+@KEYS
+def test_coprime_leads_at_two_positions_still_pair(key):
+    # x*e0 + e1 and y*e0 have coprime leads, yet their S-vector y*e1 is
+    # not zero modulo them: the product criterion needs single positions.
+    u = {(0, (1, 0)): 1, (1, (0, 0)): 1}
+    v = {(0, (0, 1)): 1}
+    gb = module_gb([u, v], key, 101)
+    assert any(max(g, key=key)[0] == 1 for g in gb)
+    assert oracles.buchberger_closed(gb, key, 101)
+
+
+@KEYS
+@given(rank=st.integers(1, 2), blocks=st.integers(1, 3), data=st.data())
+def test_known_block_copies_change_nothing(key, rank, blocks, data):
+    # block copies of a reduced basis in disjoint positions, as the
+    # colon step passes them
+    g = module_gb(data.draw(st.lists(mixed_vectors(3, rank), min_size=1, max_size=3)), key, 101)
+    known = [{(i * rank + pos, e): c for (pos, e), c in u.items()}
+             for u in g for i in range(blocks)]
+    vecs = data.draw(st.lists(mixed_vectors(3, rank * blocks), max_size=4))
+    assert module_gb(vecs, key, 101, known=known) == module_gb(vecs + known, key, 101)
+
+
+@given(homogeneous_ideals(P3), st.integers(1, 3), st.data())
+def test_known_defining_multiples_change_nothing(J, rank, data):
+    known = _defining_multiples(FreeModule(QuotientRing(J), (0,) * rank))
+    vecs = data.draw(st.lists(mixed_vectors(3, rank), max_size=4))
+    assert module_gb(vecs, pot_key, 101, known=known) == module_gb(vecs + known, pot_key, 101)
+
+
+def test_factorization_example_spair_count(monkeypatch):
+    """The number of S-pairs module_gb forms for one fixed input.
+
+    Pair selection is deterministic, so the count is a regression
+    oracle: a change to the pair criteria moves it, and the pin is
+    updated only together with such a change.
+    """
+    count = 0
+    spair = gbcore._spair
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return spair(*args)
+
+    monkeypatch.setattr(gbcore, "_spair", counted)
+    assert verify_factorization_example(5).passed
+    assert count == 658
 
 
 def test_equal_ideals_do_not_share_a_reducer():
