@@ -133,8 +133,8 @@ def single_module_complex(free: FreeModule, shift: int = 0) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Koszul complexes
 
-# A Koszul complex on m elements has total rank 2^m, and Hom of two of
-# them squares that, so the sequence length is capped.
+# A Koszul complex on m elements has total rank 2^m, so the sequence
+# length is capped.
 _KOSZUL_CAP = 10
 
 

@@ -13,7 +13,7 @@ terms; larger key means larger term.
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
 pair; the basis never loses an element before interreduction, so such a
-representation stays valid to the end.  Three rules apply:
+representation stays valid to the end.  Two rules apply:
 
 - Pairs are formed only between elements whose leads share a position;
   any other S-vector is undefined.
@@ -24,14 +24,6 @@ representation stays valid to the end.  Three rules apply:
   first criterion.  For general vectors the criterion is unsound:
   x*e0 + e1 and y*e0 have coprime leads, and their S-vector y*e1 is not
   zero modulo them.
-- No pair is formed inside known.  A caller passes as known a set it
-  guarantees to be a reduced Groebner basis for the order (J * e_k for a
-  reduced basis of J, or block copies of a reduced basis in disjoint
-  position blocks); each S-vector inside it reduces to zero by it.
-  known enters the basis first, unreduced, and pairs between it and the
-  other elements are formed as usual.  Reducedness, not only the
-  Groebner property, is required: interreduction relies on no lead of
-  the basis dividing a later lead.
 
 Leading terms and reducers are computed once: a basis element carries
 its lead from the moment it is added, interreduction reduces every tail
@@ -109,18 +101,18 @@ class _Basis:
         self.key = key
         self.p = p
         self.elems: list = []  # (lt_term, vec)
-        self.by_pos: dict = {}
+        self.by_pos: dict = {}  # lead position -> [(lead exps, vec, index in elems)]
 
     def add(self, v: Vec, lt: Optional[Term] = None) -> None:
         """Append v; lt is its leading term when the caller knows it."""
         if lt is None:
             lt = vec_lt(v, self.key)
+        self.by_pos.setdefault(lt[0], []).append((lt[1], v, len(self.elems)))
         self.elems.append((lt, v))
-        self.by_pos.setdefault(lt[0], []).append((lt[1], v))
 
     def find_reducer(self, term: Term):
         pos, e = term
-        for le, g in self.by_pos.get(pos, ()):
+        for le, g, _ in self.by_pos.get(pos, ()):
             if mono_divides(le, e):
                 return le, g
         return None
@@ -162,49 +154,38 @@ def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
     return s
 
 
-def module_gb(vectors: Iterable[Vec], key: Callable, p: int, known: Sequence[Vec] = ()) -> list:
-    """Reduced Groebner basis of the submodule generated by vectors and known.
+def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
+    """Reduced Groebner basis of the submodule generated by vectors.
 
-    known must be a reduced Groebner basis for key (it may be empty).
-    Its elements enter the basis unreduced, only made monic, and no pair
-    among them is formed.  Deterministic: canonical input normalization, pairs
-    processed in ascending lcm order, result interreduced, monic, sorted
-    by descending leading term.  The reduced basis is unique for the
-    order, so any generating set of the same submodule yields equal
-    output.
+    Deterministic: canonical input normalization, pairs processed in
+    ascending lcm order, result interreduced, monic, sorted by
+    descending leading term.  The reduced basis is unique for the order,
+    so any generating set of the same submodule yields equal output.
     """
     seed = [v for v in vectors if v]
     seed = [vec_monic(v, key, p) for v in seed]
     seed.sort(key=lambda v: vec_canon_key(v, key))
     basis = _Basis(key, p)
     single: list = []  # element i has every term at its lead position
-    by_pos: dict = {}  # lead position -> element indices
     queue: list = []  # heap of (lcm deg, lcm exps, i, j)
 
-    def add(v: Vec, pairs: bool) -> None:
+    def add(v: Vec) -> None:
         lt = vec_lt(v, key)
         j = len(basis.elems)
-        basis.add(vec_scale(v, pow(v[lt], p - 2, p), p), lt)
         alone = all(pos == lt[0] for pos, _ in v)
+        for le, _, i in basis.by_pos.get(lt[0], ()):
+            m = mono_lcm(le, lt[1])
+            d = mono_deg(m)
+            if alone and single[i] and d == mono_deg(le) + mono_deg(lt[1]):
+                continue  # product criterion, sound at a single position
+            heapq.heappush(queue, (d, m, i, j))
         single.append(alone)
-        bucket = by_pos.setdefault(lt[0], [])
-        if pairs:
-            for i in bucket:
-                lti = basis.elems[i][0]
-                m = mono_lcm(lti[1], lt[1])
-                d = mono_deg(m)
-                if alone and single[i] and d == mono_deg(lti[1]) + mono_deg(lt[1]):
-                    continue  # product criterion, sound at a single position
-                heapq.heappush(queue, (d, m, i, j))
-        bucket.append(j)
-
-    for g in known:
-        add(g, pairs=False)
+        basis.add(vec_scale(v, pow(v[lt], p - 2, p), p), lt)
 
     for v in seed:
         r = normal_form(v, basis, key, p)
         if r:
-            add(r, pairs=True)
+            add(r)
 
     while queue:
         _, _, i, j = heapq.heappop(queue)
@@ -212,17 +193,16 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int, known: Sequence[Vec
         ltj, vj = basis.elems[j]
         r = normal_form(_spair(lti, vi, ltj, vj, p), basis, key, p)
         if r:
-            add(r, pairs=True)
+            add(r)
 
     return _interreduce(basis.elems, key, p)
 
 
 def _interreduce(elems: Sequence, key: Callable, p: int) -> list:
-    # Minimal: no lead divides a later one, since the known part is
-    # reduced and every later element was fully reduced against all
-    # before it.  So only a later lead can make an element redundant,
-    # and a redundant later element hands its divisor on to a kept one:
-    # walking in reverse, test against the kept leads only.
+    # Minimal: every element was fully reduced against all before it, so
+    # no lead divides a later one.  Only a later lead can make an element
+    # redundant, and a redundant later element hands its divisor on to a
+    # kept one: walking in reverse, test against the kept leads only.
     kept_leads: dict = {}
     keep = []
     for lt, v in reversed(elems):
@@ -267,9 +247,8 @@ def relative_syzygies(
     rank: int,
     nvars: int,
     p: int,
-    known: Sequence[Vec] = (),
 ) -> list:
-    """Generators of {a in P^t : sum a_i * tracked_i lies in <untracked, known>}.
+    """Generators of {a in P^t : sum a_i * tracked_i lies in <untracked>}.
 
     Computed by appending a tracking coordinate per tracked vector and
     eliminating the ambient block: with position-over-term order, a
@@ -277,9 +256,6 @@ def relative_syzygies(
     relation, and those elements generate all of them.  Untracked
     vectors act as reducers whose coefficients are discarded, which is
     what makes this a relative (modulo a submodule) syzygy computation.
-    known is a reduced basis of part of that submodule under pot_key in
-    P^rank; it stays one in P^(rank + t), and module_gb forms no pairs
-    inside it.
     """
     t = len(tracked)
     if t == 0:
@@ -291,7 +267,7 @@ def relative_syzygies(
         w[(rank + i, zero)] = 1
         embedded.append(w)
     embedded.extend(dict(v) for v in untracked if v)
-    gb = module_gb(embedded, pot_key, p, known=known)
+    gb = module_gb(embedded, pot_key, p)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):

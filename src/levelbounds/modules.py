@@ -210,7 +210,7 @@ def polyvec_degree(free: FreeModule, polys: Sequence[Poly]) -> Optional[int]:
 
 
 def _defining_multiples(free: FreeModule) -> list:
-    """J * e_k as raw vectors: a reduced basis of J * P^rank under pot_key."""
+    """J * e_k as raw vectors, the ambient relations of R inside P^rank."""
     out = []
     for g in free.ring.defining.gb:
         for k in range(free.rank):
@@ -223,7 +223,8 @@ class SubmoduleGB:
 
     def __init__(self, free: FreeModule, vectors: Sequence[dict]):
         self.free = free
-        self.gb = module_gb(vectors, pot_key, free.ring.char, known=_defining_multiples(free))
+        vecs = [dict(v) for v in vectors if v] + _defining_multiples(free)
+        self.gb = module_gb(vecs, pot_key, free.ring.char)
 
     @cached_property
     def _reducer(self):
@@ -267,10 +268,8 @@ def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]], untrack
     """
     ring = free.ring
     tracked = [vec_from_polyvec(v) for v in vectors]
-    raw = relative_syzygies(
-        tracked, untracked, rank=free.rank, nvars=ring.nvars, p=ring.char,
-        known=_defining_multiples(free),
-    )
+    extra = list(untracked) + _defining_multiples(free)
+    raw = relative_syzygies(tracked, extra, rank=free.rank, nvars=ring.nvars, p=ring.char)
     return _nonzero_normal(ring, len(vectors), raw)
 
 
@@ -491,12 +490,11 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
             for e, c in f.terms:
                 v[(i * r + k, e)] = c
         tracked.append(v)
-    # t block copies of a reduced basis, one per block of r positions,
-    # are a reduced basis of N + .. + N
-    blocks = [
-        {(i * r + pos, e): c for (pos, e), c in u.items()} for u in n_gb.gb for i in range(t)
-    ]
-    syz = relative_syzygies(tracked, [], rank=r * t, nvars=ring.nvars, p=ring.char, known=blocks)
+    untracked = []
+    for u in n_gb.gb:
+        for i in range(t):
+            untracked.append({(i * r + pos, e): c for (pos, e), c in u.items()})
+    syz = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
     return SubmoduleGB(free, syz)
 
 

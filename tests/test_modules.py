@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 from levelbounds import linalg
 from levelbounds.complexes import hom_complex, koszul_complex, scalar_chain_map
 from levelbounds.errors import UsageError
-from levelbounds.gbcore import _Basis, normal_form, pot_key, relative_syzygies
-from levelbounds.groebner import (IdealData, ideal, ideal_intersection, radical_membership,
-                                  zero_ideal)
+from levelbounds.gbcore import _Basis, normal_form, pot_key
+from levelbounds.groebner import ideal, radical_membership, zero_ideal
 from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
-                                 _defining_multiples, annihilator, frank, gamma_torsion,
+                                 annihilator, frank, gamma_torsion,
                                  hom_into_ring_presented, is_power_torsion,
                                  kernel_presented, minimal_presentation,
                                  polyvec_degree, polyvec_from_vec, syzygies,
@@ -264,28 +263,6 @@ def test_annihilator_examples():
     assert annihilator(H1).contains(X)
     none = GradedModule.free_of(FreeModule(R2, ()))
     assert not annihilator(none).is_proper()
-
-
-def test_relative_syzygies_with_known_match_annihilator():
-    """The colons (rels + J * ambient : e_k), intersected over k, are the annihilator.
-
-    Each colon comes from relative_syzygies with J * ambient passed as
-    known; annihilator passes it as ordinary untracked vectors.
-    """
-    modules = [case[0] for case in torsion_cases()]
-    modules += [GradedModule(C.modules[0], C.diffs[0]) for C in corpus.build_corpus(8, seed=7)]
-    for M in modules:
-        ring = M.ring
-        P = ring.poly_ring
-        rels = [vec_from_polyvec(c) for c in M.rels.columns()]
-        known = _defining_multiples(M.gens)
-        met = IdealData(P, (P.one(),), require_homogeneous=False)
-        for k in range(M.gens.rank):
-            syz = relative_syzygies([{(k, (0,) * ring.nvars): 1}], rels, rank=M.gens.rank,
-                                    nvars=ring.nvars, p=ring.char, known=known)
-            gens = [P.from_dict({e: c for (_, e), c in s.items()}) for s in syz]
-            met = ideal_intersection(met, IdealData(P, gens, require_homogeneous=False))
-        assert met.gb == annihilator(M).gb
 
 
 def test_gamma_torsion_examples():
