@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import module_gb, pot_key, reducer, relative_syzygies, submodule_nf
+from .gbcore import (module_gb, pot_key, reducer, relative_syzygies, submodule_nf,
+                     vec_add_scaled)
 from .groebner import IdealData, ideal_intersection
 from .polys import Poly, PolyRing
 from .rings import QuotientRing
@@ -255,7 +256,8 @@ def _nonzero_normal(ring: QuotientRing, rank: int, vecs: Sequence[dict]) -> list
     """The raw vectors as J-normal tuples of length rank, zeros dropped."""
     out = []
     for v in vecs:
-        pv = tuple(ring.nf(f) for f in polyvec_from_vec(ring.poly_ring, rank, v))
+        raw = polyvec_from_vec(ring.poly_ring, rank, v)
+        pv = tuple(f if f.is_zero() else ring.nf(f) for f in raw)
         if any(not f.is_zero() for f in pv):
             out.append(pv)
     return out
@@ -498,17 +500,60 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
     return SubmoduleGB(free, syz)
 
 
-def _stable_colon(M: GradedModule, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
-    """The union of the chain (N : I^s), N the relation submodule of M.
+def _stable_colon(n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
+    """The union of the chain (N : I^s), from a reduced basis of N.
 
-    Iterates N -> (N : I) until the reduced basis is stable.
+    Iterates N -> (N : I) until the reduced basis is stable.  The torsion
+    checks run it only when the exponent proof of _kills_by_exponent
+    fails: it decides the answer either way, and it is the only route
+    to a non-torsion verdict and to a torsion submodule short of M.
     """
-    current = SubmoduleGB(M.gens, [vec_from_polyvec(c) for c in M.rels.columns()])
+    current = n_gb
     while True:
-        step = _colon_submodule(M.gens, current, ideal_gens)
+        step = _colon_submodule(n_gb.free, current, ideal_gens)
         if step.gb == current.gb:
             return current
         current = step
+
+
+# Largest power s of f the exponent proof tries before the colon loop
+# takes over.  Koszul homology H(x; R) is killed by (x), so its checks
+# pass at s = 1; a few more steps cost little next to one colon step.
+_EXPONENT_CAP = 4
+
+
+def _relation_gb(M: GradedModule) -> SubmoduleGB:
+    """Reduced basis of N, the relations of M = P^r / N, J * P^r included."""
+    return SubmoduleGB(M.gens, [vec_from_polyvec(c) for c in M.rels.columns()])
+
+
+def _kills_by_exponent(n_gb: SubmoduleGB, f: Poly) -> bool:
+    """True when f^s * e_k lies in N for every k and some s <= _EXPONENT_CAP.
+
+    Iterates w <- nf(f * w) from w = e_k.  Since N is a submodule,
+    nf(f * nf(f^(s-1) e_k)) = nf(f^s e_k), so w reaching zero proves
+    f^s * M = 0 with s the witness.  False says only that the cap ran out.
+    """
+    free = n_gb.free
+    p = free.ring.char
+    zero = (0,) * free.ring.nvars
+    for k in range(free.rank):
+        w = {(k, zero): 1}
+        for _ in range(_EXPONENT_CAP):
+            fw: dict = {}
+            for e, c in f.terms:
+                vec_add_scaled(fw, c, e, w, p)
+            w = n_gb.nf(fw)
+            if not w:
+                break
+        if w:
+            return False
+    return True
+
+
+def _nonzero_gens(ring: QuotientRing, I) -> list:
+    """The J-normal forms of the generators of I, zeros dropped."""
+    return [g for g in (ring.nf(g) for g in I.gens) if not g.is_zero()]
 
 
 @dataclass
@@ -520,37 +565,42 @@ class TorsionSubmodule:
 def gamma_torsion(M: GradedModule, I) -> TorsionSubmodule:
     """The I-power torsion submodule of M with its inclusion.
 
-    Iterates N -> (N : I) starting from the relation submodule until the
-    reduced basis stabilizes; the stable numerator presents the torsion
-    subquotient.
+    When the exponent proof shows that every generator of I kills M
+    (vacuously so when all of them lie in J), Gamma_I(M) = M and the
+    numerators are the basis vectors.  Otherwise the stable colon
+    (N : I^infinity), iterated from the relation submodule N, gives the
+    numerators of the torsion subquotient.  Both routes present the
+    same module: the stable colon of a torsion module is all of P^r,
+    whose reduced basis is the basis vectors in order.
     """
     ring = M.ring
-    gens = [ring.nf(g) for g in I.gens]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        free = M.gens
-        sub = subquotient(free, [free.basis_vector(k) for k in range(free.rank)], M.rels.columns())
-        return TorsionSubmodule(module=sub.module, inclusion=sub.inclusion())
-    numerators = _nonzero_normal(ring, M.gens.rank, _stable_colon(M, gens).gb)
-    sub = subquotient(M.gens, numerators, M.rels.columns())
+    free = M.gens
+    gens = _nonzero_gens(ring, I)
+    n_gb = _relation_gb(M)
+    if all(_kills_by_exponent(n_gb, f) for f in gens):
+        numerators = [free.basis_vector(k) for k in range(free.rank)]
+    else:
+        numerators = _nonzero_normal(ring, free.rank, _stable_colon(n_gb, gens).gb)
+    sub = subquotient(free, numerators, M.rels.columns())
     return TorsionSubmodule(module=sub.module, inclusion=sub.inclusion())
 
 
 def is_power_torsion(M: GradedModule, I) -> bool:
     """True when every element of M is killed by a power of I.
 
-    Checked one generator f at a time: the chain (0 : f^s) must
-    stabilize at all of M.  Agrees with radical membership of the
-    annihilator, which the test suite asserts independently.
+    Checked one generator f at a time against one shared reduced basis
+    of the relations N, M = P^r / N.  The exponent proof answers yes:
+    f^s * e_k in N for every k is exactly f^s * M = 0, with s <=
+    _EXPONENT_CAP as witness.  When the cap runs out the chain (N : f^s)
+    decides, torsion exactly when it stabilizes at all of P^r.  Agrees
+    with radical membership of the annihilator, which the test suite
+    asserts independently.
     """
-    ring = M.ring
-    gens = [ring.nf(g) for g in I.gens]
-    for f in gens:
-        if f.is_zero():
-            continue
-        if not _stable_colon(M, [f]).is_everything():
-            return False
-    return True
+    n_gb = _relation_gb(M)
+    return all(
+        _kills_by_exponent(n_gb, f) or _stable_colon(n_gb, [f]).is_everything()
+        for f in _nonzero_gens(M.ring, I)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from levelbounds import gbcore
+from levelbounds import gbcore, modules
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import aux_last_key, module_gb, pot_key
 from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
@@ -281,8 +281,9 @@ def test_factorization_example_spair_count(monkeypatch):
     """The number of S-pairs module_gb forms for one fixed input.
 
     Pair selection is deterministic, so the count is a regression
-    oracle: a change to the pair criteria moves it, and the pin is
-    updated only together with such a change.
+    oracle: a change to the pair criteria, or to which module bases the
+    callers build, moves it, and the pin is updated only together with
+    such a change.
     """
     count = 0
     spair = gbcore._spair
@@ -294,7 +295,27 @@ def test_factorization_example_spair_count(monkeypatch):
 
     monkeypatch.setattr(gbcore, "_spair", counted)
     assert verify_factorization_example(5).passed
-    assert count == 600
+    assert count == 360
+
+
+def test_factorization_example_colon_steps(monkeypatch):
+    """Every torsion check of one fixed input is answered by exponent.
+
+    The positive-degree Koszul homology is killed by the ideal itself,
+    so the exponent proof settles each check and the colon loop, the
+    fallback, takes no step.
+    """
+    steps = 0
+    colon = modules._colon_submodule
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return colon(*args)
+
+    monkeypatch.setattr(modules, "_colon_submodule", counted)
+    assert verify_factorization_example(5).passed
+    assert steps == 0
 
 
 def test_equal_ideals_do_not_share_a_reducer():

@@ -1,12 +1,13 @@
 """Presented graded modules: syzygies, minimal presentations, duals, frank."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levelbounds import linalg
+from levelbounds import linalg, modules
 from levelbounds.complexes import hom_complex, koszul_complex, scalar_chain_map
 from levelbounds.errors import UsageError
 from levelbounds.gbcore import _Basis, normal_form, pot_key
@@ -298,6 +299,105 @@ def test_power_torsion_agrees_with_radical_route(case):
     ann = annihilator(M)
     via_radical = all(radical_membership(g, ann) for g in I.gens)
     assert direct == via_radical == want
+
+
+def colon_route_torsion(M, I):
+    """is_power_torsion by the colon loop alone, one generator at a time."""
+    gens = modules._nonzero_gens(M.ring, I)
+    n_gb = modules._relation_gb(M)
+    return all(modules._stable_colon(n_gb, [f]).is_everything() for f in gens)
+
+
+def colon_route_gamma(M, I):
+    """gamma_torsion by the colon loop alone (all of M when I lies in J)."""
+    free = M.gens
+    gens = modules._nonzero_gens(M.ring, I)
+    if gens:
+        stable = modules._stable_colon(modules._relation_gb(M), gens)
+        numerators = modules._nonzero_normal(M.ring, free.rank, stable.gb)
+    else:
+        numerators = [free.basis_vector(k) for k in range(free.rank)]
+    return modules.subquotient(free, numerators, M.rels.columns())
+
+
+def assert_torsion_checks_match_colon_route(M, I):
+    want = colon_route_torsion(M, I)
+    assert is_power_torsion(M, I) == want
+    ref = colon_route_gamma(M, I)
+    got = gamma_torsion(M, I)
+    assert got.module == ref.module
+    assert got.inclusion == ref.inclusion()
+    return want
+
+
+def exponent_cases():
+    """(M, I, torsion, proven by exponent) around the exponent proof.
+
+    The torsion_cases, each positive one within the cap; coker(x^d) for
+    f = x, which needs s = d, on both sides of the cap; coker(x) for
+    (x, y), where x passes and y does not; and an ideal inside J, whose
+    generators all vanish in R.
+    """
+    cap = modules._EXPONENT_CAP
+
+    def line(d):
+        return coker(R2, (0,), (d,), [[X**d]])
+
+    Ix = ideal(P2, [X])
+    Rart = QuotientRing(ideal(P2, [X**2, X * Y, Y**2]))
+    return [(M, I, want, want) for M, I, want in torsion_cases()] + [
+        (GradedModule.free_of(FreeModule(Rart, (0, 1))), ideal(P2, [X**2, X * Y]), True, True),
+        (line(cap), Ix, True, True),
+        (line(cap + 1), Ix, True, False),
+        (line(cap + 2), Ix, True, False),
+        (line(1), ideal(P2, [X, Y]), False, False),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(exponent_cases())))
+def test_torsion_checks_agree_with_colon_route(case, monkeypatch):
+    M, I, want, by_exponent = exponent_cases()[case]
+    steps = 0
+    colon = modules._colon_submodule
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return colon(*args)
+
+    monkeypatch.setattr(modules, "_colon_submodule", counted)
+    assert is_power_torsion(M, I) == want
+    assert (steps == 0) == by_exponent
+    assert assert_torsion_checks_match_colon_route(M, I) == want
+
+
+def corpus_ideal(data, C, M):
+    """An ideal the module comes with: variable powers, the entries of
+    the first differential, or (0 : M)."""
+    P = C.ring.poly_ring
+    kind = data.draw(st.sampled_from(["variables", "entries", "annihilator"]))
+    if kind == "variables":
+        picks = data.draw(st.lists(st.tuples(st.integers(0, P.nvars - 1), st.integers(1, 3)),
+                                   min_size=1, max_size=3))
+        return ideal(P, [P.variables()[v] ** a for v, a in picks])
+    if kind == "entries":
+        return ideal(P, [e for row in C.diff(1).rows for e in row if not e.is_zero()])
+    return ideal(P, annihilator(M).gb)
+
+
+def corpus_modules():
+    """The nonzero homology modules of the corpus, with their complexes."""
+    return [(C, C.homology(i).module) for C in corpus.build_corpus(8, seed=7)
+            for i in range(C.hi + 1) if not C.homology(i).is_zero]
+
+
+@given(st.data())
+def test_torsion_checks_match_colon_route_on_corpus(data):
+    # a lowered cap hands more positive answers to the fallback
+    C, M = data.draw(st.sampled_from(corpus_modules()))
+    cap = data.draw(st.sampled_from([0, 1, modules._EXPONENT_CAP]))
+    with mock.patch.object(modules, "_EXPONENT_CAP", cap):
+        assert_torsion_checks_match_colon_route(M, corpus_ideal(data, C, M))
 
 
 def frank_catalog():
