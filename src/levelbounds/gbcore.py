@@ -29,12 +29,21 @@ Leading terms and reducers are computed once: a basis element carries
 its lead from the moment it is added, interreduction reduces every tail
 against one shared basis, and callers that reduce many vectors against
 the same reduced basis build its reducer once (reducer) and pass it to
-submodule_nf.
+submodule_nf.  The same holds per term: the order keys pot_key and
+aux_last_key and the support mask _support are cached on the term, so
+normal_form compares a term it meets again without rebuilding its key.
+A basis element stores its lead's support mask, and find_reducer tests
+divisibility only when that mask lies inside the term's mask (the short
+exponent vector test of Bachmann and Schoenemann, ISSAC 1998).  A lead
+with a variable the term lacks cannot divide it, so the mask skips only
+leads that would fail the full test: the scan still returns the first
+dividing lead in bucket order, and every reduction stays the same.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .polys import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
@@ -43,12 +52,14 @@ Term = tuple  # (pos, exps)
 Vec = dict  # Term -> coeff
 
 
+@cache
 def pot_key(term: Term) -> tuple:
     """Position over term, earlier positions larger, degrevlex inside."""
     pos, e = term
     return (-pos, sum(e), tuple(-x for x in reversed(e)))
 
 
+@cache
 def aux_last_key(term: Term) -> tuple:
     """Block order with the last variable greatest, degrevlex on the rest.
 
@@ -58,6 +69,16 @@ def aux_last_key(term: Term) -> tuple:
     pos, e = term
     body = e[:-1]
     return (e[-1], -pos, sum(body), tuple(-x for x in reversed(body)))
+
+
+@cache
+def _support(e: tuple) -> int:
+    """Bit i set when e[i] > 0; x^a can divide x^b only if a's bits lie in b's."""
+    mask = 0
+    for i, x in enumerate(e):
+        if x:
+            mask |= 1 << i
+    return mask
 
 
 def vec_lt(v: Vec, key: Callable) -> Term:
@@ -101,19 +122,22 @@ class _Basis:
         self.key = key
         self.p = p
         self.elems: list = []  # (lt_term, vec)
-        self.by_pos: dict = {}  # lead position -> [(lead exps, vec, index in elems)]
+        # lead position -> [(lead exps, vec, index in elems, lead support mask)]
+        self.by_pos: dict = {}
 
     def add(self, v: Vec, lt: Optional[Term] = None) -> None:
         """Append v; lt is its leading term when the caller knows it."""
         if lt is None:
             lt = vec_lt(v, self.key)
-        self.by_pos.setdefault(lt[0], []).append((lt[1], v, len(self.elems)))
+        entry = (lt[1], v, len(self.elems), _support(lt[1]))
+        self.by_pos.setdefault(lt[0], []).append(entry)
         self.elems.append((lt, v))
 
     def find_reducer(self, term: Term):
         pos, e = term
-        for le, g, _ in self.by_pos.get(pos, ()):
-            if mono_divides(le, e):
+        mask = _support(e)
+        for le, g, _, lmask in self.by_pos.get(pos, ()):
+            if not lmask & ~mask and mono_divides(le, e):
                 return le, g
         return None
 
@@ -173,7 +197,7 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
         lt = vec_lt(v, key)
         j = len(basis.elems)
         alone = all(pos == lt[0] for pos, _ in v)
-        for le, _, i in basis.by_pos.get(lt[0], ()):
+        for le, _, i, _ in basis.by_pos.get(lt[0], ()):
             m = mono_lcm(le, lt[1])
             d = mono_deg(m)
             if alone and single[i] and d == mono_deg(le) + mono_deg(lt[1]):

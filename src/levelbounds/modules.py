@@ -22,7 +22,7 @@ from .errors import UsageError
 from .gbcore import (module_gb, pot_key, reducer, relative_syzygies, submodule_nf,
                      vec_add_scaled)
 from .groebner import IdealData, ideal_intersection
-from .polys import Poly, PolyRing
+from .polys import Poly, PolyRing, mono_mul
 from .rings import QuotientRing
 
 
@@ -102,19 +102,35 @@ class ModMap:
         return all(e.constant_coeff() == 0 for row in self.rows for e in row)
 
     def compose(self, other: "ModMap") -> "ModMap":
-        """self after other."""
+        """self after other.
+
+        Visits nonzero entry pairs only: each entry (i, j) sums the term
+        products of self[i][k] * other[k][j] over the k where both are
+        nonzero into one exponent -> coefficient dict, and the
+        constructor J-normalises the result.
+        """
         if other.target != self.source:
             raise UsageError("maps are not composable")
-        zero = self.ring.poly_ring.zero()
+        poly_ring = self.ring.poly_ring
+        zero = poly_ring.zero()
+        other_nonzero = [
+            [(j, e.terms) for j, e in enumerate(row) if e.terms] for row in other.rows
+        ]
         rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = zero
-                for k in range(self.source.rank):
-                    if not self.rows[i][k].is_zero() and not other.rows[k][j].is_zero():
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
+        for self_row in self.rows:
+            acc: dict = {}  # column j -> {exps: coeff}
+            for k, a in enumerate(self_row):
+                if not a.terms:
+                    continue
+                for j, b_terms in other_nonzero[k]:
+                    d = acc.setdefault(j, {})
+                    for e1, c1 in a.terms:
+                        for e2, c2 in b_terms:
+                            e = mono_mul(e1, e2)
+                            d[e] = d.get(e, 0) + c1 * c2
+            row = [zero] * other.source.rank
+            for j, d in acc.items():
+                row[j] = poly_ring.from_dict(d)
             rows.append(row)
         return ModMap(other.source, self.target, rows, degree=self.degree + other.degree)
 

@@ -8,7 +8,9 @@ matrices.  Nothing touches normal forms, Groebner bases or syzygy
 computations, so agreement with the engine is a genuine cross-check.
 Only the shared F_p row reduction helpers are reused.  The exception is
 buchberger_closed, which uses the engine's division on purpose: it
-checks the pair selection of module_gb, not its reduction.
+checks the pair selection of module_gb, not its reduction.  Likewise
+dense_compose hands its product to the ModMap constructor, so it checks
+which entry pairs ModMap.compose multiplies, not the J-normalisation.
 """
 
 from itertools import combinations
@@ -17,6 +19,7 @@ import numpy as np
 
 from levelbounds import linalg
 from levelbounds.gbcore import _Basis, _spair, normal_form
+from levelbounds.modules import ModMap
 
 
 def monomials(nvars, d):
@@ -418,3 +421,22 @@ def buchberger_closed(gb, key, p):
             if normal_form(s, basis, key, p):
                 return False
     return True
+
+
+def dense_compose(a, b):
+    """a after b by the dense triple loop over every index (i, j, k).
+
+    Each entry is the Poly sum of a[i][k] * b[k][j] over all k, with no
+    skipping of zero factors; ModMap then J-normalises the result.
+    """
+    zero = a.ring.poly_ring.zero()
+    rows = []
+    for i in range(a.target.rank):
+        row = []
+        for j in range(b.source.rank):
+            acc = zero
+            for k in range(a.source.rank):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return ModMap(b.source, a.target, rows, degree=a.degree + b.degree)

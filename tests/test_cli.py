@@ -166,6 +166,21 @@ def test_koszul_on_eleven_elements_exits_two_with_cap_code(capsys):
     assert code == 2 and out == "" and "E_VAR_CAP" in err and "Koszul" in err
 
 
+def test_hom_of_two_nine_element_koszul_complexes_fails_with_cap_code(tmp_path, capsys):
+    # each Koszul complex has rank 2^9, within its own cap, but their
+    # Hom of rank 2^18 is refused before any of it is built
+    elems = ", ".join(f"x{i}" for i in range(1, 10))
+    f = tmp_path / "hom.session"
+    f.write_text(f"[ring]\nvars = 9\n\n[seq S]\nelems = {elems}\n\n"
+                 "[task level]\ncomplex = hom(koszul(S), koszul(S))\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    rec = json.loads(out.strip())
+    assert rec["ok"] is False and "E_VAR_CAP" in rec["result"]["error"]
+
+
 def test_unit_quotient_exits_two(capsys):
     code, _, err = run_cli(
         capsys, ["invariants", "--vars", "2", "--quotient", "x1, x2, 1"]

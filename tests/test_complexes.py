@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from levelbounds import complexes
 from levelbounds.complexes import (ChainComplex, ChainMap, compose_chain_maps,
                                    hom_complex, koszul_complex, minimalize,
                                    scalar_chain_map, single_module_complex)
-from levelbounds.errors import UsageError
-from levelbounds.groebner import ideal, zero_ideal
+from levelbounds.errors import UnsupportedInputError, UsageError
+from levelbounds.groebner import E_VAR_CAP, ideal, zero_ideal
 from levelbounds.modules import FreeModule, ModMap, annihilator, is_power_torsion
 from levelbounds.polys import PolyRing, parse_poly
 from levelbounds.rings import QuotientRing
@@ -237,6 +238,32 @@ def test_hom_self_koszul_line():
         for d in range(4):
             got = oracles.module_piece_dim(H.homology(i).module, d)
             assert got == oracles.homology_dim(H, i, d)
+
+
+def test_hom_rank_cap_refuses_before_building(monkeypatch):
+    P = PolyRing(6, 101)
+    R = QuotientRing.free(P)
+    xs = P.variables()
+    F = koszul_complex(list(xs), R)
+    G = koszul_complex(list(xs[:5]), R)
+    assert complexes._HOM_RANK_CAP < 2**11
+    # the inputs exist; the refusal must come before any module of the Hom
+
+    def no_modules(*args):
+        raise AssertionError("hom_complex built a module before refusing")
+
+    monkeypatch.setattr(complexes, "FreeModule", no_modules)
+    with pytest.raises(UnsupportedInputError, match=E_VAR_CAP):
+        hom_complex(F, G)
+
+
+def test_hom_rank_cap_is_inclusive(monkeypatch):
+    K1 = koszul_complex([X], R2)
+    K2 = koszul_complex([X, Y], R2)
+    monkeypatch.setattr(complexes, "_HOM_RANK_CAP", 4)
+    assert [m.rank for m in hom_complex(K1, K1).modules] == [1, 2, 1]
+    with pytest.raises(UnsupportedInputError, match="rank 4, got 8"):
+        hom_complex(K2, K1)
 
 
 def test_hom_tag_only_survives_when_both_sides_tagged():

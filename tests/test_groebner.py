@@ -14,7 +14,7 @@ from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
                                   radical_membership, zero_ideal)
 from levelbounds.level import verify_factorization_example
 from levelbounds.modules import FreeModule, GradedModule, ModMap, gamma_torsion
-from levelbounds.polys import PolyRing, mono_lcm
+from levelbounds.polys import PolyRing, mono_divides, mono_lcm, mono_mul
 from levelbounds.rings import QuotientRing
 
 import oracles
@@ -275,6 +275,51 @@ def test_coprime_leads_at_two_positions_still_pair(key):
     gb = module_gb([u, v], key, 101)
     assert any(max(g, key=key)[0] == 1 for g in gb)
     assert oracles.buchberger_closed(gb, key, 101)
+
+
+def sparse_exponents(nvars):
+    """Exponent tuples that are mostly zero, so supports often differ."""
+    return st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=nvars, max_size=nvars).map(tuple)
+
+
+@KEYS
+@given(data=st.data())
+def test_find_reducer_returns_the_first_dividing_lead(key, data):
+    # the support mask may only skip leads that do not divide the term
+    nvars = data.draw(st.integers(1, 12))
+    exps = sparse_exponents(nvars)
+    terms = st.tuples(st.integers(0, 1), exps)
+    basis = gbcore._Basis(key, 101)
+    vecs = st.dictionaries(terms, st.integers(1, 100), min_size=1, max_size=3)
+    for v in data.draw(st.lists(vecs, max_size=12)):
+        basis.add(v)
+    queries = data.draw(st.lists(terms, max_size=6))
+    for (pos, le), _ in basis.elems:
+        queries.append((pos, mono_mul(le, data.draw(exps))))
+    for pos, e in queries:
+        want = next(((lt[1], g) for lt, g in basis.elems
+                     if lt[0] == pos and mono_divides(lt[1], e)), None)
+        got = basis.find_reducer((pos, e))
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0] and got[1] is want[1]
+
+
+def exponent_pairs(nvars):
+    return st.tuples(sparse_exponents(nvars), sparse_exponents(nvars))
+
+
+@given(st.integers(0, 3), st.integers(1, 12).flatmap(exponent_pairs))
+def test_cached_term_functions_are_transparent(pos, pair):
+    e, g = pair
+    t = (pos, e)
+    assert pot_key(t) == pot_key.__wrapped__(t)
+    assert aux_last_key(t) == aux_last_key.__wrapped__(t)
+    assert gbcore._support(e) == gbcore._support.__wrapped__(e)
+    assert gbcore._support(e) == sum(1 << i for i, x in enumerate(e) if x > 0)
+    # every divisor of a term passes the mask test
+    assert not gbcore._support(e) & ~gbcore._support(mono_mul(e, g))
 
 
 def test_factorization_example_spair_count(monkeypatch):

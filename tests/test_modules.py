@@ -1,5 +1,6 @@
 """Presented graded modules: syzygies, minimal presentations, duals, frank."""
 
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -494,3 +495,82 @@ def test_zero_map_and_zero_module():
     assert z.is_zero()
     assert corpus.min_gens(GradedModule.free_of(FreeModule(R2, ()))) == 0
     assert corpus.min_gens(GradedModule.free_of(F)) != 0
+
+
+# ---------------------------------------------------------------------------
+# sparse compose against the dense triple loop
+
+P3 = PolyRing(3, 101)
+COMPOSE_RINGS = [
+    R2,
+    QuotientRing.free(P3),
+    QuotientRing.free(PolyRing(1, 101)),
+    # products of J-normal entries can land in J and must vanish
+    QuotientRing(ideal(P2, [X ** 2])),
+    QuotientRing(ideal(P2, [X * Y - Y ** 2])),
+    QuotientRing(ideal(P3, [P3.var(0) * P3.var(1), P3.var(2) ** 2])),
+]
+
+
+def random_map(rng, source, target, degree, blank_row=None, blank_col=None):
+    P = source.ring.poly_ring
+    density = rng.choice([0.0, 0.3, 0.7, 1.0])
+    rows = []
+    for i, tt in enumerate(target.twists):
+        row = []
+        for j, ts in enumerate(source.twists):
+            d = ts - tt + degree
+            if d < 0 or i == blank_row or j == blank_col:
+                row.append(P.zero())
+            else:
+                row.append(corpus.random_homogeneous(rng, P, d, density))
+        rows.append(row)
+    return ModMap(source, target, rows, degree=degree)
+
+
+def assert_compose_matches_dense(a, b):
+    got = a.compose(b)
+    assert got == oracles.dense_compose(a, b)
+    assert (got.source, got.target, got.degree) == (b.source, a.target, a.degree + b.degree)
+
+
+def test_compose_in_quotient_vanishes_when_products_fall_into_j():
+    R = QuotientRing(ideal(P2, [X ** 2]))
+    F = FreeModule(R, (0,))
+    G = FreeModule(R, (1,))
+    a = ModMap(G, F, [[X]])
+    b = ModMap(FreeModule(R, (2,)), G, [[X]])
+    assert not a.is_zero() and not b.is_zero()
+    assert a.compose(b).is_zero()
+    assert_compose_matches_dense(a, b)
+
+
+@given(st.data())
+def test_compose_matches_dense_on_random_maps(data):
+    ring = data.draw(st.sampled_from(COMPOSE_RINGS))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    ranks = [data.draw(st.integers(0, 3)) for _ in range(3)]
+    source, middle, target = (FreeModule(ring, tuple(rng.randrange(0, 3) for _ in range(r)))
+                              for r in ranks)
+    da, db = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+    # a blanked row of a and column of b give zero rows and columns
+    blank_row = data.draw(st.one_of(st.none(), st.integers(0, 2)))
+    blank_col = data.draw(st.one_of(st.none(), st.integers(0, 2)))
+    a = random_map(rng, middle, target, da, blank_row=blank_row)
+    b = random_map(rng, source, middle, db, blank_col=blank_col)
+    assert_compose_matches_dense(a, b)
+
+
+@given(st.data())
+def test_compose_matches_dense_on_corpus_differentials(data):
+    C = data.draw(st.sampled_from(corpus.build_corpus(8, seed=7)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    i = data.draw(st.integers(1, C.hi))
+    d = C.diff(i)
+    if i + 1 <= C.hi:
+        assert_compose_matches_dense(d, C.diff(i + 1))
+    ring = C.ring
+    before = FreeModule(ring, tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 4))))
+    after = FreeModule(ring, tuple(rng.randrange(-2, 1) for _ in range(rng.randrange(0, 4))))
+    assert_compose_matches_dense(d, random_map(rng, before, d.source, data.draw(st.integers(0, 1))))
+    assert_compose_matches_dense(random_map(rng, d.target, after, data.draw(st.integers(0, 1))), d)
