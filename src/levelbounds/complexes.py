@@ -24,7 +24,7 @@ from .modules import (
     ModMap,
     PresentedSubmodule,
     cancel_units,
-    kernel_presented,
+    kernel_vectors,
     subquotient,
     zero_map,
 )
@@ -114,8 +114,7 @@ class ChainComplex:
             else:
                 image = []
             if i >= 1:
-                ker = kernel_presented(self.diffs[i - 1])
-                numer = list(ker.vectors)
+                numer = kernel_vectors(self.diffs[i - 1])
             else:
                 numer = [free.basis_vector(k) for k in range(free.rank)]
             self._homology[i] = HomologyData(i, subquotient(free, numer, image))

@@ -1,14 +1,15 @@
 """Groebner engine over free modules P^r for P = F_p[x1..xn].
 
-One Buchberger implementation serves every caller in the package: ideals
-are the rank one case, and all submodule calculus (syzygies, kernels,
-colons, membership) reduces to reduced module bases plus one primitive,
-relative_syzygies, which eliminates tracked coordinate columns through a
-position-over-term order.
+One Buchberger implementation serves every caller in the package under
+one term order, pot_key: ideals are the rank one case, and all
+submodule and ideal calculus (syzygies, kernels, colons, intersections,
+membership) reduces to reduced module bases plus one primitive,
+relative_syzygies, which eliminates tracked coordinate columns through
+that position-over-term order.
 
 A vector is a dict mapping terms to nonzero coefficients in 1..p-1,
-where a term is (position, exponent tuple).  Orders are key functions on
-terms; larger key means larger term.
+where a term is (position, exponent tuple); a larger pot_key means a
+larger term.
 
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
@@ -19,8 +20,8 @@ representation stays valid to the end.  Two rules apply:
   any other S-vector is undefined.
 - Product criterion, for single-position elements only (every term at
   the lead's position).  Two such elements at position k are f*e_k and
-  g*e_k, the key restricted to position k is a monomial order, and
-  coprime leads give S(f, g)*e_k a standard representation by Buchberger's
+  g*e_k, the order restricted to position k is degrevlex, and coprime
+  leads give S(f, g)*e_k a standard representation by Buchberger's
   first criterion.  For general vectors the criterion is unsound:
   x*e0 + e1 and y*e0 have coprime leads, and their S-vector y*e1 is not
   zero modulo them.
@@ -29,22 +30,22 @@ Leading terms and reducers are computed once: a basis element carries
 its lead from the moment it is added, interreduction reduces every tail
 against one shared basis, and callers that reduce many vectors against
 the same reduced basis build its reducer once (reducer) and pass it to
-submodule_nf.  The same holds per term: the order keys pot_key and
-aux_last_key and the support mask _support are cached on the term, so
-normal_form compares a term it meets again without rebuilding its key.
-A basis element stores its lead's support mask, and find_reducer tests
-divisibility only when that mask lies inside the term's mask (the short
-exponent vector test of Bachmann and Schoenemann, ISSAC 1998).  A lead
-with a variable the term lacks cannot divide it, so the mask skips only
-leads that would fail the full test: the scan still returns the first
-dividing lead in bucket order, and every reduction stays the same.
+submodule_nf.  The same holds per term: the order key pot_key and the
+support mask _support are cached on the term, so normal_form compares a
+term it meets again without rebuilding its key.  A basis element stores
+its lead's support mask, and find_reducer tests divisibility only when
+that mask lies inside the term's mask (the short exponent vector test
+of Bachmann and Schoenemann, ISSAC 1998).  A lead with a variable the
+term lacks cannot divide it, so the mask skips only leads that would
+fail the full test: the scan still returns the first dividing lead in
+bucket order, and every reduction stays the same.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .polys import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -60,18 +61,6 @@ def pot_key(term: Term) -> tuple:
 
 
 @cache
-def aux_last_key(term: Term) -> tuple:
-    """Block order with the last variable greatest, degrevlex on the rest.
-
-    Used for one-auxiliary-variable elimination at ring level: a leading
-    term free of the auxiliary forces the whole element free of it.
-    """
-    pos, e = term
-    body = e[:-1]
-    return (e[-1], -pos, sum(body), tuple(-x for x in reversed(body)))
-
-
-@cache
 def _support(e: tuple) -> int:
     """Bit i set when e[i] > 0; x^a can divide x^b only if a's bits lie in b's."""
     mask = 0
@@ -81,13 +70,13 @@ def _support(e: tuple) -> int:
     return mask
 
 
-def vec_lt(v: Vec, key: Callable) -> Term:
-    return max(v, key=key)
+def vec_lt(v: Vec) -> Term:
+    return max(v, key=pot_key)
 
 
-def vec_canon_key(v: Vec, key: Callable) -> tuple:
+def vec_canon_key(v: Vec) -> tuple:
     """Total deterministic key on vectors, for canonical sorting."""
-    return tuple(sorted((key(t), t, c) for t, c in v.items()))
+    return tuple(sorted((pot_key(t), t, c) for t, c in v.items()))
 
 
 def vec_scale(v: Vec, c: int, p: int) -> Vec:
@@ -97,10 +86,10 @@ def vec_scale(v: Vec, c: int, p: int) -> Vec:
     return {t: (k * c) % p for t, k in v.items()}
 
 
-def vec_monic(v: Vec, key: Callable, p: int) -> Vec:
+def vec_monic(v: Vec, p: int) -> Vec:
     if not v:
         return v
-    lc = v[vec_lt(v, key)]
+    lc = v[vec_lt(v)]
     return vec_scale(v, pow(lc, p - 2, p), p)
 
 
@@ -118,8 +107,7 @@ def vec_add_scaled(target: Vec, c: int, shift: tuple, src: Vec, p: int) -> None:
 class _Basis:
     """Monic basis elements bucketed by leading position for division."""
 
-    def __init__(self, key: Callable, p: int):
-        self.key = key
+    def __init__(self, p: int):
         self.p = p
         self.elems: list = []  # (lt_term, vec)
         # lead position -> [(lead exps, vec, index in elems, lead support mask)]
@@ -128,7 +116,7 @@ class _Basis:
     def add(self, v: Vec, lt: Optional[Term] = None) -> None:
         """Append v; lt is its leading term when the caller knows it."""
         if lt is None:
-            lt = vec_lt(v, self.key)
+            lt = vec_lt(v)
         entry = (lt[1], v, len(self.elems), _support(lt[1]))
         self.by_pos.setdefault(lt[0], []).append(entry)
         self.elems.append((lt, v))
@@ -142,12 +130,13 @@ class _Basis:
         return None
 
 
-def normal_form(v: Vec, basis: _Basis, key: Callable, p: int) -> Vec:
+def normal_form(v: Vec, basis: _Basis) -> Vec:
     """Fully reduced remainder of v against a monic basis."""
+    p = basis.p
     work = dict(v)
     out: Vec = {}
     while work:
-        t = max(work, key=key)
+        t = max(work, key=pot_key)
         c = work.pop(t)
         hit = basis.find_reducer(t)
         if hit is None:
@@ -178,7 +167,7 @@ def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
     return s
 
 
-def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
+def module_gb(vectors: Iterable[Vec], p: int) -> list:
     """Reduced Groebner basis of the submodule generated by vectors.
 
     Deterministic: canonical input normalization, pairs processed in
@@ -187,14 +176,14 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
     so any generating set of the same submodule yields equal output.
     """
     seed = [v for v in vectors if v]
-    seed = [vec_monic(v, key, p) for v in seed]
-    seed.sort(key=lambda v: vec_canon_key(v, key))
-    basis = _Basis(key, p)
+    seed = [vec_monic(v, p) for v in seed]
+    seed.sort(key=vec_canon_key)
+    basis = _Basis(p)
     single: list = []  # element i has every term at its lead position
     queue: list = []  # heap of (lcm deg, lcm exps, i, j)
 
     def add(v: Vec) -> None:
-        lt = vec_lt(v, key)
+        lt = vec_lt(v)
         j = len(basis.elems)
         alone = all(pos == lt[0] for pos, _ in v)
         for le, _, i, _ in basis.by_pos.get(lt[0], ()):
@@ -207,7 +196,7 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
         basis.add(vec_scale(v, pow(v[lt], p - 2, p), p), lt)
 
     for v in seed:
-        r = normal_form(v, basis, key, p)
+        r = normal_form(v, basis)
         if r:
             add(r)
 
@@ -215,14 +204,14 @@ def module_gb(vectors: Iterable[Vec], key: Callable, p: int) -> list:
         _, _, i, j = heapq.heappop(queue)
         lti, vi = basis.elems[i]
         ltj, vj = basis.elems[j]
-        r = normal_form(_spair(lti, vi, ltj, vj, p), basis, key, p)
+        r = normal_form(_spair(lti, vi, ltj, vj, p), basis)
         if r:
             add(r)
 
-    return _interreduce(basis.elems, key, p)
+    return _interreduce(basis.elems, p)
 
 
-def _interreduce(elems: Sequence, key: Callable, p: int) -> list:
+def _interreduce(elems: Sequence, p: int) -> list:
     # Minimal: every element was fully reduced against all before it, so
     # no lead divides a later one.  Only a later lead can make an element
     # redundant, and a redundant later element hands its divisor on to a
@@ -239,22 +228,22 @@ def _interreduce(elems: Sequence, key: Callable, p: int) -> list:
     # than its own lead, so that lead divides none of the terms met on
     # the way: an element never reduces itself, and one shared basis
     # picks the same reducers as the others-only basis would.
-    shared = _Basis(key, p)
+    shared = _Basis(p)
     for lt, v in keep:
         shared.add(v, lt)
     out = []
     for lt, v in keep:
         tail = dict(v)
         reduced = {lt: tail.pop(lt)}
-        reduced.update(normal_form(tail, shared, key, p))
-        out.append((key(lt), reduced))
+        reduced.update(normal_form(tail, shared))
+        out.append((pot_key(lt), reduced))
     out.sort(key=lambda kv: kv[0], reverse=True)
     return [v for _, v in out]
 
 
-def reducer(gb: Sequence, key: Callable, p: int) -> _Basis:
+def reducer(gb: Sequence, p: int) -> _Basis:
     """The division structure of a reduced basis, for submodule_nf."""
-    basis = _Basis(key, p)
+    basis = _Basis(p)
     for g in gb:
         basis.add(g)
     return basis
@@ -262,7 +251,7 @@ def reducer(gb: Sequence, key: Callable, p: int) -> _Basis:
 
 def submodule_nf(v: Vec, basis: _Basis) -> Vec:
     """Normal form of v against a reduced basis built by reducer."""
-    return normal_form(v, basis, basis.key, basis.p)
+    return normal_form(v, basis)
 
 
 def relative_syzygies(
@@ -291,7 +280,7 @@ def relative_syzygies(
         w[(rank + i, zero)] = 1
         embedded.append(w)
     embedded.extend(dict(v) for v in untracked if v)
-    gb = module_gb(embedded, pot_key, p)
+    gb = module_gb(embedded, p)
     out = []
     for g in gb:
         if all(pos >= rank for pos, _ in g):

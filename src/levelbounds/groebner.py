@@ -1,10 +1,11 @@
 """Ideal calculus in F_p[x1..xn]: reduced bases and derived operations.
 
-Everything routes through the rank one case of the module engine.  The
-degrevlex reduced Groebner basis is the canonical form of an ideal;
-intersections use one auxiliary variable with a block order, radical
-membership uses the extra-variable unit trick.  Dimension theory here is
-combinatorial: the Krull dimension comes from independent variable
+Everything routes through the rank one case of the module engine, under
+its one term order.  The degrevlex reduced Groebner basis is the
+canonical form of an ideal; an intersection is one relative syzygy
+computation in P^2, not an elimination under a block order, and radical
+membership uses the extra-variable unit trick.  Dimension theory here
+is combinatorial: the Krull dimension comes from independent variable
 subsets of the initial ideal, and minimal primes of monomial ideals are
 minimal vertex covers of the generator supports.
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import aux_last_key, module_gb, pot_key, reducer, submodule_nf
+from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf
 from .polys import Poly, PolyRing
 
 # Both enumerations below walk every subset of a variable set, so the set
@@ -34,12 +35,6 @@ def _vec_to_poly(ring: PolyRing, v: dict) -> Poly:
     return ring.from_dict({e: c for (_, e), c in v.items()})
 
 
-def _gb_polys(ring: PolyRing, polys: Iterable[Poly], key=pot_key) -> tuple:
-    vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    gb = module_gb(vecs, key, ring.char)
-    return tuple(_vec_to_poly(ring, v) for v in gb)
-
-
 class IdealData:
     """A homogeneous ideal of P with its lazily computed reduced basis.
 
@@ -47,7 +42,7 @@ class IdealData:
     on first use.
     """
 
-    def __init__(self, ring: PolyRing, gens: Sequence[Poly], require_homogeneous: bool = True):
+    def __init__(self, ring: PolyRing, gens: Sequence[Poly]):
         self.ring = ring
         clean = []
         for f in gens:
@@ -55,7 +50,7 @@ class IdealData:
                 raise UsageError("ideal generators must come from the ambient ring")
             if f.is_zero():
                 continue
-            if require_homogeneous and not f.is_homogeneous():
+            if not f.is_homogeneous():
                 raise UsageError(f"non-homogeneous generator: {f}")
             clean.append(f)
         self.gens = tuple(clean)
@@ -63,11 +58,12 @@ class IdealData:
     @cached_property
     def gb(self) -> tuple:
         """Reduced degrevlex Groebner basis, monic, descending leads."""
-        return _gb_polys(self.ring, self.gens)
+        gb = module_gb([_poly_to_vec(f) for f in self.gens], self.ring.char)
+        return tuple(_vec_to_poly(self.ring, v) for v in gb)
 
     @cached_property
     def _reducer(self):
-        return reducer([_poly_to_vec(g) for g in self.gb], pot_key, self.ring.char)
+        return reducer([_poly_to_vec(g) for g in self.gb], self.ring.char)
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
@@ -115,37 +111,24 @@ def ideal_sum(I: IdealData, J: IdealData) -> IdealData:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary-variable constructions
-
-
-def _embed_aux(f: Poly, aux_ring: PolyRing, aux_exp: int = 0) -> dict:
-    return {(0, e + (aux_exp,)): c for e, c in f.terms}
+# intersection and radical membership
 
 
 def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
-    """I meet J via t*I + (1-t)*J and elimination of the auxiliary t."""
+    """I meet J as {a : a*(e0 + e1) in I*e0 + J*e1}, one relative syzygy.
+
+    The relations come out as the reduced basis of I meet J, monic and
+    in descending lead order.
+    """
     if I.ring != J.ring:
         raise UsageError("ideals from different rings")
     ring = I.ring
-    aux_ring = PolyRing(ring.nvars + 1, ring.char)
-    vecs = []
-    for f in I.gens:
-        vecs.append(_embed_aux(f, aux_ring, aux_exp=1))
-    for g in J.gens:
-        v = _embed_aux(g, aux_ring, aux_exp=0)
-        for (pos, e), c in _embed_aux(g, aux_ring, aux_exp=1).items():
-            val = (v.get((pos, e), 0) - c) % ring.char
-            if val:
-                v[(pos, e)] = val
-            else:
-                v.pop((pos, e), None)
-        vecs.append(v)
-    gb = module_gb(vecs, aux_last_key, ring.char)
-    kept = []
-    for v in gb:
-        if all(e[-1] == 0 for _, e in v):
-            kept.append(ring.from_dict({e[:-1]: c for (_, e), c in v.items()}))
-    return IdealData(ring, _gb_polys(ring, kept))
+    zero = (0,) * ring.nvars
+    untracked = [_poly_to_vec(f) for f in I.gens]
+    untracked += [{(1, e): c for e, c in g.terms} for g in J.gens]
+    syz = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
+                            rank=2, nvars=ring.nvars, p=ring.char)
+    return IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
 
 
 def radical_membership(f: Poly, I: IdealData) -> bool:
@@ -153,10 +136,9 @@ def radical_membership(f: Poly, I: IdealData) -> bool:
     if f.ring != I.ring:
         raise UsageError("polynomial from a different ring")
     ring = I.ring
-    aux_ring = PolyRing(ring.nvars + 1, ring.char)
     p = ring.char
-    vecs = [_embed_aux(g, aux_ring, aux_exp=0) for g in I.gens]
-    one_minus_yf: dict = {(0, (0,) * aux_ring.nvars): 1}
+    vecs = [{(0, e + (0,)): c for e, c in g.terms} for g in I.gens]
+    one_minus_yf: dict = {(0, (0,) * (ring.nvars + 1)): 1}
     for e, c in f.terms:
         t = (0, e + (1,))
         val = (one_minus_yf.get(t, 0) - c) % p
@@ -165,7 +147,7 @@ def radical_membership(f: Poly, I: IdealData) -> bool:
         else:
             one_minus_yf.pop(t, None)
     vecs.append(one_minus_yf)
-    gb = module_gb(vecs, aux_last_key, p)
+    gb = module_gb(vecs, p)
     for v in gb:
         if len(v) == 1:
             (pos, e), _ = next(iter(v.items()))

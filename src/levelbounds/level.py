@@ -123,14 +123,13 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
 def _torsion_generator_witness(M, I: IdealData):
     """A generator of the I-torsion of M lying outside m*M, if any.
 
-    The torsion submodule maps into the free cover of M; a column of
-    that inclusion not contained in m*gens + relations is exactly an
-    element of Gamma_I(M) that survives in M tensor k.
+    gamma_torsion lists vectors of the free cover of M whose classes
+    generate Gamma_I(M); one not contained in m*gens + relations is
+    exactly an element of Gamma_I(M) that survives in M tensor k.
     """
     free = M.gens
     ring = free.ring
-    torsion = gamma_torsion(M, I)
-    cols = torsion.inclusion.columns()
+    cols = gamma_torsion(M, I)
     if not cols:
         return None
     span = [vec_from_polyvec(c) for c in M.rels.columns()]

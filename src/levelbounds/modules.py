@@ -4,7 +4,10 @@ A module is presented as the cokernel of a map between twisted free
 modules.  Vectors over R are tuples of polynomials in canonical J-normal
 form.  Every operation (syzygies, kernels, colons, torsion, Hom, free
 rank) reduces to the relative syzygy primitive of the Groebner engine,
-with J folded in by appending J-multiples of the ambient basis.
+with J folded in by appending J-multiples of the ambient basis.  Kernels
+and torsion submodules come back as generator vectors, which is what
+their callers read; subquotient alone builds a presentation, for
+homology.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and a nonzero map entry (i, j) must be
@@ -19,8 +22,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import (module_gb, pot_key, reducer, relative_syzygies, submodule_nf,
-                     vec_add_scaled)
+from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf, vec_add_scaled
 from .groebner import IdealData, ideal_intersection
 from .polys import Poly, PolyRing, mono_mul
 from .rings import QuotientRing
@@ -241,11 +243,11 @@ class SubmoduleGB:
     def __init__(self, free: FreeModule, vectors: Sequence[dict]):
         self.free = free
         vecs = [dict(v) for v in vectors if v] + _defining_multiples(free)
-        self.gb = module_gb(vecs, pot_key, free.ring.char)
+        self.gb = module_gb(vecs, free.ring.char)
 
     @cached_property
     def _reducer(self):
-        return reducer(self.gb, pot_key, self.free.ring.char)
+        return reducer(self.gb, self.free.ring.char)
 
     def nf(self, v: dict) -> dict:
         return submodule_nf(v, self._reducer)
@@ -338,30 +340,22 @@ def subquotient(
         degs.append(0 if d is None else d)
     gens = FreeModule(ring, tuple(degs))
     rels = _map_from_columns(gens, _syzygy_vectors(free, kept, denom_vecs))
-    return PresentedSubmodule(module=GradedModule(gens, rels), ambient=free, vectors=tuple(kept))
+    return PresentedSubmodule(module=GradedModule(gens, rels), vectors=tuple(kept))
 
 
 @dataclass
 class PresentedSubmodule:
-    """A subquotient with explicit generator representatives in ambient."""
+    """A subquotient with explicit generator representatives."""
 
     module: GradedModule
-    ambient: FreeModule
     vectors: tuple
 
-    def inclusion(self) -> ModMap:
-        rows = [
-            [self.vectors[l][i] for l in range(len(self.vectors))]
-            for i in range(self.ambient.rank)
-        ]
-        return ModMap(self.module.gens, self.ambient, rows)
 
-
-def kernel_presented(phi: ModMap) -> PresentedSubmodule:
-    """ker(phi) as a subquotient of the source with representatives."""
+def kernel_vectors(phi: ModMap) -> list:
+    """Generators of ker(phi) as nonzero J-normal vectors of the source."""
     if phi.degree != 0:
         raise UsageError("kernel is only computed for degree zero maps")
-    return subquotient(phi.source, _syzygy_vectors(phi.target, phi.columns(), []), [])
+    return _syzygy_vectors(phi.target, phi.columns(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +452,11 @@ def transpose_map(phi: ModMap) -> ModMap:
     return ModMap(dual_source, dual_target, rows)
 
 
-def hom_into_ring_presented(M: GradedModule) -> PresentedSubmodule:
-    """Hom_R(M, R) = ker of the transposed relations, with vectors.
-
-    A representative vector lists the values of the functional on the
-    generators of M, as elements of R with the dual twist bookkeeping.
-    """
-    return kernel_presented(transpose_map(M.rels))
-
-
 def annihilator(M: GradedModule) -> IdealData:
     """(0 : M) as an ideal of the ambient polynomial ring containing J."""
     ring = M.ring
     if M.gens.rank == 0:
-        return IdealData(ring.poly_ring, (ring.poly_ring.one(),), require_homogeneous=False)
+        return IdealData(ring.poly_ring, (ring.poly_ring.one(),))
     u_vecs = [vec_from_polyvec(c) for c in M.rels.columns()]
     u_vecs.extend(_defining_multiples(M.gens))
     result = None
@@ -484,7 +469,7 @@ def annihilator(M: GradedModule) -> IdealData:
             f = ring.poly_ring.from_dict({e: c for (_, e), c in s.items()})
             if not f.is_zero():
                 gens.append(f)
-        colon = IdealData(ring.poly_ring, gens, require_homogeneous=False)
+        colon = IdealData(ring.poly_ring, gens)
         result = colon if result is None else ideal_intersection(result, colon)
     return result
 
@@ -572,33 +557,28 @@ def _nonzero_gens(ring: QuotientRing, I) -> list:
     return [g for g in (ring.nf(g) for g in I.gens) if not g.is_zero()]
 
 
-@dataclass
-class TorsionSubmodule:
-    module: GradedModule
-    inclusion: ModMap
+def gamma_torsion(M: GradedModule, I) -> list:
+    """Generators of the I-power torsion submodule of M = P^r / N.
 
-
-def gamma_torsion(M: GradedModule, I) -> TorsionSubmodule:
-    """The I-power torsion submodule of M with its inclusion.
-
-    When the exponent proof shows that every generator of I kills M
-    (vacuously so when all of them lie in J), Gamma_I(M) = M and the
-    numerators are the basis vectors.  Otherwise the stable colon
-    (N : I^infinity), iterated from the relation submodule N, gives the
-    numerators of the torsion subquotient.  Both routes present the
-    same module: the stable colon of a torsion module is all of P^r,
-    whose reduced basis is the basis vectors in order.
+    Each generator is a J-normal vector of P^r outside N; together with
+    N they span the preimage (N : I^infinity) of Gamma_I(M).  When the
+    exponent proof shows that every generator of I kills M (vacuously so
+    when all of them lie in J), Gamma_I(M) = M and the candidates are
+    the basis vectors.  Otherwise the reduced basis of the stable colon,
+    iterated from N, gives them.  Both routes give the same list: the
+    stable colon of a torsion module is all of P^r, whose reduced basis
+    is the basis vectors in order.  Candidates that lie in N are dropped
+    by the one reduced basis of N that the checks already use.
     """
     ring = M.ring
     free = M.gens
     gens = _nonzero_gens(ring, I)
     n_gb = _relation_gb(M)
     if all(_kills_by_exponent(n_gb, f) for f in gens):
-        numerators = [free.basis_vector(k) for k in range(free.rank)]
+        candidates = [free.basis_vector(k) for k in range(free.rank)]
     else:
-        numerators = _nonzero_normal(ring, free.rank, _stable_colon(n_gb, gens).gb)
-    sub = subquotient(free, numerators, M.rels.columns())
-    return TorsionSubmodule(module=sub.module, inclusion=sub.inclusion())
+        candidates = _nonzero_normal(ring, free.rank, _stable_colon(n_gb, gens).gb)
+    return [v for v in candidates if not n_gb.contains_polyvec(v)]
 
 
 def is_power_torsion(M: GradedModule, I) -> bool:
@@ -635,8 +615,10 @@ def frank(M: GradedModule) -> int:
     r = Mm.gens.rank
     if r == 0:
         return 0
-    hom = hom_into_ring_presented(Mm)
-    if not hom.vectors:
+    # Hom_R(M, R) is the kernel of the transposed relations; a kernel
+    # vector lists the values of a functional on the generators of M
+    hom = kernel_vectors(transpose_map(Mm.rels))
+    if not hom:
         return 0
-    pairing = [[f.constant_coeff() for f in vec] for vec in hom.vectors]
+    pairing = [[f.constant_coeff() for f in vec] for vec in hom]
     return linalg.rank(linalg.as_matrix(pairing, M.ring.char), M.ring.char)

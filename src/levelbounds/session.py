@@ -173,7 +173,8 @@ def _parse_ideal_expr(ring: PolyRing, text: str, names: dict, line: int, col: in
     """0 | NAME | meet(expr, expr) | comma-separated polynomials.
 
     meet arguments may be separated by ; to disambiguate inline
-    polynomial lists that themselves contain commas.
+    polynomial lists that themselves contain commas.  Only a ; outside
+    any parentheses counts; without one the arguments split on commas.
     """
     text = text.strip()
     if text == "0":
@@ -183,8 +184,9 @@ def _parse_ideal_expr(ring: PolyRing, text: str, names: dict, line: int, col: in
         if not (inner.startswith("(") and inner.endswith(")")):
             raise SessionError(E_SYNTAX, "meet needs parentheses", line, col)
         body = inner[1:-1]
-        seps = ";" if ";" in body else ","
-        parts = _split_top_level(body, seps)
+        parts = _split_top_level(body, ";")
+        if len(parts) < 2:
+            parts = _split_top_level(body, ",")
         if len(parts) < 2:
             raise SessionError(E_SYNTAX, "meet needs at least two arguments", line, col)
         acc = _parse_ideal_expr(ring, parts[0], names, line, col)

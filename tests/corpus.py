@@ -12,7 +12,7 @@ import random
 
 from levelbounds.complexes import ChainComplex, ChainMap
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, GradedModule, ModMap, kernel_presented,
+from levelbounds.modules import (FreeModule, GradedModule, ModMap, kernel_vectors,
                                  minimal_presentation, polyvec_degree)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
@@ -71,7 +71,7 @@ def build_corpus(count=24, seed=20260819):
             rows.append(row)
         d1 = ModMap(F1, F0, rows)
         take = rng.randrange(0, 4)
-        cols = [c for c in list(kernel_presented(d1).vectors)[:take]
+        cols = [c for c in kernel_vectors(d1)[:take]
                 if any(not f.is_zero() for f in c)]
         if cols:
             t2 = tuple(polyvec_degree(F1, c) for c in cols)

@@ -403,7 +403,7 @@ def lead_divisible_terms(vectors, key):
     return out
 
 
-def buchberger_closed(gb, key, p):
+def buchberger_closed(gb, p):
     """True when every same-position S-vector of gb reduces to zero.
 
     gb is a list of monic vectors.  Every pair whose leads share a
@@ -411,14 +411,14 @@ def buchberger_closed(gb, key, p):
     division basis of gb: Buchberger's criterion, so a pair that
     module_gb skipped unsoundly shows here.
     """
-    basis = _Basis(key, p)
+    basis = _Basis(p)
     for g in gb:
         basis.add(g)
     leads = [lt for lt, _ in basis.elems]
     for i, j in combinations(range(len(gb)), 2):
         if leads[i][0] == leads[j][0]:
             s = _spair(leads[i], gb[i], leads[j], gb[j], p)
-            if normal_form(s, basis, key, p):
+            if normal_form(s, basis):
                 return False
     return True
 

@@ -181,6 +181,14 @@ def test_hom_of_two_nine_element_koszul_complexes_fails_with_cap_code(tmp_path, 
     assert rec["ok"] is False and "E_VAR_CAP" in rec["result"]["error"]
 
 
+def test_nested_meet_quotient(capsys):
+    code, out, err = run_cli(
+        capsys, ["invariants", "--vars", "3", "--quotient", "meet(meet(x1; x2), x3)"]
+    )
+    assert code == 0 and err == ""
+    assert "  dim_R = 2" in out
+
+
 def test_unit_quotient_exits_two(capsys):
     code, _, err = run_cli(
         capsys, ["invariants", "--vars", "2", "--quotient", "x1, x2, 1"]

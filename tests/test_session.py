@@ -93,6 +93,16 @@ def test_meet_semicolon_separator():
     assert s.ideals["M"] == ideal_intersection(left, ideal(P3, [x2]))
 
 
+@pytest.mark.parametrize("expr", ["meet(meet(x1; x2), x3)", "meet(x3, meet(x1; x2))"])
+def test_nested_meet_semicolon_does_not_split_the_outer_meet(expr):
+    # the ; inside the inner meet leaves the outer one to split on commas
+    s = parse_session(f"[ring]\nvars = 3\n\n[ideal M]\ngens = {expr}\n")
+    x1, x2, x3 = P3.variables()
+    inner = ideal_intersection(ideal(P3, [x1]), ideal(P3, [x2]))
+    assert s.ideals["M"] == ideal_intersection(inner, ideal(P3, [x3]))
+    assert s.ideals["M"] == ideal(P3, [x1 * x2 * x3])
+
+
 def test_variable_looking_names_parse_as_polynomials():
     # a reference spelled like x<digits> is always the polynomial,
     # even when an ideal of the same name exists
