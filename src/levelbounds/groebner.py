@@ -2,12 +2,11 @@
 
 Everything routes through the rank one case of the module engine, under
 its one term order.  The degrevlex reduced Groebner basis is the
-canonical form of an ideal; an intersection is one relative syzygy
-computation in P^2, not an elimination under a block order, and radical
-membership uses the extra-variable unit trick.  Dimension theory here
-is combinatorial: the Krull dimension comes from independent variable
-subsets of the initial ideal, and minimal primes of monomial ideals are
-minimal vertex covers of the generator supports.
+canonical form of an ideal, and an intersection is one relative syzygy
+computation in P^2, not an elimination under a block order.  Dimension
+theory here is combinatorial: the Krull dimension comes from independent
+variable subsets of the initial ideal, and minimal primes of monomial
+ideals are minimal vertex covers of the generator supports.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def ideal_sum(I: IdealData, J: IdealData) -> IdealData:
 
 
 # ---------------------------------------------------------------------------
-# intersection and radical membership
+# intersection
 
 
 def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
@@ -129,31 +128,6 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     syz = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
                             rank=2, nvars=ring.nvars, p=ring.char)
     return IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
-
-
-def radical_membership(f: Poly, I: IdealData) -> bool:
-    """True when f lies in the radical of I (extra-variable unit trick)."""
-    if f.ring != I.ring:
-        raise UsageError("polynomial from a different ring")
-    ring = I.ring
-    p = ring.char
-    vecs = [{(0, e + (0,)): c for e, c in g.terms} for g in I.gens]
-    one_minus_yf: dict = {(0, (0,) * (ring.nvars + 1)): 1}
-    for e, c in f.terms:
-        t = (0, e + (1,))
-        val = (one_minus_yf.get(t, 0) - c) % p
-        if val:
-            one_minus_yf[t] = val
-        else:
-            one_minus_yf.pop(t, None)
-    vecs.append(one_minus_yf)
-    gb = module_gb(vecs, p)
-    for v in gb:
-        if len(v) == 1:
-            (pos, e), _ = next(iter(v.items()))
-            if all(x == 0 for x in e):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

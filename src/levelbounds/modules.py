@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import UsageError
 from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf, vec_add_scaled
-from .groebner import IdealData, ideal_intersection
 from .polys import Poly, PolyRing, mono_mul
 from .rings import QuotientRing
 
@@ -300,22 +299,16 @@ def _map_from_columns(target: FreeModule, cols: list) -> ModMap:
     return ModMap(source, target, rows)
 
 
-def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]], degrees: Optional[Sequence[int]] = None) -> ModMap:
+def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> ModMap:
     """First syzygy module of the given vectors over R, as a map.
 
     The target is the free module on the input vectors (twists = their
-    degrees); columns of the returned map generate all R-relations.
+    degrees); columns of the returned map generate all R-relations.  A
+    zero vector j gets twist 0: its relation e_j is the only generator
+    that touches position j, so any twist would do.
     """
-    ring = free.ring
-    if degrees is None:
-        degrees = []
-        for v in vectors:
-            d = polyvec_degree(free, v)
-            if d is None:
-                raise UsageError("zero vector needs an explicit degree")
-            degrees.append(d)
-    target = FreeModule(ring, tuple(degrees))
-    return _map_from_columns(target, _syzygy_vectors(free, vectors, []))
+    degrees = tuple(polyvec_degree(free, v) or 0 for v in vectors)
+    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors, []))
 
 
 def subquotient(
@@ -440,7 +433,7 @@ def minimal_presentation(M: GradedModule) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# Hom, annihilator, torsion
+# Hom, torsion
 
 
 def transpose_map(phi: ModMap) -> ModMap:
@@ -450,28 +443,6 @@ def transpose_map(phi: ModMap) -> ModMap:
     dual_target = FreeModule(ring, tuple(-t for t in phi.source.twists))
     rows = [[phi.rows[i][j] for i in range(phi.target.rank)] for j in range(phi.source.rank)]
     return ModMap(dual_source, dual_target, rows)
-
-
-def annihilator(M: GradedModule) -> IdealData:
-    """(0 : M) as an ideal of the ambient polynomial ring containing J."""
-    ring = M.ring
-    if M.gens.rank == 0:
-        return IdealData(ring.poly_ring, (ring.poly_ring.one(),))
-    u_vecs = [vec_from_polyvec(c) for c in M.rels.columns()]
-    u_vecs.extend(_defining_multiples(M.gens))
-    result = None
-    zero = (0,) * ring.nvars
-    for k in range(M.gens.rank):
-        tracked = [{(k, zero): 1}]
-        syz = relative_syzygies(tracked, u_vecs, rank=M.gens.rank, nvars=ring.nvars, p=ring.char)
-        gens = []
-        for s in syz:
-            f = ring.poly_ring.from_dict({e: c for (_, e), c in s.items()})
-            if not f.is_zero():
-                gens.append(f)
-        colon = IdealData(ring.poly_ring, gens)
-        result = colon if result is None else ideal_intersection(result, colon)
-    return result
 
 
 def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
@@ -588,9 +559,7 @@ def is_power_torsion(M: GradedModule, I) -> bool:
     of the relations N, M = P^r / N.  The exponent proof answers yes:
     f^s * e_k in N for every k is exactly f^s * M = 0, with s <=
     _EXPONENT_CAP as witness.  When the cap runs out the chain (N : f^s)
-    decides, torsion exactly when it stabilizes at all of P^r.  Agrees
-    with radical membership of the annihilator, which the test suite
-    asserts independently.
+    decides, torsion exactly when it stabilizes at all of P^r.
     """
     n_gb = _relation_gb(M)
     return all(
@@ -621,4 +590,4 @@ def frank(M: GradedModule) -> int:
     if not hom:
         return 0
     pairing = [[f.constant_coeff() for f in vec] for vec in hom]
-    return linalg.rank(linalg.as_matrix(pairing, M.ring.char), M.ring.char)
+    return linalg.rank(pairing, M.ring.char)

@@ -17,8 +17,8 @@ from .errors import UsageError
 
 DEFAULT_CHAR = 101
 
-# linalg keeps entries in int64 and forms products of two residues, which
-# is exact only while p^2 < 2^63; larger characteristics are refused.
+# is_prime trial-divides up to sqrt(p), so a huge p would stall without a
+# word (about 1.5e9 steps at 2^61 - 1); larger characteristics are refused.
 MAX_CHAR = 2**31
 E_CHAR_RANGE = "E_CHAR_RANGE"
 

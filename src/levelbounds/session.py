@@ -179,10 +179,10 @@ def _parse_ideal_expr(ring: PolyRing, text: str, names: dict, line: int, col: in
     text = text.strip()
     if text == "0":
         return zero_ideal(ring)
-    if text.startswith("meet"):
+    if re.match(r"meet\s*\(", text):
         inner = text[4:].strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise SessionError(E_SYNTAX, "meet needs parentheses", line, col)
+        if not inner.endswith(")"):
+            raise SessionError(E_SYNTAX, "meet needs a closing parenthesis", line, col)
         body = inner[1:-1]
         parts = _split_top_level(body, ";")
         if len(parts) < 2:

@@ -6,20 +6,84 @@ generators, free modules get explicit (slot, monomial) coordinates, and
 homology dimensions fall out of rank counting on the raw differential
 matrices.  Nothing touches normal forms, Groebner bases or syzygy
 computations, so agreement with the engine is a genuine cross-check.
-Only the shared F_p row reduction helpers are reused.  The exception is
-buchberger_closed, which uses the engine's division on purpose: it
-checks the pair selection of module_gb, not its reduction.  Likewise
-dense_compose hands its product to the ModMap constructor, so it checks
-which entry pairs ModMap.compose multiplies, not the J-normalisation.
+The row reduction is this module's own, on numpy int64 matrices, and
+rank_mod_p is a second one on Python ints; neither shares code with
+linalg.rank.  One exception is buchberger_closed, which uses the
+engine's division on purpose: it checks the pair selection of
+module_gb, not its reduction.  Likewise dense_compose hands its product
+to the ModMap constructor, so it checks which entry pairs ModMap.compose
+multiplies, not the J-normalisation.  annihilator and radical_membership
+are references of another kind: they route through the engine by a
+different construction than the torsion checks they are compared with.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from levelbounds import linalg
-from levelbounds.gbcore import _Basis, _spair, normal_form
-from levelbounds.modules import ModMap
+from levelbounds.errors import UsageError
+from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_syzygies
+from levelbounds.groebner import IdealData, ideal_intersection
+from levelbounds.modules import ModMap, _defining_multiples, vec_from_polyvec
+
+
+# ---------------------------------------------------------------------------
+# dense F_p matrices: entries reduced mod p in int64, and elimination forms
+# products of two residues, which is exact for p < 2^31
+
+
+def as_matrix(rows, p):
+    a = np.array(rows, dtype=np.int64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
+    return a % p
+
+
+def rref(a, p):
+    """Row-reduced echelon form and pivot column list."""
+    m = a.copy() % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        lead = r + nz[0]
+        if lead != r:
+            m[[r, lead]] = m[[lead, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for other in range(rows):
+            if other != r and m[other, c]:
+                m[other] = (m[other] - m[other, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def matrix_rank(a, p):
+    if a.size == 0:
+        return 0
+    return len(rref(a, p)[1])
+
+
+def nullspace(a, p):
+    """Basis of the right nullspace, rows of the returned matrix."""
+    rows, cols = a.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    r, pivots = rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    return basis
 
 
 def monomials(nvars, d):
@@ -59,11 +123,11 @@ def ideal_rows(gens, nvars, d, p):
             rows.append(_coords(g.shift_mono(m), d, index))
     if not rows:
         return np.zeros((0, len(mons)), dtype=np.int64)
-    return linalg.as_matrix(rows, p)
+    return as_matrix(rows, p)
 
 
 def ideal_piece_dim(gens, nvars, d, p):
-    return linalg.rank(ideal_rows(gens, nvars, d, p), p)
+    return matrix_rank(ideal_rows(gens, nvars, d, p), p)
 
 
 def ring_piece_dim(j_gens, nvars, d, p):
@@ -80,8 +144,8 @@ def in_ideal(f, gens):
     d = f.degree()
     index = {e: i for i, e in enumerate(monomials(nvars, d))}
     rows = ideal_rows(gens, nvars, d, p)
-    fv = linalg.as_matrix([_coords(f, d, index)], p)
-    return linalg.rank(np.vstack([rows, fv]), p) == linalg.rank(rows, p)
+    fv = as_matrix([_coords(f, d, index)], p)
+    return matrix_rank(np.vstack([rows, fv]), p) == matrix_rank(rows, p)
 
 
 def free_piece(twists, nvars, d):
@@ -123,7 +187,7 @@ def submodule_rows(vectors, twists, nvars, d, p):
             rows.append(v)
     if not rows:
         return np.zeros((0, len(basis)), dtype=np.int64)
-    return linalg.as_matrix(rows, p)
+    return as_matrix(rows, p)
 
 
 def krull_dim_all_subsets(I):
@@ -164,7 +228,7 @@ def module_piece_dim(M, d):
     vectors = _jf_vectors(ring.defining.gens, len(twists), zero)
     vectors += [tuple(M.rels.column(c)) for c in range(M.rels.source.rank)]
     rows = submodule_rows(vectors, twists, nvars, d, p)
-    return len(basis) - linalg.rank(rows, p)
+    return len(basis) - matrix_rank(rows, p)
 
 
 def _induced_rank(image_vectors, j_gens, twists, nvars, d, p, zero):
@@ -173,7 +237,7 @@ def _induced_rank(image_vectors, j_gens, twists, nvars, d, p, zero):
     a = submodule_rows(image_vectors, twists, nvars, d, p)
     if a.shape[0] == 0:
         return 0
-    return linalg.rank(np.vstack([w, a]), p) - linalg.rank(w, p)
+    return matrix_rank(np.vstack([w, a]), p) - matrix_rank(w, p)
 
 
 def homology_dim(C, i, d):
@@ -188,7 +252,7 @@ def homology_dim(C, i, d):
     jg = ring.defining.gens
     twists = C.modules[i].twists
     w = submodule_rows(_jf_vectors(jg, len(twists), zero), twists, nvars, d, p)
-    quot = len(free_piece(twists, nvars, d)) - linalg.rank(w, p)
+    quot = len(free_piece(twists, nvars, d)) - matrix_rank(w, p)
     r_in = 0
     if i + 1 <= C.hi:
         cols = [tuple(C.diffs[i].column(c)) for c in range(C.modules[i + 1].rank)]
@@ -238,10 +302,10 @@ def _killed_dim(j_gens, mults, nvars, d, p):
             m[r0:r0 + a.shape[0], c0:c0 + w.shape[0]] = (-w.T) % p
         r0 += a.shape[0]
         c0 += w.shape[0]
-    ns = linalg.nullspace(m, p)
+    ns = nullspace(m, p)
     if ns.shape[0] == 0:
         return 0
-    return linalg.rank(np.ascontiguousarray(ns[:, :n_d]), p)
+    return matrix_rank(np.ascontiguousarray(ns[:, :n_d]), p)
 
 
 def _has_socle(P, j_gens, cap):
@@ -348,7 +412,7 @@ def hom_eval_matrix(M):
         if rows_total == 0:
             ns = np.eye(nunk, dtype=np.int64)
         else:
-            ns = linalg.nullspace(m, p)
+            ns = nullspace(m, p)
         for v in ns:
             row = [0] * gens.rank
             for j, tw in enumerate(gens.twists):
@@ -357,13 +421,64 @@ def hom_eval_matrix(M):
             eval_rows.append(row)
     if not eval_rows:
         return np.zeros((0, gens.rank), dtype=np.int64)
-    return linalg.as_matrix(eval_rows, p)
+    return as_matrix(eval_rows, p)
 
 
 def frank_oracle(M):
     ring = M.ring
     mat = hom_eval_matrix(M)
-    return linalg.rank(mat, ring.char)
+    return matrix_rank(mat, ring.char)
+
+
+def annihilator(M):
+    """(0 : M) as an ideal of the ambient polynomial ring containing J.
+
+    The intersection over the generators e_k of the colon ideals
+    (N : e_k), each read off one relative syzygy computation.
+    """
+    ring = M.ring
+    if M.gens.rank == 0:
+        return IdealData(ring.poly_ring, (ring.poly_ring.one(),))
+    u_vecs = [vec_from_polyvec(c) for c in M.rels.columns()]
+    u_vecs.extend(_defining_multiples(M.gens))
+    result = None
+    zero = (0,) * ring.nvars
+    for k in range(M.gens.rank):
+        tracked = [{(k, zero): 1}]
+        syz = relative_syzygies(tracked, u_vecs, rank=M.gens.rank, nvars=ring.nvars, p=ring.char)
+        gens = []
+        for s in syz:
+            f = ring.poly_ring.from_dict({e: c for (_, e), c in s.items()})
+            if not f.is_zero():
+                gens.append(f)
+        colon = IdealData(ring.poly_ring, gens)
+        result = colon if result is None else ideal_intersection(result, colon)
+    return result
+
+
+def radical_membership(f, I):
+    """True when f lies in the radical of I (extra-variable unit trick)."""
+    if f.ring != I.ring:
+        raise UsageError("polynomial from a different ring")
+    ring = I.ring
+    p = ring.char
+    vecs = [{(0, e + (0,)): c for e, c in g.terms} for g in I.gens]
+    one_minus_yf: dict = {(0, (0,) * (ring.nvars + 1)): 1}
+    for e, c in f.terms:
+        t = (0, e + (1,))
+        val = (one_minus_yf.get(t, 0) - c) % p
+        if val:
+            one_minus_yf[t] = val
+        else:
+            one_minus_yf.pop(t, None)
+    vecs.append(one_minus_yf)
+    gb = module_gb(vecs, p)
+    for v in gb:
+        if len(v) == 1:
+            (pos, e), _ = next(iter(v.items()))
+            if all(x == 0 for x in e):
+                return True
+    return False
 
 
 def rank_mod_p(rows, p):

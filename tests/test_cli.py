@@ -244,6 +244,33 @@ def test_koszul_verb_machine(capsys):
     assert (rec["result"]["lower"], rec["result"]["upper"]) == (2, 2)
 
 
+@pytest.mark.parametrize("nvars,quotient,seq", [
+    ("2", "x1", "x1, x2"),
+    ("2", "x1^2", "x1^2, x2"),
+    ("3", "x1*x2", "x1*x2, x3"),
+])
+def test_koszul_on_an_entry_that_vanishes_in_the_ring(capsys, nvars, quotient, seq):
+    code, out, err = run_cli(
+        capsys, ["koszul", "--vars", nvars, "--quotient", quotient, "--seq", seq]
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"level koszul({seq}): [2, 2] exact"
+
+
+def test_session_tasks_on_a_sequence_with_a_zero_entry(tmp_path, capsys):
+    f = tmp_path / "zero.session"
+    f.write_text(
+        "[ring]\nvars = 2\nquotient = x1\n\n"
+        "[seq S]\nelems = x1, x2\n\n[seq Z]\nelems = 0, x1\n\n"
+        "[task koszul-level]\nseq = S\n\n[task level]\ncomplex = koszul(S)\n\n"
+        "[task lech]\nseq = Z\n"
+    )
+    code, out, _ = run_cli(capsys, ["run", str(f)])
+    assert code == 0
+    assert out.count("level koszul(S): [2, 2] exact") == 2
+    assert "lech Z: dependent" in out
+
+
 def test_invariants_verb(capsys):
     code, out, _ = run_cli(
         capsys, ["invariants", "--vars", "2", "--ideal", "x1, x2"]

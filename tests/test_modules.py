@@ -12,9 +12,9 @@ from levelbounds import linalg, modules
 from levelbounds.complexes import hom_complex, koszul_complex, scalar_chain_map
 from levelbounds.errors import UsageError
 from levelbounds.gbcore import _Basis, normal_form
-from levelbounds.groebner import ideal, radical_membership, zero_ideal
+from levelbounds.groebner import ideal, zero_ideal
 from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
-                                 annihilator, frank, gamma_torsion,
+                                 frank, gamma_torsion,
                                  is_power_torsion, kernel_vectors,
                                  minimal_presentation, polyvec_degree,
                                  polyvec_from_vec, subquotient, syzygies,
@@ -111,6 +111,13 @@ def test_syzygies_examples():
     # the unit entry betrays the redundant generator
     assert any(f.is_constant() and not f.is_zero() for f in c2)
     assert syzygies(F, [(X**2,)]).source.rank == 0
+    # a zero vector gets twist 0; its relation e_0 is the only one
+    # touching position 0, and the other is the Koszul relation of X, Y
+    syz3 = syzygies(F, [(P2.zero(),), (X,), (Y,)])
+    assert syz3.target.twists == (0, 1, 1)
+    cols = [syz3.column(j) for j in range(syz3.source.rank)]
+    assert sorted(tuple(not f.is_zero() for f in c) for c in cols) == [
+        (False, True, True), (True, False, False)]
 
 
 def binary_form_coeffs(f, d):
@@ -124,7 +131,7 @@ def forms_share_factor(f, g):
     a, b = binary_form_coeffs(f, m), binary_form_coeffs(g, n)
     rows = [[0] * s + a + [0] * (n - 1 - s) for s in range(n)]
     rows += [[0] * s + b + [0] * (m - 1 - s) for s in range(m)]
-    return linalg.rank(linalg.as_matrix(rows, 101), 101) < m + n
+    return linalg.rank(rows, 101) < m + n
 
 
 def binary_forms(max_deg=3):
@@ -261,13 +268,13 @@ def test_transpose_is_an_involution():
 def test_annihilator_examples():
     I = ideal(P2, [X**2, X * Y])
     M = coker(R2, (0,), (2, 2), [[X**2, X * Y]])
-    assert frozenset(annihilator(M).gb) == frozenset(I.gb)
+    assert frozenset(oracles.annihilator(M).gb) == frozenset(I.gb)
     free1 = GradedModule.free_of(FreeModule(R2, (0,)))
-    assert annihilator(free1).is_zero()
+    assert oracles.annihilator(free1).is_zero()
     H1 = koszul_complex([X, X * Y], R2).homology(1).module
-    assert annihilator(H1).contains(X)
+    assert oracles.annihilator(H1).contains(X)
     none = GradedModule.free_of(FreeModule(R2, ()))
-    assert not annihilator(none).is_proper()
+    assert not oracles.annihilator(none).is_proper()
 
 
 def gamma_module(M, I):
@@ -306,8 +313,8 @@ def torsion_cases():
 def test_power_torsion_agrees_with_radical_route(case):
     M, I, want = torsion_cases()[case]
     direct = is_power_torsion(M, I)
-    ann = annihilator(M)
-    via_radical = all(radical_membership(g, ann) for g in I.gens)
+    ann = oracles.annihilator(M)
+    via_radical = all(oracles.radical_membership(g, ann) for g in I.gens)
     assert direct == via_radical == want
 
 
@@ -389,7 +396,7 @@ def corpus_ideal(data, C, M):
         return ideal(P, [P.variables()[v] ** a for v, a in picks])
     if kind == "entries":
         return ideal(P, [e for row in C.diff(1).rows for e in row if not e.is_zero()])
-    return ideal(P, annihilator(M).gb)
+    return ideal(P, oracles.annihilator(M).gb)
 
 
 def corpus_modules():
@@ -440,7 +447,7 @@ def has_invertible_minor(mat, r, p):
         return False
     for rs in combinations(range(mat.shape[0]), r):
         for cs in combinations(range(mat.shape[1]), r):
-            if linalg.rank(np.ascontiguousarray(mat[np.ix_(rs, cs)]), p) == r:
+            if oracles.matrix_rank(np.ascontiguousarray(mat[np.ix_(rs, cs)]), p) == r:
                 return True
     return False
 
@@ -471,20 +478,36 @@ def test_frank_shifts_under_free_summand():
 
 def test_rank_matches_integer_oracle_at_largest_char():
     # 2^31 - 1 is the largest prime PolyRing accepts; products of two
-    # residues come close to the int64 limit there
+    # residues come close to the int64 limit of the numpy oracle there.
+    # The engine's rank is checked against both oracles, at p = 2 and
+    # p = 101 too, and on the degenerate shapes.
+    def check(rows, p):
+        want = oracles.rank_mod_p(rows, p)
+        assert linalg.rank(rows, p) == want
+        assert oracles.matrix_rank(oracles.as_matrix(rows, p), p) == want
+        return want
+
+    for p in (2, 101, 2**31 - 1):
+        assert check([], p) == 0
+        assert check([[]], p) == 0
+        assert check([[0, 0, 0], [0, 0, 0]], p) == 0
+        assert check([[p, 2 * p], [0, -p]], p) == 0
+    assert check([[1, 1], [1, -1]], 2) == 1
+    assert check([[1, 1], [1, -1]], 101) == 2
     p = 2**31 - 1
     rng = np.random.default_rng(31)
     for _ in range(200):
         u = [int(x) for x in rng.integers(0, p, 2)]
         v = [int(x) for x in rng.integers(0, p, 3)]
-        rows = [[a * b % p for b in v] for a in u]
-        assert linalg.rank(linalg.as_matrix(rows, p), p) == oracles.rank_mod_p(rows, p)
-    for _ in range(100):
-        a = [[int(x) for x in row] for row in rng.integers(0, p, (4, 2))]
-        b = [[int(x) for x in row] for row in rng.integers(0, p, (2, 5))]
-        rows = [[sum(a[i][k] * b[k][j] for k in range(2)) % p for j in range(5)]
-                for i in range(4)]
-        assert linalg.rank(linalg.as_matrix(rows, p), p) == oracles.rank_mod_p(rows, p)
+        check([[a * b % p for b in v] for a in u], p)
+    for q in (2, 101, p):
+        for _ in range(100):
+            a = [[int(x) for x in row] for row in rng.integers(0, q, (4, 2))]
+            b = [[int(x) for x in row] for row in rng.integers(0, q, (2, 5))]
+            check([[sum(a[i][k] * b[k][j] for k in range(2)) % q for j in range(5)]
+                   for i in range(4)], q)
+        for _ in range(100):
+            check([[int(x) for x in row] for row in rng.integers(0, q, (5, 5))], q)
 
 
 def test_polyvec_degree():

@@ -103,6 +103,15 @@ def test_nested_meet_semicolon_does_not_split_the_outer_meet(expr):
     assert s.ideals["M"] == ideal(P3, [x1 * x2 * x3])
 
 
+def test_name_starting_with_meet_is_a_reference():
+    text = ("[ring]\nvars = 2\nquotient = meetA\n\n[ideal meetA]\ngens = x1\n\n"
+            "[ideal M]\ngens = meet (meetA; x2)\n")
+    s = parse_session(text)
+    x1, x2 = PolyRing(2, 101).variables()
+    assert s.ring.defining == ideal(PolyRing(2, 101), [x1])
+    assert s.ideals["M"] == ideal(PolyRing(2, 101), [x1 * x2])
+
+
 def test_variable_looking_names_parse_as_polynomials():
     # a reference spelled like x<digits> is always the polynomial,
     # even when an ideal of the same name exists

@@ -1,21 +1,21 @@
-"""Every top-level name in the package has a caller outside the tests.
+"""The package is the product surface and needs nothing outside stdlib.
 
 The package surface is what the command line, the session format and
 the scripts use.  A module-level def or class whose name appears nowhere
-in src/ or scripts/ except in its own definition is dead code, unless it
-is one of the references the tests compare the engine against.
+in src/ or scripts/ except in its own definition is dead code; the
+references the tests compare the engine against live in tests/.  And the
+command line loads no third-party module.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "levelbounds"
-
-# kept in src/ only as references for tests: is_power_torsion is checked
-# against the first two, and the degreewise oracles use nullspace
-TEST_REFERENCES = {"annihilator", "radical_membership", "nullspace"}
 
 
 def _sources():
@@ -39,10 +39,26 @@ def _uncalled_names():
                 for k, line in enumerate(lines)
                 if not (other == path and k in own)
             )
-            if not used and node.name not in TEST_REFERENCES:
+            if not used:
                 out.append(f"{path.name}:{node.name}")
     return out
 
 
 def test_every_top_level_name_has_a_caller():
     assert _uncalled_names() == []
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules that site start-up hooks load before the import are not counted
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import levelbounds.cli\n"
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "levelbounds" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "levelbounds"] == []
