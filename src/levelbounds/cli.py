@@ -1,4 +1,9 @@
-"""Batch front end: session runner, one-shot verbs, machine output.
+"""Command line: session runner and one-shot verbs, machine output.
+
+The one-shot verbs koszul, invariants and paper-suite are sessions of
+one task: each builds a Session from its arguments, with the ring
+checked by session.build_ring as a [ring] section is, and runs it
+through the executor that run uses for every task of a session file.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal
 inconsistency (a certified lower bound exceeded an upper bound, which
@@ -11,29 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import hom_complex, koszul_complex
 from .errors import InternalInconsistencyError, UsageError
 from .groebner import ideal
-from .invariants import invariant_report
+from .invariants import invariant_report, lech_independent
 from .level import level_interval, verify_factorization_example
-from .polys import DEFAULT_CHAR, PolyRing
-from .rings import QuotientRing
-from .session import Session, TaskSpec, parse_ideal_expression, parse_sequence, parse_session
+from .polys import DEFAULT_CHAR
+from .session import (E_SYNTAX, Session, SessionError, TaskSpec, build_ring,
+                      parse_ideal_expression, parse_sequence, parse_session)
 from .suite import run_suite
 
 SCHEMA = "levelbounds/1"
-
-
-@dataclass
-class TaskOutcome:
-    index: int
-    kind: str
-    ok: bool
-    human: str
-    record: dict
 
 
 def _level_report_lines(rep) -> list:
@@ -54,158 +49,115 @@ def _invariant_lines(rep) -> list:
     return lines
 
 
-def _execute_task(session: Session, spec: TaskSpec, index: int) -> TaskOutcome:
-    R = session.ring
-    P = R.poly_ring
-    try:
-        if spec.kind == "invariants":
-            I = session.ideals[spec.ideal_name] if spec.ideal_name else None
-            seq = session.seqs[spec.seq_name] if spec.seq_name else None
-            rep = invariant_report(R, I=I, seq=seq)
-            return TaskOutcome(
-                index, spec.kind, True, "\n".join(_invariant_lines(rep)), rep.as_dict()
-            )
-        if spec.kind == "koszul-level":
-            seq = session.seqs[spec.seq_name]
-            I = (
-                session.ideals[spec.ideal_name]
-                if spec.ideal_name
-                else ideal(P, list(seq))
-            )
-            rep = level_interval(
-                koszul_complex(list(seq), R), I=I, label=f"koszul({spec.seq_name})"
-            )
-            return TaskOutcome(
-                index, spec.kind, True, "\n".join(_level_report_lines(rep)), rep.as_dict()
-            )
-        if spec.kind == "level":
-            F = _build_complex(session, spec.complex_spec)
-            I = session.ideals[spec.ideal_name] if spec.ideal_name else None
-            rep = level_interval(F, I=I, label=_complex_label(spec.complex_spec))
-            return TaskOutcome(
-                index, spec.kind, True, "\n".join(_level_report_lines(rep)), rep.as_dict()
-            )
-        if spec.kind == "lech":
-            from .invariants import lech_independent
+def _complex(session: Session, spec: tuple) -> tuple:
+    """The complex of koszul(A) or hom(koszul(A), koszul(B)), and its label."""
+    F = [koszul_complex(list(session.seqs[name]), session.ring) for name in spec[1:]]
+    if spec[0] == "koszul":
+        return F[0], f"koszul({spec[1]})"
+    return hom_complex(*F), f"hom(koszul({spec[1]}),koszul({spec[2]}))"
 
-            seq = session.seqs[spec.seq_name]
-            value = lech_independent(seq, R)
-            text = f"lech {spec.seq_name}: {'independent' if value else 'dependent'}"
-            return TaskOutcome(
-                index,
-                spec.kind,
-                True,
-                text,
-                {"seq": spec.seq_name, "lech_independent": value},
-            )
-        if spec.kind == "factorization-example":
-            fr = verify_factorization_example(spec.n, session.char)
-            lines = [f"factorization example n={spec.n}: {'PASS' if fr.passed else 'FAIL'}"]
-            for name, ok in fr.checks:
-                lines.append(f"  {name}: {'ok' if ok else 'FAILED'}")
-            return TaskOutcome(index, spec.kind, fr.passed, "\n".join(lines), fr.as_dict())
-        if spec.kind == "paper-suite":
-            sr = run_suite(spec.n, session.char)
-            return TaskOutcome(index, spec.kind, sr.passed, "\n".join(sr.lines()), sr.as_dict())
-        raise UsageError(f"unhandled task kind {spec.kind!r}")
-    except UsageError as exc:
-        return TaskOutcome(
-            index, spec.kind, False, f"task {spec.kind} failed: {exc}", {"error": str(exc)}
+
+def _execute_task(session: Session, spec: TaskSpec) -> tuple:
+    """Compute one task as (ok, human text, result record).
+
+    This is the only code that computes a task result; a UsageError
+    propagates to the caller.
+    """
+    R = session.ring
+    if spec.kind == "invariants":
+        rep = invariant_report(
+            R, I=session.ideals.get(spec.ideal_name), seq=session.seqs.get(spec.seq_name)
         )
-
-
-def _build_complex(session: Session, spec: tuple):
-    R = session.ring
-    if spec[0] == "koszul":
-        return koszul_complex(list(session.seqs[spec[1]]), R)
-    if spec[0] == "hom":
-        F = koszul_complex(list(session.seqs[spec[1]]), R)
-        G = koszul_complex(list(session.seqs[spec[2]]), R)
-        return hom_complex(F, G)
-    raise UsageError(f"unknown complex spec {spec!r}")
-
-
-def _complex_label(spec: tuple) -> str:
-    if spec[0] == "koszul":
-        return f"koszul({spec[1]})"
-    return f"hom(koszul({spec[1]}),koszul({spec[2]}))"
+        return True, "\n".join(_invariant_lines(rep)), rep.as_dict()
+    if spec.kind in ("koszul-level", "level"):
+        F, label = _complex(session, spec.complex_spec or ("koszul", spec.seq_name))
+        I = session.ideals.get(spec.ideal_name)
+        if I is None and spec.kind == "koszul-level":
+            I = ideal(R.poly_ring, list(session.seqs[spec.seq_name]))
+        rep = level_interval(F, I=I, label=label)
+        return True, "\n".join(_level_report_lines(rep)), rep.as_dict()
+    if spec.kind == "lech":
+        value = lech_independent(session.seqs[spec.seq_name], R)
+        text = f"lech {spec.seq_name}: {'independent' if value else 'dependent'}"
+        return True, text, {"seq": spec.seq_name, "lech_independent": value}
+    if spec.kind == "factorization-example":
+        fr = verify_factorization_example(spec.n, session.char)
+        lines = [f"factorization example n={spec.n}: {'PASS' if fr.passed else 'FAIL'}"]
+        for name, ok in fr.checks:
+            lines.append(f"  {name}: {'ok' if ok else 'FAILED'}")
+        return fr.passed, "\n".join(lines), fr.as_dict()
+    if spec.kind == "paper-suite":
+        sr = run_suite(spec.n, session.char)
+        return sr.passed, "\n".join(sr.lines()), sr.as_dict()
+    raise UsageError(f"unhandled task kind {spec.kind!r}")
 
 
 def run_session(session: Session, machine: bool = False):
-    """Execute all tasks; output is buffered and emitted in order."""
-    outcomes = [_execute_task(session, spec, i) for i, spec in enumerate(session.tasks)]
+    """Execute all tasks; output is buffered and emitted in order.
+
+    A task whose input is refused fails alone, with the error as its result.
+    """
     blocks = []
-    for out in outcomes:
+    failed = False
+    for index, spec in enumerate(session.tasks):
+        try:
+            ok, human, record = _execute_task(session, spec)
+        except UsageError as exc:
+            ok, human, record = False, f"task {spec.kind} failed: {exc}", {"error": str(exc)}
+        failed = failed or not ok
         if machine:
-            rec = {
-                "schema": SCHEMA,
-                "index": out.index,
-                "task": out.kind,
-                "ok": out.ok,
-                "result": out.record,
-            }
+            rec = {"schema": SCHEMA, "index": index, "task": spec.kind, "ok": ok, "result": record}
             blocks.append(json.dumps(rec, sort_keys=True))
         else:
-            header = f"== task {out.index + 1}: {out.kind} =="
-            blocks.append(header + "\n" + out.human)
+            blocks.append(f"== task {index + 1}: {spec.kind} ==\n{human}")
     text = "\n".join(blocks) if machine else "\n\n".join(blocks)
-    code = 0 if all(o.ok for o in outcomes) else 1
-    return code, text
+    return (1 if failed else 0), text
 
 
-def _ring_from_args(args) -> QuotientRing:
-    P = PolyRing(args.vars, args.char)
-    defining = parse_ideal_expression(P, args.quotient)
-    if not defining.is_proper():
-        raise UsageError("quotient is the unit ideal")
-    return QuotientRing(defining)
+def _run_one_task(args, session: Session) -> int:
+    ok, human, record = _execute_task(session, session.tasks[0])
+    if args.machine:
+        print(json.dumps({"schema": SCHEMA, "task": args.verb, "result": record}, sort_keys=True))
+    else:
+        print(human)
+    return 0 if ok else 1
+
+
+def _ring(char: int, nvars: int, quotient: str = "0"):
+    return build_ring({"p": (char, 0, 1), "vars": (nvars, 0, 1), "quotient": (quotient, 0, 1)})
 
 
 def _cmd_run(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read session file: {exc}")
-    session = parse_session(text)
-    code, output = run_session(session, machine=args.machine)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].split(b"\n")
+        raise SessionError(E_SYNTAX, "session file is not UTF-8 text", len(lines), len(lines[-1]) + 1)
+    code, output = run_session(parse_session(text), machine=args.machine)
     print(output)
     return code
 
 
 def _cmd_paper_suite(args) -> int:
-    result = run_suite(args.n, args.char)
-    if args.machine:
-        print(json.dumps({"schema": SCHEMA, "task": "paper-suite", "result": result.as_dict()}, sort_keys=True))
-    else:
-        print("\n".join(result.lines()))
-    return 0 if result.passed else 1
+    # the suite builds its own rings; one variable is the least ring a
+    # session file can declare for its paper-suite task
+    session = Session(_ring(args.char, 1), tasks=[TaskSpec("paper-suite", n=args.n)])
+    return _run_one_task(args, session)
 
 
-def _cmd_koszul(args) -> int:
-    R = _ring_from_args(args)
+def _cmd_ring_task(args) -> int:
+    """koszul (a koszul-level task) and invariants over --char, --vars, --quotient."""
+    R = _ring(args.char, args.vars, args.quotient)
     P = R.poly_ring
-    seq = parse_sequence(P, args.seq)
-    I = parse_ideal_expression(P, args.ideal) if args.ideal else ideal(P, list(seq))
-    rep = level_interval(koszul_complex(list(seq), R), I=I, label=f"koszul({args.seq})")
-    if args.machine:
-        print(json.dumps({"schema": SCHEMA, "task": "koszul", "result": rep.as_dict()}, sort_keys=True))
-    else:
-        print("\n".join(_level_report_lines(rep)))
-    return 0
-
-
-def _cmd_invariants(args) -> int:
-    R = _ring_from_args(args)
-    P = R.poly_ring
-    I = parse_ideal_expression(P, args.ideal) if args.ideal else None
-    seq = parse_sequence(P, args.seq) if args.seq else None
-    rep = invariant_report(R, I=I, seq=seq)
-    if args.machine:
-        print(json.dumps({"schema": SCHEMA, "task": "invariants", "result": rep.as_dict()}, sort_keys=True))
-    else:
-        print("\n".join(_invariant_lines(rep)))
-    return 0
+    ideals = {} if args.ideal is None else {args.ideal: parse_ideal_expression(P, args.ideal)}
+    seqs = {} if args.seq is None else {args.seq: parse_sequence(P, args.seq)}
+    spec = TaskSpec(args.kind, seq_name=args.seq, ideal_name=args.ideal)
+    return _run_one_task(args, Session(R, ideals, seqs, [spec]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,36 +165,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="levelbounds",
         description="certified level bounds for perfect complexes over graded quotients",
     )
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--machine", action="store_true", help="JSON records instead of tables")
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument("--char", type=int, default=DEFAULT_CHAR)
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--vars", type=int, required=True)
+    ring.add_argument("--quotient", default="0")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="execute a session file")
+    p_run = sub.add_parser("run", parents=[machine], help="execute a session file")
     p_run.add_argument("file")
-    p_run.add_argument("--machine", action="store_true", help="JSON records instead of tables")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_suite = sub.add_parser("paper-suite", help="run the built-in example battery")
+    p_suite = sub.add_parser("paper-suite", parents=[char, machine],
+                             help="run the built-in example battery")
     p_suite.add_argument("--n", type=int, required=True)
-    p_suite.add_argument("--char", type=int, default=DEFAULT_CHAR)
-    p_suite.add_argument("--machine", action="store_true")
     p_suite.set_defaults(fn=_cmd_paper_suite)
 
-    p_koszul = sub.add_parser("koszul", help="level interval of a Koszul complex")
-    p_koszul.add_argument("--vars", type=int, required=True)
-    p_koszul.add_argument("--quotient", default="0")
+    p_koszul = sub.add_parser("koszul", parents=[ring, char, machine],
+                              help="level interval of a Koszul complex")
     p_koszul.add_argument("--seq", required=True)
     p_koszul.add_argument("--ideal")
-    p_koszul.add_argument("--char", type=int, default=DEFAULT_CHAR)
-    p_koszul.add_argument("--machine", action="store_true")
-    p_koszul.set_defaults(fn=_cmd_koszul)
+    p_koszul.set_defaults(fn=_cmd_ring_task, kind="koszul-level")
 
-    p_inv = sub.add_parser("invariants", help="ring, ideal, and sequence invariants")
-    p_inv.add_argument("--vars", type=int, required=True)
-    p_inv.add_argument("--quotient", default="0")
+    p_inv = sub.add_parser("invariants", parents=[ring, char, machine],
+                           help="ring, ideal, and sequence invariants")
     p_inv.add_argument("--ideal")
     p_inv.add_argument("--seq")
-    p_inv.add_argument("--char", type=int, default=DEFAULT_CHAR)
-    p_inv.add_argument("--machine", action="store_true")
-    p_inv.set_defaults(fn=_cmd_invariants)
+    p_inv.set_defaults(fn=_cmd_ring_task, kind="invariants")
     return parser
 
 

@@ -20,6 +20,10 @@ Grammar (one statement per line, # comments, blank lines ignored):
 The quotient expression may reference any ideal defined in the file;
 ideal-to-ideal references must point at earlier definitions.  Errors
 carry a stable diagnostic code plus line and column.
+
+build_ring is the one check of ring input: parse_session calls it on the
+[ring] section, and the command line on --char, --vars and --quotient,
+so both entry points refuse the same inputs with the same codes.
 """
 
 from __future__ import annotations
@@ -38,22 +42,14 @@ E_UNKNOWN_NAME = "E_UNKNOWN_NAME"
 E_NOT_HOMOGENEOUS = "E_NOT_HOMOGENEOUS"
 E_NOT_PRIME = "E_NOT_PRIME"
 
-TASK_KINDS = (
-    "invariants",
-    "koszul-level",
-    "level",
-    "lech",
-    "factorization-example",
-    "paper-suite",
-)
-
-_TASK_KEYS = {
-    "invariants": {"ideal", "seq"},
-    "koszul-level": {"seq", "ideal"},
-    "level": {"complex", "ideal"},
-    "lech": {"seq"},
-    "factorization-example": {"n"},
-    "paper-suite": {"n"},
+# task kind -> (the keys it allows, the one it needs)
+_TASKS = {
+    "invariants": ({"ideal", "seq"}, None),
+    "koszul-level": ({"seq", "ideal"}, "seq"),
+    "level": ({"complex", "ideal"}, "complex"),
+    "lech": ({"seq"}, "seq"),
+    "factorization-example": ({"n"}, "n"),
+    "paper-suite": ({"n"}, "n"),
 }
 
 _HEADER_RE = re.compile(r"^\[\s*(ring|ideal|seq|task)(?:\s+([A-Za-z0-9_-]+))?\s*\]$")
@@ -75,7 +71,6 @@ class SessionError(UsageError):
 @dataclass
 class TaskSpec:
     kind: str
-    line: int
     seq_name: Optional[str] = None
     ideal_name: Optional[str] = None
     complex_spec: Optional[tuple] = None
@@ -84,12 +79,18 @@ class TaskSpec:
 
 @dataclass
 class Session:
-    char: int
-    nvars: int
     ring: QuotientRing
     ideals: dict = field(default_factory=dict)
     seqs: dict = field(default_factory=dict)
     tasks: list = field(default_factory=list)
+
+    @property
+    def char(self) -> int:
+        return self.ring.char
+
+    @property
+    def nvars(self) -> int:
+        return self.ring.nvars
 
 
 class _Section:
@@ -194,9 +195,7 @@ def _parse_ideal_expr(ring: PolyRing, text: str, names: dict, line: int, col: in
             acc = ideal_intersection(acc, _parse_ideal_expr(ring, part, names, line, col))
         return acc
     if _NAME_RE.match(text) and not re.match(r"^x\d+$", text):
-        if text not in names:
-            raise SessionError(E_UNKNOWN_NAME, f"ideal {text!r} is not defined", line, col)
-        return names[text]
+        return names[_defined(names, "ideal", text, line, col)]
     return ideal(ring, _parse_poly_list(ring, text, line, col))
 
 
@@ -210,6 +209,61 @@ def _require_int(entries: dict, key: str, section_line: int) -> tuple:
         raise SessionError(E_SYNTAX, f"{key} must be an integer, got {value!r}", line, col)
 
 
+def _defined(names: dict, kind: str, name: str, line: int, col: int) -> str:
+    if name not in names:
+        raise SessionError(E_UNKNOWN_NAME, f"{kind} {name!r} is not defined", line, col)
+    return name
+
+
+def _check_keys(sec: _Section, allowed) -> None:
+    for key, (_, line, _) in sec.entries.items():
+        if key not in allowed:
+            raise SessionError(E_SYNTAX, f"unknown {sec.kind} key {key!r}", line)
+
+
+def _named_sections(sections: list, kind: str, key: str):
+    """(name, value, line, col) of each [kind NAME] section, whose one key is key."""
+    seen = set()
+    for sec in sections:
+        if sec.kind != kind:
+            continue
+        if sec.name in seen:
+            raise SessionError(E_SYNTAX, f"{kind} {sec.name!r} defined twice", sec.line)
+        _check_keys(sec, (key,))
+        if key not in sec.entries:
+            raise SessionError(E_SYNTAX, f"{kind} needs {key}", sec.line)
+        seen.add(sec.name)
+        yield (sec.name, *sec.entries[key])
+
+
+def build_ring(entries: dict, line: int = 0, define_names=None) -> QuotientRing:
+    """Check p and vars, then build F_p[x1..xn] modulo the quotient ideal.
+
+    entries maps p, vars and quotient to (value, line, col) as a [ring]
+    section holds them; p and quotient are optional.  Line 0 leaves the
+    position out of errors, for command-line arguments.  define_names(P)
+    parses the named ideals that the quotient may reference.
+    """
+    if "p" in entries:
+        p, pline, pcol = _require_int(entries, "p", line)
+        if p >= MAX_CHAR:
+            raise SessionError(E_CHAR_RANGE, f"p = {p} is not below 2^31", pline, pcol)
+        if not is_prime(p):
+            raise SessionError(E_NOT_PRIME, f"p = {p} is not prime", pline, pcol)
+    else:
+        p = DEFAULT_CHAR
+    nvars, vline, vcol = _require_int(entries, "vars", line)
+    if nvars < 1:
+        raise SessionError(E_SYNTAX, "vars must be at least 1", vline, vcol)
+    P = PolyRing(nvars, p)
+    names = define_names(P) if define_names else {}
+    value, qline, qcol = entries.get("quotient", ("0", line, 1))
+    defining = _parse_ideal_expr(P, value, names, qline, qcol)
+    if not defining.is_proper():
+        raise SessionError(E_SYNTAX, "quotient is the unit ideal", qline, qcol)
+    return QuotientRing(defining)
+
+
 def parse_session(text: str) -> Session:
     sections = _split_sections(text)
     ring_sections = [s for s in sections if s.kind == "ring"]
@@ -218,101 +272,45 @@ def parse_session(text: str) -> Session:
     if len(ring_sections) > 1:
         raise SessionError(E_SYNTAX, "more than one [ring] section", ring_sections[1].line)
     ring_sec = ring_sections[0]
-    for key in ring_sec.entries:
-        if key not in ("p", "vars", "quotient"):
-            raise SessionError(E_SYNTAX, f"unknown ring key {key!r}", ring_sec.entries[key][1])
-
-    if "p" in ring_sec.entries:
-        p, pline, pcol = _require_int(ring_sec.entries, "p", ring_sec.line)
-        if p >= MAX_CHAR:
-            raise SessionError(E_CHAR_RANGE, f"p = {p} is not below 2^31", pline, pcol)
-        if not is_prime(p):
-            raise SessionError(E_NOT_PRIME, f"p = {p} is not prime", pline, pcol)
-    else:
-        p = DEFAULT_CHAR
-    nvars, vline, vcol = _require_int(ring_sec.entries, "vars", ring_sec.line)
-    if nvars < 1:
-        raise SessionError(E_SYNTAX, "vars must be at least 1", vline, vcol)
-    P = PolyRing(nvars, p)
+    _check_keys(ring_sec, ("p", "vars", "quotient"))
 
     ideals = {}
-    for sec in sections:
-        if sec.kind != "ideal":
-            continue
-        if sec.name in ideals:
-            raise SessionError(E_SYNTAX, f"ideal {sec.name!r} defined twice", sec.line)
-        for key in sec.entries:
-            if key != "gens":
-                raise SessionError(E_SYNTAX, f"unknown ideal key {key!r}", sec.entries[key][1])
-        if "gens" not in sec.entries:
-            raise SessionError(E_SYNTAX, "ideal needs gens", sec.line)
-        value, line, col = sec.entries["gens"]
-        ideals[sec.name] = _parse_ideal_expr(P, value, ideals, line, col)
 
-    seqs = {}
-    for sec in sections:
-        if sec.kind != "seq":
-            continue
-        if sec.name in seqs:
-            raise SessionError(E_SYNTAX, f"seq {sec.name!r} defined twice", sec.line)
-        for key in sec.entries:
-            if key != "elems":
-                raise SessionError(E_SYNTAX, f"unknown seq key {key!r}", sec.entries[key][1])
-        if "elems" not in sec.entries:
-            raise SessionError(E_SYNTAX, "seq needs elems", sec.line)
-        value, line, col = sec.entries["elems"]
-        seqs[sec.name] = tuple(_parse_poly_list(P, value, line, col))
+    def define_ideals(P: PolyRing) -> dict:
+        for name, value, line, col in _named_sections(sections, "ideal", "gens"):
+            ideals[name] = _parse_ideal_expr(P, value, ideals, line, col)
+        return ideals
 
-    if "quotient" in ring_sec.entries:
-        value, line, col = ring_sec.entries["quotient"]
-        defining = _parse_ideal_expr(P, value, ideals, line, col)
-        if not defining.is_proper():
-            raise SessionError(E_SYNTAX, "quotient is the unit ideal", line, col)
-    else:
-        defining = zero_ideal(P)
-    try:
-        ring = QuotientRing(defining)
-    except UsageError as exc:
-        raise SessionError(E_SYNTAX, str(exc), ring_sec.line) from exc
+    ring = build_ring(ring_sec.entries, ring_sec.line, define_ideals)
+    seqs = {
+        name: tuple(_parse_poly_list(ring.poly_ring, value, line, col))
+        for name, value, line, col in _named_sections(sections, "seq", "elems")
+    }
 
     tasks = []
     for sec in sections:
         if sec.kind != "task":
             continue
-        kind = sec.name
-        if kind not in TASK_KINDS:
-            raise SessionError(E_SYNTAX, f"unknown task kind {kind!r}", sec.line)
-        allowed = _TASK_KEYS[kind]
-        for key in sec.entries:
+        if sec.name not in _TASKS:
+            raise SessionError(E_SYNTAX, f"unknown task kind {sec.name!r}", sec.line)
+        allowed, needed = _TASKS[sec.name]
+        spec = TaskSpec(sec.name)
+        for key, (value, line, col) in sec.entries.items():
             if key not in allowed:
-                raise SessionError(
-                    E_SYNTAX, f"key {key!r} not allowed in task {kind!r}", sec.entries[key][1]
-                )
-        spec = TaskSpec(kind=kind, line=sec.line)
-        if "seq" in sec.entries:
-            value, line, col = sec.entries["seq"]
-            if value not in seqs:
-                raise SessionError(E_UNKNOWN_NAME, f"seq {value!r} is not defined", line, col)
-            spec.seq_name = value
-        if "ideal" in sec.entries:
-            value, line, col = sec.entries["ideal"]
-            if value not in ideals:
-                raise SessionError(E_UNKNOWN_NAME, f"ideal {value!r} is not defined", line, col)
-            spec.ideal_name = value
-        if "complex" in sec.entries:
-            value, line, col = sec.entries["complex"]
-            spec.complex_spec = _parse_complex_expr(value, seqs, line, col)
-        if "n" in sec.entries:
-            spec.n = _require_int(sec.entries, "n", sec.line)[0]
-        if kind in ("koszul-level", "lech") and spec.seq_name is None:
-            raise SessionError(E_SYNTAX, f"task {kind!r} needs seq", sec.line)
-        if kind == "level" and spec.complex_spec is None:
-            raise SessionError(E_SYNTAX, "task 'level' needs complex", sec.line)
-        if kind in ("factorization-example", "paper-suite") and spec.n is None:
-            raise SessionError(E_SYNTAX, f"task {kind!r} needs n", sec.line)
+                raise SessionError(E_SYNTAX, f"key {key!r} not allowed in task {sec.name!r}", line)
+            if key == "seq":
+                spec.seq_name = _defined(seqs, "seq", value, line, col)
+            elif key == "ideal":
+                spec.ideal_name = _defined(ideals, "ideal", value, line, col)
+            elif key == "complex":
+                spec.complex_spec = _parse_complex_expr(value, seqs, line, col)
+            else:
+                spec.n = _require_int(sec.entries, "n", sec.line)[0]
+        if needed and needed not in sec.entries:
+            raise SessionError(E_SYNTAX, f"task {sec.name!r} needs {needed}", sec.line)
         tasks.append(spec)
 
-    return Session(char=p, nvars=nvars, ring=ring, ideals=ideals, seqs=seqs, tasks=tasks)
+    return Session(ring, ideals, seqs, tasks)
 
 
 def parse_ideal_expression(ring: PolyRing, text: str) -> IdealData:
@@ -337,15 +335,8 @@ def _parse_complex_expr(text: str, seqs: dict, line: int, col: int) -> tuple:
     text = text.strip()
     m = _KOSZUL_RE.match(text)
     if m:
-        name = m.group(1)
-        if name not in seqs:
-            raise SessionError(E_UNKNOWN_NAME, f"seq {name!r} is not defined", line, col)
-        return ("koszul", name)
+        return ("koszul", _defined(seqs, "seq", m.group(1), line, col))
     m = _HOM_RE.match(text)
     if m:
-        a, b = m.group(1), m.group(2)
-        for name in (a, b):
-            if name not in seqs:
-                raise SessionError(E_UNKNOWN_NAME, f"seq {name!r} is not defined", line, col)
-        return ("hom", a, b)
+        return ("hom", *(_defined(seqs, "seq", name, line, col) for name in m.groups()))
     raise SessionError(E_SYNTAX, f"bad complex expression {text!r}", line, col)

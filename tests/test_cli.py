@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, output schema, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levelbounds import cli, suite
 from levelbounds.cli import SCHEMA, main
@@ -126,14 +129,36 @@ def test_missing_file_exits_two(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_file_that_is_not_utf8_exits_two_with_position(tmp_path, capsys):
+    f = tmp_path / "latin1.session"
+    f.write_bytes(b"[ring]\nvars = 2\nquotient = x1 \xff\n")
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: E_SYNTAX:") and "(line 3, column 15)" in err
+
+
 def test_bad_inline_sequence_exits_two(capsys):
     code, _, err = run_cli(capsys, ["koszul", "--vars", "2", "--seq", "x1 + x1^2"])
     assert code == 2 and "E_NOT_HOMOGENEOUS" in err
 
 
 def test_composite_char_exits_two(capsys):
-    code, _, err = run_cli(capsys, ["koszul", "--vars", "2", "--seq", "x1", "--char", "10"])
-    assert code == 2 and err.startswith("error:")
+    for argv in (["koszul", "--vars", "2", "--seq", "x1", "--char", "10"],
+                 ["paper-suite", "--n", "3", "--char", "4"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: E_NOT_PRIME:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--vars", "0"],
+    ["invariants", "--vars", "-1"],
+    ["koszul", "--vars", "2", "--seq", ""],
+    ["invariants", "--vars", "2", "--ideal", ""],
+    ["invariants", "--vars", "2", "--seq", " "],
+])
+def test_refused_argument_exits_two_with_syntax_code(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: E_SYNTAX:")
 
 
 def test_large_char_exits_two_with_range_code(capsys):
@@ -288,3 +313,120 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1].startswith("PASS suite")
+
+
+# Each one-shot verb is a session of one task; its result must be the
+# result of that task in a session file.
+PARITY = [
+    pytest.param(
+        ["koszul", "--vars", "2", "--seq", "x1, x2"],
+        "[ring]\nvars = 2\n\n[seq S]\nelems = x1, x2\n\n[task koszul-level]\nseq = S\n",
+        id="koszul-free",
+    ),
+    pytest.param(
+        ["koszul", "--vars", "2", "--quotient", "x1^2, x1*x2, x2^3", "--seq", "x1, x2"],
+        "[ring]\nvars = 2\nquotient = x1^2, x1*x2, x2^3\n\n[seq S]\nelems = x1, x2\n\n"
+        "[task koszul-level]\nseq = S\n",
+        id="koszul-artinian",
+    ),
+    pytest.param(
+        ["invariants", "--vars", "3", "--quotient", "meet(x1; x2, x3)", "--ideal", "x2, x3"],
+        "[ring]\nvars = 3\nquotient = meet(x1; x2, x3)\n\n[ideal I]\ngens = x2, x3\n\n"
+        "[task invariants]\nideal = I\n",
+        id="invariants-meet",
+    ),
+    pytest.param(
+        ["paper-suite", "--n", "3"], "[ring]\nvars = 1\n\n[task paper-suite]\nn = 3\n",
+        id="paper-suite",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", PARITY)
+def test_one_shot_verb_matches_its_session_task(tmp_path, capsys, argv, text):
+    code, out, _ = run_cli(capsys, argv + ["--machine"])
+    assert code == 0
+    one_shot = json.loads(out)
+    assert one_shot["task"] == argv[0]
+    f = tmp_path / "one.session"
+    f.write_text(text)
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    assert code == 0
+    task = json.loads(out)
+    assert task["ok"] is True
+    # the label names the sequence: its text on the command line, S in the file
+    for rec in (one_shot, task):
+        rec["result"].pop("label", None)
+    assert one_shot["result"] == task["result"]
+
+
+# Session files for the exit-code fuzz: sections built from the grammar,
+# then up to three pieces of noise inserted anywhere.  Rings have at most
+# 3 variables and only invariants and lech tasks occur, so each example
+# takes well under a second.
+_POLYS = st.lists(
+    st.sampled_from(["x1", "x2", "x3", "x1*x2", "x2^2", "2*x3", "x1 + x3", "0"]),
+    min_size=1, max_size=3,
+).map(", ".join)
+_IDEAL = st.one_of(
+    _POLYS,
+    st.tuples(_POLYS, _POLYS).map(lambda ab: f"meet({ab[0]}; {ab[1]})"),
+    st.sampled_from(["A", "0"]),
+)
+_RING = st.tuples(
+    st.sampled_from(["", "", "p = 2\n", "p = 101\n", "p = 10\n"]),
+    st.sampled_from(["vars = 3", "vars = 3", "vars = 2", "vars = 1", "vars = 0"]),
+    st.one_of(st.just(""), _IDEAL.map("\nquotient = {}".format)),
+).map(lambda parts: "[ring]\n" + "".join(parts))
+_TASKS = st.lists(
+    st.sampled_from(["[task invariants]", "[task invariants]\nideal = B",
+                     "[task invariants]\nseq = S", "[task lech]\nseq = S"]),
+    min_size=1, max_size=3,
+)
+_NOISE = st.one_of(
+    st.sampled_from(["x4", "x1^", "meet(", ")", ";", ",", "=", "#", "\n", "[task", "]",
+                     "vars = 3", "\u00e9", "\u2028", "\x85", "\x00"]),
+    st.text(max_size=4),
+)
+_SESSION = st.tuples(
+    _RING,
+    _POLYS.map("[ideal A]\ngens = {}".format),
+    _IDEAL.map("[ideal B]\ngens = {}".format),
+    _POLYS.map("[seq S]\nelems = {}".format),
+    _TASKS.map("\n".join),
+).map("\n".join)
+
+
+def _insert_noise(text: str, noise: list) -> str:
+    for at, piece in noise:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+_NOISY_SESSION = st.tuples(
+    _SESSION, st.lists(st.tuples(st.integers(0, 300), _NOISE), max_size=3)
+).map(lambda parts: _insert_noise(*parts))
+
+
+def _exit_code_contract_holds(path, data: bytes) -> None:
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
+@settings(max_examples=150)
+@given(data=st.binary(max_size=200))
+def test_run_on_arbitrary_bytes_keeps_the_exit_code_contract(tmp_path_factory, data):
+    _exit_code_contract_holds(tmp_path_factory.getbasetemp() / "bytes.session", data)
+
+
+@settings(max_examples=150)
+@given(text=_NOISY_SESSION)
+def test_run_on_noisy_session_text_keeps_the_exit_code_contract(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "noisy.session"
+    _exit_code_contract_holds(path, text.encode("utf-8"))
