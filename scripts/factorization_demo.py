@@ -68,7 +68,7 @@ def describe(n, char, ring, label):
             if hd.is_zero:
                 continue
             print(f"H_{i} is (x2..x{n})-power torsion: "
-                  f"{is_power_torsion(hd.module, tail)}")
+                  f"{is_power_torsion(hd, tail)}")
 
 
 def main():

@@ -3,7 +3,9 @@
 Complexes are stored with internal homological degrees 0..length-1 and a
 recorded shift, so the lowest internal degree is always 0.  Differentials
 are degree zero maps and the composite of consecutive differentials is
-checked to vanish at construction time.
+checked to vanish at construction time.  Homology H_i is a Subquotient of
+F_i: the kernel generators of d_i that lie outside D = im d_(i+1) +
+J*F_i, with the reduced basis of D; no presentation of it is built.
 
 Koszul complexes built here carry their defining sequence as metadata;
 Hom complexes of two tagged Koszul complexes inherit the concatenated
@@ -22,7 +24,7 @@ from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
     ModMap,
-    PresentedSubmodule,
+    Subquotient,
     cancel_units,
     kernel_vectors,
     subquotient,
@@ -37,19 +39,6 @@ class KoszulTag:
     """Marks a complex as a sum of shifts of the Koszul complex on seq."""
 
     seq: tuple
-
-
-class HomologyData:
-    """Homology at one degree: representatives and a presentation."""
-
-    def __init__(self, degree: int, presented: PresentedSubmodule):
-        self.degree = degree
-        self.presented = presented
-        self.module = presented.module
-        self.is_zero = presented.module.gens.rank == 0
-
-    def __repr__(self):
-        return f"HomologyData(degree={self.degree}, gens={self.module.gens.rank})"
 
 
 class ChainComplex:
@@ -104,7 +93,7 @@ class ChainComplex:
     def is_minimal(self) -> bool:
         return all(d.entries_in_maximal_ideal() for d in self.diffs)
 
-    def homology(self, i: int) -> HomologyData:
+    def homology(self, i: int) -> Subquotient:
         if not 0 <= i <= self.hi:
             raise UsageError(f"degree {i} outside 0..{self.hi}")
         if i not in self._homology:
@@ -117,7 +106,7 @@ class ChainComplex:
                 numer = kernel_vectors(self.diffs[i - 1])
             else:
                 numer = [free.basis_vector(k) for k in range(free.rank)]
-            self._homology[i] = HomologyData(i, subquotient(free, numer, image))
+            self._homology[i] = subquotient(free, numer, image)
         return self._homology[i]
 
     def __repr__(self):

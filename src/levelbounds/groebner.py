@@ -117,7 +117,8 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     """I meet J as {a : a*(e0 + e1) in I*e0 + J*e1}, one relative syzygy.
 
     The relations come out as the reduced basis of I meet J, monic and
-    in descending lead order.
+    in descending lead order, so the result takes them as its gb
+    without a second Groebner run.
     """
     if I.ring != J.ring:
         raise UsageError("ideals from different rings")
@@ -127,7 +128,9 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     untracked += [{(1, e): c for e, c in g.terms} for g in J.gens]
     syz = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
                             rank=2, nvars=ring.nvars, p=ring.char)
-    return IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
+    result = IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
+    result.__dict__["gb"] = result.gens  # fills the cached property
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .modules import (
     FreeModule,
     ModMap,
     SubmoduleGB,
+    Subquotient,
     gamma_torsion,
     is_power_torsion,
     vec_from_polyvec,
@@ -99,11 +100,11 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
         hd = F.homology(i)
         if hd.is_zero:
             continue
-        ok = is_power_torsion(hd.module, I)
+        ok = is_power_torsion(hd, I)
         torsion_checks.append({"degree": i, "power_torsion": ok})
         if not ok:
             return None
-    witness = _torsion_generator_witness(h0.module, I)
+    witness = _torsion_generator_witness(h0, I)
     if witness is None:
         return None
     d_R, d_RI = dims(I, R)
@@ -120,19 +121,19 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     )
 
 
-def _torsion_generator_witness(M, I: IdealData):
-    """A generator of the I-torsion of M lying outside m*M, if any.
+def _torsion_generator_witness(h0: Subquotient, I: IdealData):
+    """A generator of the I-torsion of H_0 = F_0/D lying outside m*H_0, if any.
 
-    gamma_torsion lists vectors of the free cover of M whose classes
-    generate Gamma_I(M); one not contained in m*gens + relations is
-    exactly an element of Gamma_I(M) that survives in M tensor k.
+    gamma_torsion lists vectors of F_0 whose classes generate
+    Gamma_I(H_0); one not contained in D + m*F_0 is exactly an element
+    of Gamma_I(H_0) that survives in H_0 tensor k.
     """
-    free = M.gens
+    free = h0.free
     ring = free.ring
-    cols = gamma_torsion(M, I)
+    cols = gamma_torsion(h0.denom, I)
     if not cols:
         return None
-    span = [vec_from_polyvec(c) for c in M.rels.columns()]
+    span = list(h0.denom.gb)
     for g in ring.maximal_ideal_gens():
         for j in range(free.rank):
             vec = [ring.poly_ring.zero()] * free.rank
@@ -352,7 +353,7 @@ def verify_factorization_example(
         hd = K.homology(i)
         if hd.is_zero:
             continue
-        if not is_power_torsion(hd.module, tail):
+        if not is_power_torsion(hd, tail):
             torsion_ok = False
             break
     checks.append(("positive_homology_torsion", torsion_ok))

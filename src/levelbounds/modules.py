@@ -6,8 +6,9 @@ form.  Every operation (syzygies, kernels, colons, torsion, Hom, free
 rank) reduces to the relative syzygy primitive of the Groebner engine,
 with J folded in by appending J-multiples of the ambient basis.  Kernels
 and torsion submodules come back as generator vectors, which is what
-their callers read; subquotient alone builds a presentation, for
-homology.
+their callers read.  A subquotient, homology among them, stays in its
+ambient free module: generator vectors modulo one reduced basis of the
+denominator, with no presentation built.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and a nonzero map entry (i, j) must be
@@ -173,21 +174,6 @@ class GradedModule:
     def ring(self) -> QuotientRing:
         return self.gens.ring
 
-    @classmethod
-    def free_of(cls, free: FreeModule) -> "GradedModule":
-        empty = FreeModule(free.ring, ())
-        return cls(free, zero_map(empty, free))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedModule)
-            and self.gens == other.gens
-            and self.rels == other.rels
-        )
-
-    def __hash__(self):
-        return hash((self.gens, self.rels))
-
     def __repr__(self):
         return f"GradedModule(gens={self.gens.twists}, rels={self.rels.source.rank})"
 
@@ -257,13 +243,6 @@ class SubmoduleGB:
     def contains_polyvec(self, polys: Sequence[Poly]) -> bool:
         return self.contains(vec_from_polyvec(polys))
 
-    def is_everything(self) -> bool:
-        zero = (0,) * self.free.ring.nvars
-        return all(self.contains({(k, zero): 1}) for k in range(self.free.rank))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SubmoduleGB) and self.free == other.free and self.gb == other.gb
-
 
 # ---------------------------------------------------------------------------
 # syzygies and kernels
@@ -280,15 +259,15 @@ def _nonzero_normal(ring: QuotientRing, rank: int, vecs: Sequence[dict]) -> list
     return out
 
 
-def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]], untracked: Sequence[dict]) -> list:
-    """Generators of the relations among vectors modulo untracked and J.
+def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> list:
+    """Generators of the relations among vectors modulo J.
 
     Each relation is a nonzero J-normal tuple with one entry per vector.
     """
     ring = free.ring
     tracked = [vec_from_polyvec(v) for v in vectors]
-    extra = list(untracked) + _defining_multiples(free)
-    raw = relative_syzygies(tracked, extra, rank=free.rank, nvars=ring.nvars, p=ring.char)
+    raw = relative_syzygies(tracked, _defining_multiples(free), rank=free.rank,
+                            nvars=ring.nvars, p=ring.char)
     return _nonzero_normal(ring, len(vectors), raw)
 
 
@@ -308,47 +287,42 @@ def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> ModMap:
     that touches position j, so any twist would do.
     """
     degrees = tuple(polyvec_degree(free, v) or 0 for v in vectors)
-    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors, []))
+    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors))
+
+
+@dataclass(frozen=True, eq=False)
+class Subquotient:
+    """Generators outside D, and the reduced basis of D; equal only to itself."""
+
+    free: FreeModule
+    gens: tuple
+    denom: SubmoduleGB
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.gens
 
 
 def subquotient(
     free: FreeModule,
     numerators: Sequence[Sequence[Poly]],
     denominators: Sequence[Sequence[Poly]],
-) -> "PresentedSubmodule":
-    """Present (span(numerators) + D) / D inside free, D = span(denominators).
+) -> Subquotient:
+    """(span(numerators) + D) / D inside free, D = span(denominators) + J*free.
 
-    The numerators must be J-normal: they are kept as the generator
-    representatives.  Generators whose class is zero are dropped up
-    front; relations among the remaining classes are relative syzygies
-    modulo D and J.
+    The numerators must be J-normal: those outside D are kept as the
+    generators, and D is held by its reduced basis.
     """
-    ring = free.ring
-    denom_vecs = [vec_from_polyvec(v) for v in denominators]
-    denom_gb = SubmoduleGB(free, denom_vecs)
-    kept = [tuple(v) for v in numerators if not denom_gb.contains_polyvec(v)]
-    degs = []
-    for pv in kept:
-        d = polyvec_degree(free, pv)
-        degs.append(0 if d is None else d)
-    gens = FreeModule(ring, tuple(degs))
-    rels = _map_from_columns(gens, _syzygy_vectors(free, kept, denom_vecs))
-    return PresentedSubmodule(module=GradedModule(gens, rels), vectors=tuple(kept))
-
-
-@dataclass
-class PresentedSubmodule:
-    """A subquotient with explicit generator representatives."""
-
-    module: GradedModule
-    vectors: tuple
+    denom = SubmoduleGB(free, [vec_from_polyvec(v) for v in denominators])
+    gens = tuple(tuple(v) for v in numerators if not denom.contains_polyvec(v))
+    return Subquotient(free, gens, denom)
 
 
 def kernel_vectors(phi: ModMap) -> list:
     """Generators of ker(phi) as nonzero J-normal vectors of the source."""
     if phi.degree != 0:
         raise UsageError("kernel is only computed for degree zero maps")
-    return _syzygy_vectors(phi.target, phi.columns(), [])
+    return _syzygy_vectors(phi.target, phi.columns())
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +468,17 @@ def _stable_colon(n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
 _EXPONENT_CAP = 4
 
 
-def _relation_gb(M: GradedModule) -> SubmoduleGB:
-    """Reduced basis of N, the relations of M = P^r / N, J * P^r included."""
-    return SubmoduleGB(M.gens, [vec_from_polyvec(c) for c in M.rels.columns()])
+def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[Sequence[Poly]], f: Poly) -> bool:
+    """True when f^s * v lies in N for every v and some s <= _EXPONENT_CAP.
 
-
-def _kills_by_exponent(n_gb: SubmoduleGB, f: Poly) -> bool:
-    """True when f^s * e_k lies in N for every k and some s <= _EXPONENT_CAP.
-
-    Iterates w <- nf(f * w) from w = e_k.  Since N is a submodule,
-    nf(f * nf(f^(s-1) e_k)) = nf(f^s e_k), so w reaching zero proves
-    f^s * M = 0 with s the witness.  False says only that the cap ran out.
+    Iterates w <- nf(f * w) from w = v.  Since N is a submodule,
+    nf(f * nf(f^(s-1) v)) = nf(f^s v), so w reaching zero proves that
+    f^s kills the class of v, with s the witness.  False says only that
+    the cap ran out.
     """
-    free = n_gb.free
-    p = free.ring.char
-    zero = (0,) * free.ring.nvars
-    for k in range(free.rank):
-        w = {(k, zero): 1}
+    p = n_gb.free.ring.char
+    for v in vectors:
+        w = vec_from_polyvec(v)
         for _ in range(_EXPONENT_CAP):
             fw: dict = {}
             for e, c in f.terms:
@@ -528,43 +496,44 @@ def _nonzero_gens(ring: QuotientRing, I) -> list:
     return [g for g in (ring.nf(g) for g in I.gens) if not g.is_zero()]
 
 
-def gamma_torsion(M: GradedModule, I) -> list:
-    """Generators of the I-power torsion submodule of M = P^r / N.
+def gamma_torsion(n_gb: SubmoduleGB, I) -> list:
+    """Generators of the I-power torsion submodule of M = F / N.
 
-    Each generator is a J-normal vector of P^r outside N; together with
-    N they span the preimage (N : I^infinity) of Gamma_I(M).  When the
-    exponent proof shows that every generator of I kills M (vacuously so
-    when all of them lie in J), Gamma_I(M) = M and the candidates are
-    the basis vectors.  Otherwise the reduced basis of the stable colon,
-    iterated from N, gives them.  Both routes give the same list: the
-    stable colon of a torsion module is all of P^r, whose reduced basis
-    is the basis vectors in order.  Candidates that lie in N are dropped
-    by the one reduced basis of N that the checks already use.
+    N is given by its reduced basis handle.  Each generator is a
+    J-normal vector of F outside N; together with N they span the
+    preimage (N : I^infinity) of Gamma_I(M).  When the exponent proof
+    shows that every generator of I kills M (vacuously so when all of
+    them lie in J), Gamma_I(M) = M and the candidates are the basis
+    vectors.  Otherwise the reduced basis of the stable colon, iterated
+    from N, gives them.  Both routes give the same list: the stable
+    colon of a torsion module is all of F, whose reduced basis is the
+    basis vectors in order.  Candidates that lie in N are dropped.
     """
-    ring = M.ring
-    free = M.gens
+    free = n_gb.free
+    ring = free.ring
     gens = _nonzero_gens(ring, I)
-    n_gb = _relation_gb(M)
-    if all(_kills_by_exponent(n_gb, f) for f in gens):
-        candidates = [free.basis_vector(k) for k in range(free.rank)]
+    basis = [free.basis_vector(k) for k in range(free.rank)]
+    if all(_kills_by_exponent(n_gb, basis, f) for f in gens):
+        candidates = basis
     else:
         candidates = _nonzero_normal(ring, free.rank, _stable_colon(n_gb, gens).gb)
     return [v for v in candidates if not n_gb.contains_polyvec(v)]
 
 
-def is_power_torsion(M: GradedModule, I) -> bool:
-    """True when every element of M is killed by a power of I.
+def is_power_torsion(H: Subquotient, I) -> bool:
+    """True when every element of H is killed by a power of I.
 
-    Checked one generator f at a time against one shared reduced basis
-    of the relations N, M = P^r / N.  The exponent proof answers yes:
-    f^s * e_k in N for every k is exactly f^s * M = 0, with s <=
-    _EXPONENT_CAP as witness.  When the cap runs out the chain (N : f^s)
-    decides, torsion exactly when it stabilizes at all of P^r.
+    Checked one generator f of I at a time against the reduced basis of
+    the denominator D.  The exponent proof answers yes: f^s * g in D for
+    every generator g of H is exactly f^s * H = 0, with s <=
+    _EXPONENT_CAP as witness.  When the cap runs out the stable colon
+    (D : f^infinity) decides: H is f-power torsion exactly when it holds
+    every generator.
     """
-    n_gb = _relation_gb(M)
     return all(
-        _kills_by_exponent(n_gb, f) or _stable_colon(n_gb, [f]).is_everything()
-        for f in _nonzero_gens(M.ring, I)
+        _kills_by_exponent(H.denom, H.gens, f)
+        or all(map(_stable_colon(H.denom, [f]).contains_polyvec, H.gens))
+        for f in _nonzero_gens(H.free.ring, I)
     )
 
 

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .errors import UsageError
-from .groebner import IdealData, ideal, ideal_intersection, zero_ideal
+from .groebner import E_VAR_CAP, IdealData, ideal, ideal_intersection, zero_ideal
 from .polys import DEFAULT_CHAR, E_CHAR_RANGE, MAX_CHAR, PolyRing, is_prime, parse_poly
 from .rings import QuotientRing
 
@@ -51,6 +52,14 @@ _TASKS = {
     "factorization-example": ({"n"}, "n"),
     "paper-suite": ({"n"}, "n"),
 }
+
+# `koszul --vars n --seq x1` on the free ring took 0.23, 0.24, 0.31,
+# 0.79, 2.2 and 6.2 s at n = 16, 32, 64, 128, 200 and 300 on a 2-core
+# host, and ran out of memory at n = 100000, so the count is capped.
+_VARS_CAP = 64
+# The ideal parser recurses once per nested meet, and about a thousand
+# levels exhaust the interpreter stack, so deeper nesting is refused.
+_MEET_DEPTH_CAP = 64
 
 _HEADER_RE = re.compile(r"^\[\s*(ring|ideal|seq|task)(?:\s+([A-Za-z0-9_-]+))?\s*\]$")
 _KEYVAL_RE = re.compile(r"^([a-z]+)\s*=\s*(.*)$")
@@ -176,8 +185,12 @@ def _parse_ideal_expr(ring: PolyRing, text: str, names: dict, line: int, col: in
     meet arguments may be separated by ; to disambiguate inline
     polynomial lists that themselves contain commas.  Only a ; outside
     any parentheses counts; without one the arguments split on commas.
+    Parentheses nested deeper than _MEET_DEPTH_CAP are refused before
+    any intersection is computed.
     """
     text = text.strip()
+    if max(accumulate((ch == "(") - (ch == ")") for ch in text), default=0) > _MEET_DEPTH_CAP:
+        raise SessionError(E_SYNTAX, f"meet nested deeper than {_MEET_DEPTH_CAP} levels", line, col)
     if text == "0":
         return zero_ideal(ring)
     if re.match(r"meet\s*\(", text):
@@ -240,9 +253,10 @@ def build_ring(entries: dict, line: int = 0, define_names=None) -> QuotientRing:
     """Check p and vars, then build F_p[x1..xn] modulo the quotient ideal.
 
     entries maps p, vars and quotient to (value, line, col) as a [ring]
-    section holds them; p and quotient are optional.  Line 0 leaves the
-    position out of errors, for command-line arguments.  define_names(P)
-    parses the named ideals that the quotient may reference.
+    section holds them; p and quotient are optional.  vars runs from 1
+    to _VARS_CAP.  Line 0 leaves the position out of errors, for
+    command-line arguments.  define_names(P) parses the named ideals
+    that the quotient may reference.
     """
     if "p" in entries:
         p, pline, pcol = _require_int(entries, "p", line)
@@ -255,6 +269,8 @@ def build_ring(entries: dict, line: int = 0, define_names=None) -> QuotientRing:
     nvars, vline, vcol = _require_int(entries, "vars", line)
     if nvars < 1:
         raise SessionError(E_SYNTAX, "vars must be at least 1", vline, vcol)
+    if nvars > _VARS_CAP:
+        raise SessionError(E_VAR_CAP, f"vars capped at {_VARS_CAP}, got {nvars}", vline, vcol)
     P = PolyRing(nvars, p)
     names = define_names(P) if define_names else {}
     value, qline, qcol = entries.get("quotient", ("0", line, 1))

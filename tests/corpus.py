@@ -5,15 +5,21 @@ taken as the first differential and the second is assembled out of its
 kernel generators, so d compose d = 0 holds without rigging the random
 draw.  Constant matrix entries are allowed on purpose; they exercise
 the minimalization path.  The builders at the end (minimal generator
-count, direct sums, identity chain maps) make fixtures for the tests.
+count, direct sums, identity chain maps, free modules, and the passage
+between a presented module and a subquotient) make fixtures for the
+tests.
 """
 
 import random
+from functools import cache
 
+from levelbounds import modules
 from levelbounds.complexes import ChainComplex, ChainMap
+from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
 from levelbounds.modules import (FreeModule, GradedModule, ModMap, kernel_vectors,
-                                 minimal_presentation, polyvec_degree)
+                                 minimal_presentation, polyvec_degree, subquotient,
+                                 vec_from_polyvec, zero_map)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -112,3 +118,33 @@ def identity_chain_map(C):
         rows = [[one if a == b else zero for b in range(r)] for a in range(r)]
         comps[i] = ModMap(C.modules[i], C.modules[i], rows)
     return ChainMap(C, C, comps)
+
+
+def free_module(free):
+    """free as a presented module with no relations."""
+    return GradedModule(free, zero_map(FreeModule(free.ring, ()), free))
+
+
+@cache
+def present(H):
+    """A presentation of the subquotient H, for the oracles that read one.
+
+    The generators are H.gens, twisted by their degrees, and the
+    relations are the relative syzygies of H.gens modulo the reduced
+    basis of the denominator, which holds J.  Subquotients compare by
+    identity, so each one is presented once.
+    """
+    free = H.free
+    ring = free.ring
+    gens = FreeModule(ring, tuple(polyvec_degree(free, v) for v in H.gens))
+    raw = relative_syzygies([vec_from_polyvec(v) for v in H.gens], H.denom.gb,
+                            rank=free.rank, nvars=ring.nvars, p=ring.char)
+    cols = modules._nonzero_normal(ring, len(H.gens), raw)
+    return GradedModule(gens, modules._map_from_columns(gens, cols))
+
+
+def as_subquotient(M):
+    """The presented module M = F / N as the subquotient of F it is."""
+    free = M.gens
+    return subquotient(free, [free.basis_vector(k) for k in range(free.rank)],
+                       M.rels.columns())

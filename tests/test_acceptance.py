@@ -133,14 +133,14 @@ def test_criterion_08_depth_matches_degreewise_oracle():
 
 def test_criterion_09_homology_matches_row_reduction_oracle_on_corpus():
     """For every complex in the randomized corpus and every homological
-    degree, the Hilbert function of the Groebner-route homology
-    presentation agrees with the row-reduction oracle on the raw
+    degree, the Hilbert function of the Groebner-route homology, read
+    from a presentation of the ambient subquotient, agrees with the row-reduction oracle on the raw
     differentials in degrees 0..6."""
     complexes = corpus.build_corpus()
     assert len(complexes) >= 20
     for idx, C in enumerate(complexes):
         for i in range(len(C.modules)):
-            H = C.homology(i + C.shift).module
+            H = corpus.present(C.homology(i + C.shift))
             for d in range(7):
                 engine = oracles.module_piece_dim(H, d)
                 oracle = oracles.homology_dim(C, i + C.shift, d)

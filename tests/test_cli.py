@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levelbounds import cli, suite
+from levelbounds import cli, session, suite
 from levelbounds.cli import SCHEMA, main
 from levelbounds.errors import InternalInconsistencyError
 
@@ -212,6 +212,38 @@ def test_nested_meet_quotient(capsys):
     )
     assert code == 0 and err == ""
     assert "  dim_R = 2" in out
+
+
+def test_deeply_nested_meet_exits_two_with_syntax_code(tmp_path, capsys):
+    # the parser recurses once per level; a nesting far past the cap is
+    # refused before any intersection, not left to exhaust the stack
+    quotient = "x1"
+    for _ in range(1300):
+        quotient = f"meet({quotient}; x2)"
+    f = tmp_path / "deep.session"
+    f.write_text(f"[ring]\nvars = 2\nquotient = {quotient}\n\n[task invariants]\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: E_SYNTAX:") and "nested" in err and "(line 3," in err
+
+
+def test_variable_count_over_the_cap_exits_two_with_cap_code(tmp_path, capsys):
+    over = session._VARS_CAP + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["koszul", "--vars", str(over), "--seq", "x1"])
+    assert code == 2 and out == "" and err.startswith("error: E_VAR_CAP:")
+    f = tmp_path / "wide.session"
+    f.write_text("[ring]\nvars = 100000\n\n[seq S]\nelems = x1\n\n"
+                 "[task koszul-level]\nseq = S\n")
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: E_VAR_CAP:")
+    assert "(line 2," in err
+    # the cap itself is accepted
+    code, out, _ = run_cli(capsys, ["koszul", "--vars", str(session._VARS_CAP), "--seq", "x1"])
+    assert code == 0 and out.startswith("level koszul(x1): [2, 2] exact")
 
 
 def test_unit_quotient_exits_two(capsys):

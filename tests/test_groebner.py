@@ -13,7 +13,7 @@ from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
                                   zero_ideal)
 from levelbounds.level import verify_factorization_example
-from levelbounds.modules import FreeModule, GradedModule, ModMap, gamma_torsion
+from levelbounds.modules import FreeModule, SubmoduleGB, gamma_torsion, vec_from_polyvec
 from levelbounds.polys import PolyRing, mono_divides, mono_lcm, mono_mul
 from levelbounds.rings import QuotientRing
 
@@ -70,8 +70,7 @@ def test_quotient_and_saturation():
     # of P/(x^2 y): its generators are the stable colon numerators
     R = QuotientRing.free(P2)
     F = FreeModule(R, (0,))
-    M = GradedModule(F, ModMap(FreeModule(R, (3,)), F, [[X**2 * Y]]))
-    T = gamma_torsion(M, ideal(P2, [X]))
+    T = gamma_torsion(SubmoduleGB(F, [vec_from_polyvec((X**2 * Y,))]), ideal(P2, [X]))
     assert gb_set(ideal(P2, [v[0] for v in T])) == {Y}
 
 
@@ -235,6 +234,15 @@ def test_intersection_matches_degreewise_oracle(I, J):
         assert oracles.in_ideal(g, I.gens) and oracles.in_ideal(g, J.gens)
 
 
+@given(homogeneous_ideals(P3), homogeneous_ideals(P3))
+def test_intersection_hands_over_its_reduced_basis(I, J):
+    # the relations of the one elimination run are the reduced basis, so
+    # the result holds them as its gb before anything asks for it
+    meet = ideal_intersection(I, J)
+    assert "gb" in vars(meet)
+    assert meet.gb == IdealData(P3, meet.gens).gb
+
+
 def homogeneous_vectors(nvars, rank):
     """Raw vectors of P^rank whose terms all have one total degree."""
     def for_degree(d):
@@ -353,7 +361,7 @@ def test_factorization_example_spair_count(monkeypatch):
 
     monkeypatch.setattr(gbcore, "_spair", counted)
     assert verify_factorization_example(5).passed
-    assert count == 228
+    assert count == 206
 
 
 def test_factorization_example_colon_steps(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from levelbounds import session
 from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
 from levelbounds.polys import E_CHAR_RANGE, PolyRing, format_poly
 from levelbounds.session import (E_NOT_HOMOGENEOUS, E_NOT_PRIME, E_SYNTAX,
@@ -101,6 +102,21 @@ def test_nested_meet_semicolon_does_not_split_the_outer_meet(expr):
     inner = ideal_intersection(ideal(P3, [x1]), ideal(P3, [x2]))
     assert s.ideals["M"] == ideal_intersection(inner, ideal(P3, [x3]))
     assert s.ideals["M"] == ideal(P3, [x1 * x2 * x3])
+
+
+def test_meet_nesting_is_capped():
+    def nested(depth):
+        expr = "x1"
+        for _ in range(depth):
+            expr = f"meet({expr}; x2)"
+        return f"[ring]\nvars = 3\n\n[ideal M]\ngens = {expr}\n"
+
+    cap = session._MEET_DEPTH_CAP
+    x1, x2, _ = P3.variables()
+    assert parse_session(nested(cap)).ideals["M"] == ideal(P3, [x1 * x2])
+    with pytest.raises(SessionError) as info:
+        parse_session(nested(cap + 1))
+    assert info.value.code == E_SYNTAX and info.value.line == 5
 
 
 def test_name_starting_with_meet_is_a_reference():

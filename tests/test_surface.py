@@ -3,11 +3,15 @@
 The package surface is what the command line, the session format and
 the scripts use.  A module-level def or class whose name appears nowhere
 in src/ or scripts/ except in its own definition is dead code; the
-references the tests compare the engine against live in tests/.  And the
-command line loads no third-party module.
+references the tests compare the engine against live in tests/.  The
+command line loads no third-party module.  And the benchmark tracer in
+perfbench/, which wraps package functions by name, still finds every
+name it wraps and reports every per-layer metric of BENCHMARK.json.
 """
 
 import ast
+import json
+import math
 import os
 import re
 import subprocess
@@ -62,3 +66,30 @@ def test_cli_imports_only_the_standard_library():
     loaded = ast.literal_eval(out)
     assert "levelbounds" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "levelbounds"] == []
+
+
+def test_benchmark_tracer_reports_every_per_layer_metric():
+    # the tracer runs in a child interpreter, so its wrappers never
+    # patch this process
+    probe = (
+        "import json\n"
+        "from levelbounds import level, suite\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "assert level.verify_factorization_example(5).passed\n"
+        "assert suite.run_suite(3).passed\n"
+        "print(json.dumps({'notes': tracer.notes, 'metrics': tracer.metrics()}))\n"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), str(ROOT / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out.strip().splitlines()[-1])
+    assert report["notes"] == []
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # the overhead ratio is computed by the runner, not by the tracer
+    names = [m["name"] for m in bench["per_layer"] if m["name"] != "trace.overhead_ratio"]
+    metrics = report["metrics"]
+    assert [name for name in names if name not in metrics] == []
+    assert [name for name in names if not math.isfinite(metrics[name])] == []
