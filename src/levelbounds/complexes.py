@@ -6,6 +6,8 @@ are degree zero maps and the composite of consecutive differentials is
 checked to vanish at construction time.  Homology H_i is a Subquotient of
 F_i: the kernel generators of d_i that lie outside D = im d_(i+1) +
 J*F_i, with the reduced basis of D; no presentation of it is built.
+Each differential d_i gets one cached elimination run: its kernel goes to
+H_i, and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1).
 
 Koszul complexes built here carry their defining sequence as metadata;
 Hom complexes of two tagged Koszul complexes inherit the concatenated
@@ -24,9 +26,10 @@ from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
     ModMap,
+    SubmoduleGB,
     Subquotient,
     cancel_units,
-    kernel_vectors,
+    kernel_and_image,
     subquotient,
     zero_map,
 )
@@ -73,6 +76,7 @@ class ChainComplex:
         self.shift = shift
         self.koszul = koszul
         self._homology: dict = {}
+        self._runs: dict = {}
 
     @property
     def hi(self) -> int:
@@ -93,20 +97,21 @@ class ChainComplex:
     def is_minimal(self) -> bool:
         return all(d.entries_in_maximal_ideal() for d in self.diffs)
 
+    def _run(self, i: int) -> tuple:
+        """kernel_and_image(d_i), computed once."""
+        if i not in self._runs:
+            self._runs[i] = kernel_and_image(self.diff(i))
+        return self._runs[i]
+
     def homology(self, i: int) -> Subquotient:
+        """Run i's kernel over run i + 1's image; basis vectors at 0, J*F_hi on top."""
         if not 0 <= i <= self.hi:
             raise UsageError(f"degree {i} outside 0..{self.hi}")
         if i not in self._homology:
             free = self.modules[i]
-            if i + 1 <= self.hi:
-                image = self.diffs[i].columns()
-            else:
-                image = []
-            if i >= 1:
-                numer = kernel_vectors(self.diffs[i - 1])
-            else:
-                numer = [free.basis_vector(k) for k in range(free.rank)]
-            self._homology[i] = subquotient(free, numer, image)
+            numer = self._run(i)[0] if i else [free.basis_vector(k) for k in range(free.rank)]
+            denom = self._run(i + 1)[1] if i < self.hi else SubmoduleGB(free, [])
+            self._homology[i] = subquotient(free, numer, denom)
         return self._homology[i]
 
     def __repr__(self):

@@ -5,7 +5,7 @@ one term order, pot_key: ideals are the rank one case, and all
 submodule and ideal calculus (syzygies, kernels, colons, intersections,
 membership) reduces to reduced module bases plus one primitive,
 relative_syzygies, which eliminates tracked coordinate columns through
-that position-over-term order.
+that position-over-term order and returns both halves of its one run.
 
 A vector is a dict mapping terms to nonzero coefficients in 1..p-1,
 where a term is (position, exponent tuple); a larger pot_key means a
@@ -260,29 +260,27 @@ def relative_syzygies(
     rank: int,
     nvars: int,
     p: int,
-) -> list:
-    """Generators of {a in P^t : sum a_i * tracked_i lies in <untracked>}.
+) -> tuple:
+    """(syzygies, image), the two halves of one module_gb run in P^rank.
 
-    Computed by appending a tracking coordinate per tracked vector and
-    eliminating the ambient block: with position-over-term order, a
-    basis element supported entirely in the tracking block is exactly a
-    relation, and those elements generate all of them.  Untracked
-    vectors act as reducers whose coefficients are discarded, which is
-    what makes this a relative (modulo a submodule) syzygy computation.
+    syzygies generate {a in P^t : sum a_i * tracked_i lies in
+    <untracked>}; image equals module_gb(tracked + untracked).  Each
+    tracked vector gets a tracking coordinate past the ambient block and
+    untracked ones get none, so relations are taken modulo <untracked>.
+    pot_key ranks ambient positions above tracking ones.  So an element
+    led in the tracking block has no ambient term and is a relation, and
+    those generate all of them.  An element led in the ambient block
+    keeps its lead when projected onto that block, and its tail holds
+    only terms no lead divides: the projections are the reduced basis
+    of the span, which is unique, in module_gb's descending lead order.
     """
-    t = len(tracked)
-    if t == 0:
-        return []
     zero = (0,) * nvars
-    embedded = []
-    for i, v in enumerate(tracked):
-        w = dict(v)
-        w[(rank + i, zero)] = 1
-        embedded.append(w)
+    embedded = [{**v, (rank + i, zero): 1} for i, v in enumerate(tracked)]
     embedded.extend(dict(v) for v in untracked if v)
-    gb = module_gb(embedded, p)
-    out = []
-    for g in gb:
+    syzygies, image = [], []
+    for g in module_gb(embedded, p):
         if all(pos >= rank for pos, _ in g):
-            out.append({(pos - rank, e): c for (pos, e), c in g.items()})
-    return out
+            syzygies.append({(pos - rank, e): c for (pos, e), c in g.items()})
+        else:
+            image.append({t: c for t, c in g.items() if t[0] < rank})
+    return syzygies, image

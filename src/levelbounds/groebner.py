@@ -126,8 +126,8 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     zero = (0,) * ring.nvars
     untracked = [_poly_to_vec(f) for f in I.gens]
     untracked += [{(1, e): c for e, c in g.terms} for g in J.gens]
-    syz = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
-                            rank=2, nvars=ring.nvars, p=ring.char)
+    syz, _ = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
+                               rank=2, nvars=ring.nvars, p=ring.char)
     result = IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
     result.__dict__["gb"] = result.gens  # fills the cached property
     return result

@@ -28,11 +28,9 @@ from .invariants import dims, edim, frank_conormal
 from .modules import (
     FreeModule,
     ModMap,
-    SubmoduleGB,
     Subquotient,
     gamma_torsion,
     is_power_torsion,
-    vec_from_polyvec,
 )
 from .polys import DEFAULT_CHAR, Poly, PolyRing
 from .rings import QuotientRing
@@ -126,24 +124,13 @@ def _torsion_generator_witness(h0: Subquotient, I: IdealData):
 
     gamma_torsion lists vectors of F_0 whose classes generate
     Gamma_I(H_0); one not contained in D + m*F_0 is exactly an element
-    of Gamma_I(H_0) that survives in H_0 tensor k.
+    of Gamma_I(H_0) that survives in H_0 tensor k.  The complex is
+    minimal and J is homogeneous and proper, so D lies in m*F_0 and
+    D + m*F_0 = m*F_0: a candidate lies outside it exactly when some
+    coordinate has a nonzero constant term.
     """
-    free = h0.free
-    ring = free.ring
     cols = gamma_torsion(h0.denom, I)
-    if not cols:
-        return None
-    span = list(h0.denom.gb)
-    for g in ring.maximal_ideal_gens():
-        for j in range(free.rank):
-            vec = [ring.poly_ring.zero()] * free.rank
-            vec[j] = g
-            span.append(vec_from_polyvec(vec))
-    handle = SubmoduleGB(free, span)
-    for c in cols:
-        if not handle.contains_polyvec(c):
-            return c
-    return None
+    return next((c for c in cols if any(f.constant_coeff() for f in c)), None)
 
 
 def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:

@@ -6,9 +6,10 @@ form.  Every operation (syzygies, kernels, colons, torsion, Hom, free
 rank) reduces to the relative syzygy primitive of the Groebner engine,
 with J folded in by appending J-multiples of the ambient basis.  Kernels
 and torsion submodules come back as generator vectors, which is what
-their callers read.  A subquotient, homology among them, stays in its
-ambient free module: generator vectors modulo one reduced basis of the
-denominator, with no presentation built.
+their callers read; a kernel comes with the image basis of its own run.
+A subquotient, homology among them, stays in its ambient free module:
+generator vectors modulo a reduced basis of the denominator, with no
+presentation built.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and a nonzero map entry (i, j) must be
@@ -230,6 +231,13 @@ class SubmoduleGB:
         vecs = [dict(v) for v in vectors if v] + _defining_multiples(free)
         self.gb = module_gb(vecs, free.ring.char)
 
+    @classmethod
+    def _of_run(cls, free: FreeModule, gb: list) -> "SubmoduleGB":
+        """The handle of a basis that module_gb built inside relative_syzygies."""
+        handle = cls.__new__(cls)
+        handle.free, handle.gb = free, gb
+        return handle
+
     @cached_property
     def _reducer(self):
         return reducer(self.gb, self.free.ring.char)
@@ -259,16 +267,16 @@ def _nonzero_normal(ring: QuotientRing, rank: int, vecs: Sequence[dict]) -> list
     return out
 
 
-def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> list:
-    """Generators of the relations among vectors modulo J.
+def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> tuple:
+    """Relations among vectors modulo J, and the reduced basis of their span + J*free.
 
     Each relation is a nonzero J-normal tuple with one entry per vector.
     """
     ring = free.ring
     tracked = [vec_from_polyvec(v) for v in vectors]
-    raw = relative_syzygies(tracked, _defining_multiples(free), rank=free.rank,
-                            nvars=ring.nvars, p=ring.char)
-    return _nonzero_normal(ring, len(vectors), raw)
+    raw, image = relative_syzygies(tracked, _defining_multiples(free), rank=free.rank,
+                                   nvars=ring.nvars, p=ring.char)
+    return _nonzero_normal(ring, len(vectors), raw), image
 
 
 def _map_from_columns(target: FreeModule, cols: list) -> ModMap:
@@ -287,7 +295,7 @@ def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> ModMap:
     that touches position j, so any twist would do.
     """
     degrees = tuple(polyvec_degree(free, v) or 0 for v in vectors)
-    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors))
+    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,25 +312,27 @@ class Subquotient:
 
 
 def subquotient(
-    free: FreeModule,
-    numerators: Sequence[Sequence[Poly]],
-    denominators: Sequence[Sequence[Poly]],
+    free: FreeModule, numerators: Sequence[Sequence[Poly]], denom: SubmoduleGB
 ) -> Subquotient:
-    """(span(numerators) + D) / D inside free, D = span(denominators) + J*free.
+    """(span(numerators) + D) / D inside free, for D held by its reduced basis handle.
 
-    The numerators must be J-normal: those outside D are kept as the
-    generators, and D is held by its reduced basis.
+    D contains J*free, as every SubmoduleGB does.  The numerators must be
+    J-normal: those outside D are kept as the generators.
     """
-    denom = SubmoduleGB(free, [vec_from_polyvec(v) for v in denominators])
     gens = tuple(tuple(v) for v in numerators if not denom.contains_polyvec(v))
     return Subquotient(free, gens, denom)
 
 
-def kernel_vectors(phi: ModMap) -> list:
-    """Generators of ker(phi) as nonzero J-normal vectors of the source."""
+def kernel_and_image(phi: ModMap) -> tuple:
+    """ker(phi) as nonzero J-normal source vectors, and im(phi) + J*target as a handle.
+
+    One relative syzygy run on the columns gives both halves: the image
+    basis is that run's own module_gb output, not a second run.
+    """
     if phi.degree != 0:
         raise UsageError("kernel is only computed for degree zero maps")
-    return _syzygy_vectors(phi.target, phi.columns())
+    kernel, image = _syzygy_vectors(phi.target, phi.columns())
+    return kernel, SubmoduleGB._of_run(phi.target, image)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +452,7 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
     for u in n_gb.gb:
         for i in range(t):
             untracked.append({(i * r + pos, e): c for (pos, e), c in u.items()})
-    syz = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
+    syz, _ = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
     return SubmoduleGB(free, syz)
 
 
@@ -555,7 +565,7 @@ def frank(M: GradedModule) -> int:
         return 0
     # Hom_R(M, R) is the kernel of the transposed relations; a kernel
     # vector lists the values of a functional on the generators of M
-    hom = kernel_vectors(transpose_map(Mm.rels))
+    hom = kernel_and_image(transpose_map(Mm.rels))[0]
     if not hom:
         return 0
     pairing = [[f.constant_coeff() for f in vec] for vec in hom]

@@ -17,9 +17,9 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex, ChainMap
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, GradedModule, ModMap, kernel_vectors,
-                                 minimal_presentation, polyvec_degree, subquotient,
-                                 vec_from_polyvec, zero_map)
+from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
+                                 kernel_and_image, minimal_presentation, polyvec_degree,
+                                 subquotient, vec_from_polyvec, zero_map)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -77,7 +77,7 @@ def build_corpus(count=24, seed=20260819):
             rows.append(row)
         d1 = ModMap(F1, F0, rows)
         take = rng.randrange(0, 4)
-        cols = [c for c in kernel_vectors(d1)[:take]
+        cols = [c for c in kernel_and_image(d1)[0][:take]
                 if any(not f.is_zero() for f in c)]
         if cols:
             t2 = tuple(polyvec_degree(F1, c) for c in cols)
@@ -137,8 +137,8 @@ def present(H):
     free = H.free
     ring = free.ring
     gens = FreeModule(ring, tuple(polyvec_degree(free, v) for v in H.gens))
-    raw = relative_syzygies([vec_from_polyvec(v) for v in H.gens], H.denom.gb,
-                            rank=free.rank, nvars=ring.nvars, p=ring.char)
+    raw, _ = relative_syzygies([vec_from_polyvec(v) for v in H.gens], H.denom.gb,
+                               rank=free.rank, nvars=ring.nvars, p=ring.char)
     cols = modules._nonzero_normal(ring, len(H.gens), raw)
     return GradedModule(gens, modules._map_from_columns(gens, cols))
 
@@ -146,5 +146,5 @@ def present(H):
 def as_subquotient(M):
     """The presented module M = F / N as the subquotient of F it is."""
     free = M.gens
-    return subquotient(free, [free.basis_vector(k) for k in range(free.rank)],
-                       M.rels.columns())
+    denom = SubmoduleGB(free, [vec_from_polyvec(c) for c in M.rels.columns()])
+    return subquotient(free, [free.basis_vector(k) for k in range(free.rank)], denom)

@@ -12,9 +12,10 @@ linalg.rank.  One exception is buchberger_closed, which uses the
 engine's division on purpose: it checks the pair selection of
 module_gb, not its reduction.  Likewise dense_compose hands its product
 to the ModMap constructor, so it checks which entry pairs ModMap.compose
-multiplies, not the J-normalisation.  annihilator and radical_membership
-are references of another kind: they route through the engine by a
-different construction than the torsion checks they are compared with.
+multiplies, not the J-normalisation.  annihilator, radical_membership
+and torsion_generator_by_span are references of another kind: they
+route through the engine by a different construction than the checks
+they are compared with.
 """
 
 from itertools import combinations
@@ -24,7 +25,8 @@ import numpy as np
 from levelbounds.errors import UsageError
 from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_syzygies
 from levelbounds.groebner import IdealData, ideal_intersection
-from levelbounds.modules import ModMap, _defining_multiples, vec_from_polyvec
+from levelbounds.modules import (ModMap, SubmoduleGB, _defining_multiples, gamma_torsion,
+                                 vec_from_polyvec)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,7 @@ def annihilator(M):
     zero = (0,) * ring.nvars
     for k in range(M.gens.rank):
         tracked = [{(k, zero): 1}]
-        syz = relative_syzygies(tracked, u_vecs, rank=M.gens.rank, nvars=ring.nvars, p=ring.char)
+        syz, _ = relative_syzygies(tracked, u_vecs, rank=M.gens.rank, nvars=ring.nvars, p=ring.char)
         gens = []
         for s in syz:
             f = ring.poly_ring.from_dict({e: c for (_, e), c in s.items()})
@@ -454,6 +456,26 @@ def annihilator(M):
         colon = IdealData(ring.poly_ring, gens)
         result = colon if result is None else ideal_intersection(result, colon)
     return result
+
+
+def torsion_generator_by_span(h0, I):
+    """The first gamma_torsion candidate of H_0 = F_0/D outside D + m*F_0.
+
+    Tests membership in a reduced basis of D plus every variable times
+    every basis vector, with no appeal to minimality: the reference for
+    the constant-term test of level._torsion_generator_witness.
+    """
+    free = h0.free
+    P = free.ring.poly_ring
+    span = list(h0.denom.gb)
+    for x in P.variables():
+        for j in range(free.rank):
+            span.append(vec_from_polyvec([x if k == j else P.zero() for k in range(free.rank)]))
+    handle = SubmoduleGB(free, span)
+    for c in gamma_torsion(h0.denom, I):
+        if not handle.contains_polyvec(c):
+            return c
+    return None
 
 
 def radical_membership(f, I):

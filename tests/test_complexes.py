@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from levelbounds import complexes
+from levelbounds import complexes, gbcore, modules
 from levelbounds.complexes import (ChainComplex, ChainMap, compose_chain_maps,
                                    hom_complex, koszul_complex, minimalize,
                                    scalar_chain_map, single_module_complex)
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.groebner import E_VAR_CAP, ideal, zero_ideal
-from levelbounds.modules import FreeModule, ModMap, is_power_torsion
+from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, is_power_torsion,
+                                 vec_from_polyvec)
 from levelbounds.polys import PolyRing, parse_poly
 from levelbounds.rings import QuotientRing
 
@@ -102,6 +103,37 @@ def test_zerodivisor_shows_up_in_h1():
     dims = [oracles.module_piece_dim(corpus.present(H1), d) for d in range(5)]
     assert dims == [0, 0, 1, 1, 1]
     assert dims == [oracles.homology_dim(K, 1, d) for d in range(5)]
+
+
+def test_homology_denominator_is_the_image_half_of_the_next_run():
+    for C in corpus.build_corpus():
+        for i in range(C.hi):
+            cols = [vec_from_polyvec(c) for c in C.diff(i + 1).columns()]
+            assert C.homology(i).denom.gb == SubmoduleGB(C.modules[i], cols).gb
+
+
+def test_one_elimination_run_per_differential(monkeypatch):
+    # k tracked runs for the k differentials, plus the basis of J*F_hi at
+    # the top: no separate Groebner run for any image
+    calls = {"relative_syzygies": 0, "module_gb": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(modules, "relative_syzygies")
+    counting(modules, "module_gb")
+    counting(gbcore, "module_gb")
+    seq = [X, Y, X + Y]
+    K = koszul_complex(seq, QuotientRing(ideal(P2, [X * Y])))
+    first = [K.homology(i) for i in range(K.hi, -1, -1)]
+    assert calls == {"relative_syzygies": len(seq), "module_gb": len(seq) + 1}
+    assert [K.homology(i) for i in range(K.hi, -1, -1)] == first
+    assert calls == {"relative_syzygies": len(seq), "module_gb": len(seq) + 1}
 
 
 def test_redundant_generator_homology():

@@ -6,8 +6,8 @@ from levelbounds.complexes import (hom_complex, koszul_complex, minimalize,
                                    single_module_complex)
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
-from levelbounds.level import (LOWER_KINDS, UPPER_KINDS, check_torsion_dim,
-                               lb_frank_koszul, lb_gap, level_interval,
+from levelbounds.level import (LOWER_KINDS, UPPER_KINDS, _torsion_generator_witness,
+                               check_torsion_dim, lb_frank_koszul, lb_gap, level_interval,
                                trim_koszul_sequence, ub_edim_koszul, ub_length,
                                ub_koszul_trim, verify_factorization_example)
 from levelbounds.modules import FreeModule, ModMap
@@ -16,6 +16,7 @@ from levelbounds.polys import PolyRing, format_poly
 from levelbounds.rings import QuotientRing
 
 import corpus
+import oracles
 
 P1 = PolyRing(1, 101)
 P2 = PolyRing(2, 101)
@@ -158,6 +159,19 @@ def test_torsion_dim_hypotheses_can_fail():
     with pytest.raises(UsageError):
         K = minimalize(koszul_complex([X], R2))
         check_torsion_dim(K, ideal(P2, [P2.one()]))
+
+
+def test_torsion_generator_witness_matches_span_route():
+    # a minimal complex has D inside m*F_0, so the constant-term test
+    # and membership in D + m*F_0 pick the same candidate
+    for C in corpus.build_corpus():
+        h0 = minimalize(C).homology(0)
+        if h0.is_zero:
+            continue
+        P = C.ring.poly_ring
+        v = P.variables()
+        for I in (ideal(P, list(v)), ideal(P, [v[0]]), ideal(P, [v[-1] ** 2])):
+            assert _torsion_generator_witness(h0, I) == oracles.torsion_generator_by_span(h0, I)
 
 
 def test_torsion_dim_is_generator_independent():

@@ -93,3 +93,7 @@ def test_benchmark_tracer_reports_every_per_layer_metric():
     metrics = report["metrics"]
     assert [name for name in names if name not in metrics] == []
     assert [name for name in names if not math.isfinite(metrics[name])] == []
+    # work moved off a wrapped name must fail here, not zero a metric
+    homology_path = ["modules.subquotient.calls", "gbcore.relative_syzygies.calls",
+                     "complexes.homology.computed"]
+    assert [name for name in homology_path if not metrics.get(name, 0) > 0] == []
