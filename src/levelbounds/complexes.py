@@ -31,7 +31,6 @@ from .modules import (
     cancel_units,
     kernel_and_image,
     subquotient,
-    zero_map,
 )
 from .polys import Poly
 from .rings import QuotientRing
@@ -117,10 +116,6 @@ class ChainComplex:
     def __repr__(self):
         ranks = ", ".join(str(m.rank) for m in self.modules)
         return f"ChainComplex(ranks=[{ranks}], shift={self.shift})"
-
-
-def single_module_complex(free: FreeModule, shift: int = 0) -> ChainComplex:
-    return ChainComplex(free.ring, [free], [], shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -284,89 +279,3 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
     if F.koszul is not None and G.koszul is not None:
         tag = KoszulTag(seq=F.koszul.seq + G.koszul.seq)
     return ChainComplex(ring, mods, diffs, shift=G.shift - F.shift + lo_h, koszul=tag)
-
-
-# ---------------------------------------------------------------------------
-# chain maps
-
-
-class ChainMap:
-    """A map of complexes, possibly with a uniform internal degree."""
-
-    def __init__(self, source: ChainComplex, target: ChainComplex, components: dict, degree: int = 0):
-        if source.ring != target.ring:
-            raise UsageError("chain map between complexes over different rings")
-        if source.shift != target.shift:
-            raise UsageError("chain map requires aligned homological shifts")
-        self.source = source
-        self.target = target
-        self.degree = degree
-        top = min(source.hi, target.hi)
-        comps = {}
-        for i in range(top + 1):
-            comp = components.get(i)
-            if comp is None:
-                comp = zero_map(source.modules[i], target.modules[i], degree=degree)
-            if comp.source != source.modules[i] or comp.target != target.modules[i]:
-                raise UsageError(f"component {i} does not match the complexes")
-            if comp.degree != degree:
-                raise UsageError("all components must share the map degree")
-            comps[i] = comp
-        for i, comp in components.items():
-            if not 0 <= i <= top and not comp.is_zero():
-                raise UsageError(f"nonzero component {i} outside the common range")
-        self.components = comps
-
-    def is_chain_map(self) -> bool:
-        """Do the squares commute: dT o f_i = f_(i-1) o dS."""
-        top = min(self.source.hi, self.target.hi)
-        for i in range(1, self.source.hi + 1):
-            if i <= top:
-                left = self.target.diffs[i - 1].compose(self.components[i])
-                right = self.components[i - 1].compose(self.source.diffs[i - 1])
-                if left != right:
-                    return False
-            elif i - 1 <= top:
-                # the target complex stops below i, so f_i is zero
-                if not self.components[i - 1].compose(self.source.diffs[i - 1]).is_zero():
-                    return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainMap)
-            and self.source is other.source
-            and self.target is other.target
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"ChainMap(degree={self.degree})"
-
-
-def scalar_chain_map(C: ChainComplex, r: Poly) -> ChainMap:
-    """Multiplication by a homogeneous ring element, degree deg(r)."""
-    if r.ring != C.ring.poly_ring:
-        raise UsageError("scalar from a different ring")
-    if not r.is_homogeneous():
-        raise UsageError("scalar must be homogeneous")
-    d = max(r.degree(), 0)
-    zero = C.ring.poly_ring.zero()
-    comps = {}
-    for i in range(C.hi + 1):
-        rank = C.modules[i].rank
-        rows = [[r if a == b else zero for b in range(rank)] for a in range(rank)]
-        comps[i] = ModMap(C.modules[i], C.modules[i], rows, degree=d)
-    return ChainMap(C, C, comps, degree=d)
-
-
-def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f after g; missing middle degrees contribute zero components."""
-    if g.target is not f.source:
-        raise UsageError("chain maps are not composable")
-    comps = {}
-    for i in range(min(g.source.hi, f.target.hi) + 1):
-        if i <= g.target.hi:
-            comps[i] = f.components[i].compose(g.components[i])
-    return ChainMap(g.source, f.target, comps, degree=f.degree + g.degree)

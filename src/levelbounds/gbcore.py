@@ -47,7 +47,7 @@ import heapq
 from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .polys import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from .polys import drl_key, mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
 
 Term = tuple  # (pos, exps)
 Vec = dict  # Term -> coeff
@@ -57,7 +57,7 @@ Vec = dict  # Term -> coeff
 def pot_key(term: Term) -> tuple:
     """Position over term, earlier positions larger, degrevlex inside."""
     pos, e = term
-    return (-pos, sum(e), tuple(-x for x in reversed(e)))
+    return (-pos,) + drl_key(e)
 
 
 @cache

@@ -153,12 +153,6 @@ class ModMap:
         return f"ModMap({self.target.rank}x{self.source.rank}, degree={self.degree})"
 
 
-def zero_map(source: FreeModule, target: FreeModule, degree: int = 0) -> ModMap:
-    zero = source.ring.poly_ring.zero()
-    rows = [[zero] * source.rank for _ in range(target.rank)]
-    return ModMap(source, target, rows, degree=degree)
-
-
 class GradedModule:
     """coker(rels) for rels mapping into the free module of generators."""
 

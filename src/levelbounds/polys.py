@@ -1,17 +1,16 @@
-"""Dense multivariate polynomial arithmetic over a prime field.
+"""Sparse multivariate polynomial arithmetic over a prime field.
 
 Polynomials live in F_p[x1..xn] with p prime (default 101).  Exponent
 vectors are plain int tuples and the graded reverse lexicographic order
-is the ambient term order throughout the package.  Every Poly is kept in
-canonical form: terms sorted strictly descending, no zero coefficients,
-coefficients reduced to 0..p-1.
+is the ambient term order throughout the package.  A Poly stores a
+sorted tuple of its nonzero terms in canonical form: terms sorted
+strictly descending, coefficients reduced to 1..p-1.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import UsageError
 
@@ -110,15 +109,6 @@ class PolyRing:
     def variables(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
 
-    def monomial(self, exps: Iterable[int], coeff: int = 1) -> "Poly":
-        e = tuple(exps)
-        if len(e) != self.nvars or any(x < 0 for x in e):
-            raise UsageError("bad exponent vector")
-        c = coeff % self.char
-        if c == 0:
-            return self.zero()
-        return Poly(self, ((e, c),))
-
     def from_dict(self, d: dict) -> "Poly":
         terms = []
         for e, c in d.items():
@@ -176,9 +166,6 @@ class Poly:
             raise UsageError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def as_dict(self) -> dict:
-        return {e: c for e, c in self.terms}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -227,20 +214,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, tuple((e, (k * c) % p) for e, k in self.terms))
 
-    def monic(self) -> "Poly":
-        if not self.terms:
-            return self
-        inv = pow(self.terms[0][1], self.ring.char - 2, self.ring.char)
-        return self.scale(inv)
-
-    def shift_mono(self, exps: tuple, coeff: int = 1) -> "Poly":
-        """Multiply by coeff * x^exps without building a Poly for it."""
-        p = self.ring.char
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return Poly(self.ring, tuple((mono_mul(e, exps), (c * coeff) % p) for e, c in self.terms))
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise UsageError("negative powers are not defined")
@@ -270,6 +243,14 @@ class Poly:
 _TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|(\^)|(\*)|(\+)|(-)|(\S))")
 
 
+def _int_literal(digits: str) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits() allows
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 def parse_poly(text: str, ring: PolyRing) -> Poly:
     """Parse the CLI polynomial syntax into a canonical Poly."""
     tokens = []
@@ -277,9 +258,9 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
         if m.group(7) is not None:
             raise UsageError(f"unexpected character {m.group(7)!r} in polynomial {text!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            tokens.append(("int", _int_literal(m.group(1))))
         elif m.group(2) is not None:
-            tokens.append(("var", int(m.group(2))))
+            tokens.append(("var", _int_literal(m.group(2))))
         elif m.group(3):
             tokens.append(("pow", None))
         elif m.group(4):

@@ -5,7 +5,7 @@ taken as the first differential and the second is assembled out of its
 kernel generators, so d compose d = 0 holds without rigging the random
 draw.  Constant matrix entries are allowed on purpose; they exercise
 the minimalization path.  The builders at the end (minimal generator
-count, direct sums, identity chain maps, free modules, and the passage
+count, direct sums, diagonal maps, free modules, and the passage
 between a presented module and a subquotient) make fixtures for the
 tests.
 """
@@ -14,12 +14,12 @@ import random
 from functools import cache
 
 from levelbounds import modules
-from levelbounds.complexes import ChainComplex, ChainMap
+from levelbounds.complexes import ChainComplex
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
 from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
                                  kernel_and_image, minimal_presentation, polyvec_degree,
-                                 subquotient, vec_from_polyvec, zero_map)
+                                 subquotient, vec_from_polyvec)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -44,13 +44,13 @@ def random_quotient(rng, P):
         gens = []
         for _ in range(rng.randrange(1, 3)):
             d = rng.randrange(2, 4)
-            gens.append(P.monomial(rng.choice(oracles.monomials(P.nvars, d))))
+            gens.append(oracles.monomial(P, rng.choice(oracles.monomials(P.nvars, d))))
         return ideal(P, gens)
     mons = oracles.monomials(P.nvars, 2)
     if len(mons) < 2:
         return zero_ideal(P)
     e1, e2 = rng.sample(mons, 2)
-    return ideal(P, [P.monomial(e1) - P.monomial(e2)])
+    return ideal(P, [oracles.monomial(P, e1) - oracles.monomial(P, e2)])
 
 
 def build_corpus(count=24, seed=20260819):
@@ -109,20 +109,17 @@ def direct_sum(A, B):
     return GradedModule(gens, ModMap(source, gens, rows))
 
 
-def identity_chain_map(C):
-    comps = {}
-    one = C.ring.poly_ring.one()
-    zero = C.ring.poly_ring.zero()
-    for i in range(C.hi + 1):
-        r = C.modules[i].rank
-        rows = [[one if a == b else zero for b in range(r)] for a in range(r)]
-        comps[i] = ModMap(C.modules[i], C.modules[i], rows)
-    return ChainMap(C, C, comps)
+def diagonal_map(free, r):
+    """Multiplication by the homogeneous r on free, of degree deg(r)."""
+    zero = free.ring.poly_ring.zero()
+    rows = [[r if a == b else zero for b in range(free.rank)] for a in range(free.rank)]
+    return ModMap(free, free, rows, degree=max(r.degree(), 0))
 
 
 def free_module(free):
     """free as a presented module with no relations."""
-    return GradedModule(free, zero_map(FreeModule(free.ring, ()), free))
+    none = FreeModule(free.ring, ())
+    return GradedModule(free, ModMap(none, free, [[] for _ in range(free.rank)]))
 
 
 @cache

@@ -27,6 +27,7 @@ from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_
 from levelbounds.groebner import IdealData, ideal_intersection
 from levelbounds.modules import (ModMap, SubmoduleGB, _defining_multiples, gamma_torsion,
                                  vec_from_polyvec)
+from levelbounds.polys import Poly, mono_mul
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,32 @@ def nullspace(a, p):
     return basis
 
 
+# ---------------------------------------------------------------------------
+# polynomial helpers the tests use and the package does not
+
+
+def monomial(ring, exps):
+    """x^exps in ring."""
+    return ring.from_dict({tuple(exps): 1})
+
+
+def monic(f):
+    """f scaled to leading coefficient 1; zero stays zero."""
+    if f.is_zero():
+        return f
+    return f.scale(pow(f.terms[0][1], f.ring.char - 2, f.ring.char))
+
+
+def shift_mono(f, exps):
+    """f * x^exps; a monomial multiple keeps the terms in order."""
+    return Poly(f.ring, tuple((mono_mul(e, exps), c) for e, c in f.terms))
+
+
+def as_dict(f):
+    """The terms of f as {exponent tuple: coefficient}."""
+    return dict(f.terms)
+
+
 def monomials(nvars, d):
     """Exponent tuples of total degree d, in a fixed deterministic order."""
     if d < 0:
@@ -122,7 +149,7 @@ def ideal_rows(gens, nvars, d, p):
         if k < 0:
             continue
         for m in monomials(nvars, k):
-            rows.append(_coords(g.shift_mono(m), d, index))
+            rows.append(_coords(shift_mono(g, m), d, index))
     if not rows:
         return np.zeros((0, len(mons)), dtype=np.int64)
     return as_matrix(rows, p)
@@ -184,7 +211,7 @@ def submodule_rows(vectors, twists, nvars, d, p):
             for j, f in enumerate(vec):
                 if f.is_zero():
                     continue
-                for e, c in f.shift_mono(m).terms:
+                for e, c in shift_mono(f, m).terms:
                     v[index[(j, e)]] = c
             rows.append(v)
     if not rows:
@@ -398,7 +425,7 @@ def hom_eval_matrix(M):
                 if f.is_zero():
                     continue
                 for q, m in enumerate(blocks[j]):
-                    for e, cc in f.shift_mono(m).terms:
+                    for e, cc in shift_mono(f, m).terms:
                         a[tindex[e], offsets[j] + q] += cc
             pieces.append((a % p, ideal_rows(jg, nvars, dd, p)))
         rows_total = sum(a.shape[0] for a, _ in pieces)

@@ -161,6 +161,31 @@ def test_refused_argument_exits_two_with_syntax_code(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: E_SYNTAX:")
 
 
+@pytest.fixture
+def int_digit_limit():
+    # the interpreter's default limit, whatever the environment sets
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("poly", [f"{LONG}*x1", f"x{LONG}", f"x1^{LONG}"],
+                         ids=["coefficient", "variable-index", "exponent"])
+def test_integer_literal_past_the_digit_limit_exits_two_with_syntax_code(
+        tmp_path, capsys, int_digit_limit, poly):
+    # int() refuses a literal of more than 4,300 digits with ValueError
+    code, out, err = run_cli(capsys, ["koszul", "--vars", "2", "--seq", poly])
+    assert code == 2 and out == "" and err.startswith("error: E_SYNTAX:")
+    f = tmp_path / "long.session"
+    f.write_text(f"[ring]\nvars = 2\n\n[seq S]\nelems = {poly}\n\n[task koszul-level]\nseq = S\n")
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert code == 2 and out == "" and err.startswith("error: E_SYNTAX:") and "(line 5," in err
+
+
 def test_large_char_exits_two_with_range_code(capsys):
     code, out, err = run_cli(
         capsys, ["koszul", "--vars", "2", "--seq", "x1", "--char", "4294967311"]

@@ -165,7 +165,7 @@ def homogeneous_ideals(ring):
 
 def monomial_ideals(ring, max_gens=3):
     def build(exps):
-        return ideal(ring, [ring.monomial(e) for e in exps])
+        return ideal(ring, [oracles.monomial(ring, e) for e in exps])
     mons = [e for d in (1, 2, 3) for e in oracles.monomials(ring.nvars, d)]
     return st.lists(st.sampled_from(mons), min_size=1, max_size=max_gens).map(build)
 
@@ -185,7 +185,7 @@ def test_gb_canonical_under_generator_permutation(I, rng):
 @given(monomial_ideals(P2), monomial_ideals(P2))
 def test_monomial_intersection_is_pairwise_lcm(A, B):
     got = gb_set(ideal_intersection(A, B))
-    lcms = [P2.monomial(mono_lcm(a.leading_monomial(), b.leading_monomial()))
+    lcms = [oracles.monomial(P2, mono_lcm(a.leading_monomial(), b.leading_monomial()))
             for a in A.gens for b in B.gens]
     assert got == gb_set(ideal(P2, lcms).gb)
 

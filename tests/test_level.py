@@ -2,8 +2,7 @@
 
 import pytest
 
-from levelbounds.complexes import (hom_complex, koszul_complex, minimalize,
-                                   single_module_complex)
+from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
 from levelbounds.level import (LOWER_KINDS, UPPER_KINDS, _torsion_generator_witness,
@@ -11,7 +10,6 @@ from levelbounds.level import (LOWER_KINDS, UPPER_KINDS, _torsion_generator_witn
                                trim_koszul_sequence, ub_edim_koszul, ub_length,
                                ub_koszul_trim, verify_factorization_example)
 from levelbounds.modules import FreeModule, ModMap
-from levelbounds.complexes import ChainComplex
 from levelbounds.polys import PolyRing, format_poly
 from levelbounds.rings import QuotientRing
 
@@ -90,7 +88,7 @@ def test_gap_certificate_cases():
     K = koszul_complex([X1], R3)
     cert = lb_gap(minimalize(K))
     assert cert.value == 2 and cert.evidence == {"a": 0, "b": 1}
-    single = single_module_complex(FreeModule(R2, (0,)))
+    single = ChainComplex(R2, [FreeModule(R2, (0,))], [])
     assert lb_gap(minimalize(single)) is None
     with pytest.raises(UsageError):
         lb_gap(_nonminimal())
@@ -111,7 +109,7 @@ def test_frank_certificate_values():
 def test_upper_bound_certificates():
     K = koszul_complex([X, Y], R2)
     assert ub_length(minimalize(K)).value == 3
-    assert ub_length(minimalize(single_module_complex(FreeModule(R2, (0,))))).value == 1
+    assert ub_length(minimalize(ChainComplex(R2, [FreeModule(R2, (0,))], []))).value == 1
     Rx2 = QuotientRing(ideal(P2, [X**2]))
     assert ub_edim_koszul(Rx2).value == 3
     cert = ub_koszul_trim([X, Y, X * Y], R2)
@@ -152,7 +150,7 @@ def test_torsion_dim_certificate():
 
 def test_torsion_dim_hypotheses_can_fail():
     # H_0 = R itself is torsion free over a domain, so no certificate
-    single = minimalize(single_module_complex(FreeModule(R3, (0,))))
+    single = minimalize(ChainComplex(R3, [FreeModule(R3, (0,))], []))
     assert check_torsion_dim(single, ideal(P3, [X1])) is None
     with pytest.raises(UsageError):
         check_torsion_dim(_nonminimal(), ideal(P2, [X]))
@@ -224,14 +222,16 @@ def test_psop_koszul_is_exact_at_one_more():
 
 
 def test_factorization_example():
-    for n in (3, 4):
+    names = ["alpha_chain_map", "beta_chain_map", "composite_is_x1", "positive_homology_torsion"]
+    for n in range(3, 9):
         rep = verify_factorization_example(n)
         assert rep.passed and bool(rep)
-        assert [c["ok"] for c in rep.as_dict()["checks"]] == [True] * 4
-    free = verify_factorization_example(3, ring=QuotientRing.free(P3))
-    assert not free.passed
-    failed = {c["name"]: c["ok"] for c in free.as_dict()["checks"]}
-    assert failed["beta_chain_map"] is False
+        assert [(c["name"], c["ok"]) for c in rep.as_dict()["checks"]] == [
+            (name, True) for name in names]
+        free = verify_factorization_example(n, ring=QuotientRing.free(PolyRing(n, 101)))
+        assert not free.passed
+        failed = [c["name"] for c in free.as_dict()["checks"] if not c["ok"]]
+        assert failed == ["beta_chain_map"]
     with pytest.raises(UsageError):
         verify_factorization_example(2)
 

@@ -38,7 +38,7 @@ def test_ring_validation():
 
 def test_parse_examples():
     f = parse_poly("3*x1^2*x2 + 100*x3^3", P3)
-    assert f.as_dict() == {(2, 1, 0): 3, (0, 0, 3): 100}
+    assert oracles.as_dict(f) == {(2, 1, 0): 3, (0, 0, 3): 100}
     g = parse_poly(" x1*x2 + 2*x2^2 ", P2)
     assert g == X * Y + (Y**2).scale(2)
     assert parse_poly("-x1 + x1", P2).is_zero()
@@ -71,9 +71,9 @@ def test_arithmetic_examples():
     assert (X + Y) * (X - Y) == X**2 - Y**2
     assert X.scale(100) + X.scale(2) == X
     assert (X - X).is_zero()
-    assert (X * Y).as_dict() == {(1, 1): 1}
+    assert oracles.as_dict(X * Y) == {(1, 1): 1}
     assert (X + Y) ** 2 == X**2 + (X * Y).scale(2) + Y**2
-    assert X.monic() == X.scale(7).monic()
+    assert oracles.monic(X) == oracles.monic(X.scale(7))
     with pytest.raises(UsageError):
         X ** (-1)
 

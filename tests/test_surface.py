@@ -2,11 +2,14 @@
 
 The package surface is what the command line, the session format and
 the scripts use.  A module-level def or class whose name appears nowhere
-in src/ or scripts/ except in its own definition is dead code; the
-references the tests compare the engine against live in tests/.  The
-command line loads no third-party module.  And the benchmark tracer in
-perfbench/, which wraps package functions by name, still finds every
-name it wraps and reports every per-layer metric of BENCHMARK.json.
+in src/ or scripts/ except in its own definition is dead code, and so
+is a method of a package class, other than a dunder, whose attribute
+access .name appears nowhere there outside its own definition; the
+references the tests compare the engine against, and the helpers only
+the tests call, live in tests/.  The command line loads no third-party
+module.  And the benchmark tracer in perfbench/, which wraps package
+functions by name, still finds every name it wraps and reports every
+per-layer metric of BENCHMARK.json.
 """
 
 import ast
@@ -27,6 +30,18 @@ def _sources():
     return {path: path.read_text(encoding="utf-8").splitlines() for path in paths}
 
 
+def _used(sources, path, node, pattern):
+    """Does pattern match a line of src/ or scripts/ outside node's own lines?"""
+    word = re.compile(pattern)
+    own = range(node.lineno - 1, node.end_lineno)
+    return any(
+        word.search(line)
+        for other, lines in sources.items()
+        for k, line in enumerate(lines)
+        if not (other == path and k in own)
+    )
+
+
 def _uncalled_names():
     sources = _sources()
     out = []
@@ -35,16 +50,16 @@ def _uncalled_names():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            own = range(node.lineno - 1, node.end_lineno)
-            used = any(
-                word.search(line)
-                for other, lines in sources.items()
-                for k, line in enumerate(lines)
-                if not (other == path and k in own)
-            )
-            if not used:
+            if not _used(sources, path, node, rf"\b{re.escape(node.name)}\b"):
                 out.append(f"{path.name}:{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+            for item in methods:
+                if item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                if not _used(sources, path, item, rf"\.{re.escape(item.name)}\b"):
+                    out.append(f"{path.name}:{node.name}.{item.name}")
     return out
 
 
