@@ -31,6 +31,7 @@ from .modules import (
     cancel_units,
     kernel_and_image,
     subquotient,
+    transpose_map,
 )
 from .polys import Poly
 from .rings import QuotientRing
@@ -149,7 +150,6 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
         elems.append(f)
     n = len(elems)
     degs = [f.degree() for f in elems]
-    zero = ring.poly_ring.zero()
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     modules = []
     for k in range(n + 1):
@@ -158,13 +158,10 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     diffs = []
     for k in range(1, n + 1):
         index = {s: idx for idx, s in enumerate(subsets[k - 1])}
-        rows = [[zero] * len(subsets[k]) for _ in range(len(subsets[k - 1]))]
-        for col, s in enumerate(subsets[k]):
-            for j, i in enumerate(s):
-                rest = tuple(t for t in s if t != i)
-                sign = 1 if j % 2 == 0 else -1
-                rows[index[rest]][col] = elems[i].scale(sign)
-        diffs.append(ModMap(modules[k], modules[k - 1], rows))
+        # dropping a later entry of s gives an earlier subset: rows rise as j falls
+        cols = [[(index[s[:j] + s[j + 1:]], elems[s[j]].scale(-1 if j % 2 else 1))
+                 for j in reversed(range(k))] for s in subsets[k]]
+        diffs.append(ModMap(modules[k], modules[k - 1], cols))
     nf_seq = tuple(ring.nf(f) for f in elems)
     return ChainComplex(ring, modules, diffs, koszul=KoszulTag(seq=nf_seq))
 
@@ -178,11 +175,15 @@ def minimalize(C: ChainComplex) -> ChainComplex:
 
     Each unit entry of a differential splits off an exact summand (see
     cancel_units); zero modules left at either end are trimmed.  The
-    result is homotopy equivalent to C and has all entries in m.
+    result is homotopy equivalent to C and has all entries in m.  A
+    complex with nothing to cancel or trim is returned as it is, with
+    its cached homology runs.
     """
+    if C.is_minimal() and (C.hi == 0 or (C.modules[0].rank and C.modules[-1].rank)):
+        return C
     ring = C.ring
     twists = [list(m.twists) for m in C.modules]
-    mats = [[list(row) for row in d.rows] for d in C.diffs]
+    mats = [[dict(col) for col in d.cols] for d in C.diffs]
     cancel_units(ring, twists, mats)
 
     # trim zero modules at both ends, keeping at least one module
@@ -195,9 +196,8 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     twists = twists[lo_trim:hi_trim]
     mats = mats[lo_trim : hi_trim - 1]
     modules = [FreeModule(ring, tuple(t)) for t in twists]
-    diffs = [
-        ModMap(modules[k + 1], modules[k], mats[k]) for k in range(len(mats))
-    ]
+    diffs = [ModMap(modules[k + 1], modules[k], [sorted(col.items()) for col in mat])
+             for k, mat in enumerate(mats)]
     return ChainComplex(ring, modules, diffs, shift=C.shift + lo_trim, koszul=C.koszul)
 
 
@@ -205,10 +205,10 @@ def minimalize(C: ChainComplex) -> ChainComplex:
 # Hom complexes
 
 # Hom(F, G) has rank rank(F) * rank(G), which for two Koszul complexes is
-# 2^(m+n); the product is capped.  Timed `level` runs of Hom of Koszul
-# complexes on a 2-core host took 0.4, 1.0, 2.9, 9.4 and 37 s at ranks
-# 2^8 to 2^12, so the cap matches the rank 2^10 of the largest Koszul
-# complex.
+# 2^(m+n); the product is capped.  In-process `level` runs of Hom of
+# Koszul complexes over F_101[x1..x6] on a 2-core host took 0.08, 0.24,
+# 0.9, 3.3 and 10.7 s at ranks 2^8 to 2^12, so the cap matches the rank
+# 2^10 of the largest Koszul complex.
 _HOM_RANK_CAP = 2**10
 
 
@@ -229,7 +229,6 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
             f"{E_VAR_CAP}: Hom complexes capped at rank {_HOM_RANK_CAP}, got {rank}"
         )
     ring = F.ring
-    zero = ring.poly_ring.zero()
     lo_h = -F.hi
     hi_h = G.hi
     if hi_h < lo_h:
@@ -250,30 +249,27 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
         basis[i] = items
         twists[i] = tuple(tw)
     modules = {i: FreeModule(ring, twists[i]) for i in range(lo_h, hi_h + 1)}
+    dF_rows = [transpose_map(d).cols for d in F.diffs]
     diffs = []
     for i in range(lo_h + 1, hi_h + 1):
         tgt_index = {t: idx for idx, t in enumerate(basis[i - 1])}
-        rows = [[zero] * len(basis[i]) for _ in range(len(basis[i - 1]))]
         sign = -1 if i % 2 == 0 else 1  # -(-1)^i
-        for col, (j, u, v) in enumerate(basis[i]):
-            gi = j + i
-            if gi >= 1:
-                dG = G.diffs[gi - 1]
-                for w in range(G.modules[gi - 1].rank):
-                    e = dG.rows[w][v]
-                    if not e.is_zero():
-                        r = tgt_index.get((j, u, w))
-                        if r is not None:
-                            rows[r][col] = rows[r][col] + e
+        cols = []
+        # dG lands in block j and dF in block j + 1, so the rows increase
+        for j, u, v in basis[i]:
+            col = []
+            if j + i >= 1:
+                for w, e in G.diffs[j + i - 1].cols[v]:
+                    r = tgt_index.get((j, u, w))
+                    if r is not None:
+                        col.append((r, e))
             if j + 1 <= F.hi:
-                dF = F.diffs[j]
-                for q in range(F.modules[j + 1].rank):
-                    e = dF.rows[u][q]
-                    if not e.is_zero():
-                        r = tgt_index.get((j + 1, q, v))
-                        if r is not None:
-                            rows[r][col] = rows[r][col] + e.scale(sign)
-        diffs.append(ModMap(modules[i], modules[i - 1], rows))
+                for q, e in dF_rows[j][u]:
+                    r = tgt_index.get((j + 1, q, v))
+                    if r is not None:
+                        col.append((r, e.scale(sign)))
+            cols.append(col)
+        diffs.append(ModMap(modules[i], modules[i - 1], cols))
     mods = [modules[i] for i in range(lo_h, hi_h + 1)]
     tag = None
     if F.koszul is not None and G.koszul is not None:

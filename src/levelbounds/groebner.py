@@ -65,8 +65,10 @@ class IdealData:
         return reducer([_poly_to_vec(g) for g in self.gb], self.ring.char)
 
     def normal_form(self, f: Poly) -> Poly:
-        if f.ring != self.ring:
+        if f.ring is not self.ring and f.ring != self.ring:
             raise UsageError("polynomial from a different ring")
+        if not self.gb:
+            return f
         return _vec_to_poly(self.ring, submodule_nf(_poly_to_vec(f), self._reducer))
 
     def contains(self, f: Poly) -> bool:

@@ -81,7 +81,7 @@ def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
     if not total.is_proper():
         raise UsageError("sequence generates the unit ideal")
     syz = _sequence_syzygies(seq, R)
-    return all(total.contains(e) for row in syz.rows for e in row)
+    return all(total.contains(e) for col in syz.cols for _, e in col)
 
 
 def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
@@ -98,7 +98,7 @@ def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
     syz = _sequence_syzygies(seq, R)
     gens = FreeModule(S, syz.target.twists)
     src = FreeModule(S, syz.source.twists)
-    rels = ModMap(src, gens, syz.rows)
+    rels = ModMap(src, gens, syz.cols)
     return frank(GradedModule(gens, rels))
 
 

@@ -317,8 +317,8 @@ def verify_factorization_example(
     tail = ideal(P, list(xs[1:]))
     K = koszul_complex(list(xs[1:]), R)
     R0 = FreeModule(R, (0,))
-    alpha0 = ModMap(R0, K.modules[0], [[P.one()]])
-    beta0 = ModMap(K.modules[0], R0, [[xs[0]]], degree=1)
+    alpha0 = ModMap.from_rows(R0, K.modules[0], [[P.one()]])
+    beta0 = ModMap.from_rows(K.modules[0], R0, [[xs[0]]], degree=1)
     # A chain map's squares sit at its source's degrees 1..hi.  alpha's
     # source R has nothing in degree 1 (hi = 0), so alpha has no square
     # and is a chain map by shape.  R has nothing in degree 1 or above
@@ -326,7 +326,8 @@ def verify_factorization_example(
     checks = [
         ("alpha_chain_map", True),
         ("beta_chain_map", beta0.compose(K.diff(1)).is_zero()),
-        ("composite_is_x1", beta0.compose(alpha0) == ModMap(R0, R0, [[xs[0]]], degree=1)),
+        ("composite_is_x1",
+         beta0.compose(alpha0) == ModMap.from_rows(R0, R0, [[xs[0]]], degree=1)),
     ]
     torsion_ok = True
     for i in range(1, K.hi + 1):

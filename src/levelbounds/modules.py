@@ -51,32 +51,34 @@ class FreeModule:
 class ModMap:
     """A degree-homogeneous map between free modules over R.
 
-    rows[i][j] is the coefficient of target basis i in the image of
-    source basis j; entries are stored as J-normal forms.  The
-    constructor does the reducing, so callers may pass any
-    representatives.  degree is the uniform internal degree shift (0 for
-    differentials and relations).
+    cols[j] lists the nonzero entries of the image of source basis j as
+    (target index, entry) pairs in increasing index order; entries are
+    J-normal forms.  The constructor does the reducing and drops the
+    entries that vanish, so callers may pass any representatives, zeros
+    included, as long as the indices increase.  degree is the uniform
+    internal degree shift (0 for differentials and relations).
     """
 
-    def __init__(self, source: FreeModule, target: FreeModule, rows: Sequence, degree: int = 0):
+    def __init__(self, source: FreeModule, target: FreeModule, cols: Sequence, degree: int = 0):
         if source.ring != target.ring:
             raise UsageError("map between modules over different rings")
         self.source = source
         self.target = target
         self.degree = degree
         ring = source.ring
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
-            raise UsageError(
-                f"matrix shape {len(rows)}x{'x'.join(str(len(r)) for r in rows[:1]) or '0'} "
-                f"does not match target rank {target.rank}, source rank {source.rank}"
-            )
+        poly_ring = ring.poly_ring
+        if len(cols) != source.rank:
+            raise UsageError(f"{len(cols)} columns do not match source rank {source.rank}")
         normed = []
-        for i, row in enumerate(rows):
-            out_row = []
-            for j, entry in enumerate(row):
-                if entry.ring != ring.poly_ring:
+        for j, col in enumerate(cols):
+            out = []
+            prev = -1
+            for i, entry in col:
+                if entry.ring is not poly_ring and entry.ring != poly_ring:
                     raise UsageError("matrix entry from a different ring")
+                if not prev < i < target.rank:
+                    raise UsageError(f"column {j}: row {i} out of order or out of range")
+                prev = i
                 e = entry if entry.is_zero() else ring.nf(entry)
                 if not e.is_zero():
                     want = source.twists[j] - target.twists[i] + degree
@@ -84,58 +86,67 @@ class ModMap:
                         raise UsageError(
                             f"entry ({i},{j}) = {e} must be homogeneous of degree {want}"
                         )
-                out_row.append(e)
-            normed.append(tuple(out_row))
-        self.rows = tuple(normed)
+                    out.append((i, e))
+            normed.append(tuple(out))
+        self.cols = tuple(normed)
+
+    @classmethod
+    def from_rows(cls, source: FreeModule, target: FreeModule, rows: Sequence, degree: int = 0):
+        """The map whose entry (i, j) is rows[i][j]."""
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+            raise UsageError(
+                f"matrix shape {len(rows)}x{'x'.join(str(len(r)) for r in rows[:1]) or '0'} "
+                f"does not match target rank {target.rank}, source rank {source.rank}"
+            )
+        cols = [[(i, row[j]) for i, row in enumerate(rows)] for j in range(source.rank)]
+        return cls(source, target, cols, degree=degree)
 
     @property
     def ring(self) -> QuotientRing:
         return self.source.ring
 
+    @property
+    def rows(self) -> tuple:
+        """The dense matrix, zeros filled in."""
+        return tuple(zip(*self.columns())) if self.cols else ((),) * self.target.rank
+
     def column(self, j: int) -> tuple:
-        return tuple(self.rows[i][j] for i in range(self.target.rank))
+        entries, zero = dict(self.cols[j]), self.ring.poly_ring.zero()
+        return tuple(entries.get(i, zero) for i in range(self.target.rank))
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.source.rank)]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(self.cols)
 
     def entries_in_maximal_ideal(self) -> bool:
-        return all(e.constant_coeff() == 0 for row in self.rows for e in row)
+        return all(e.constant_coeff() == 0 for col in self.cols for _, e in col)
 
     def compose(self, other: "ModMap") -> "ModMap":
         """self after other.
 
-        Visits nonzero entry pairs only: each entry (i, j) sums the term
-        products of self[i][k] * other[k][j] over the k where both are
-        nonzero into one exponent -> coefficient dict, and the
-        constructor J-normalises the result.
+        Visits nonzero entry pairs only: column j of the result sums the
+        term products of self[i][k] * other[k][j] over the nonzero
+        other[k][j] and the nonzero self[i][k], one exponent -> coefficient
+        dict per row i, and the constructor J-normalises the result.
         """
         if other.target != self.source:
             raise UsageError("maps are not composable")
-        poly_ring = self.ring.poly_ring
-        zero = poly_ring.zero()
-        other_nonzero = [
-            [(j, e.terms) for j, e in enumerate(row) if e.terms] for row in other.rows
-        ]
-        rows = []
-        for self_row in self.rows:
-            acc: dict = {}  # column j -> {exps: coeff}
-            for k, a in enumerate(self_row):
-                if not a.terms:
-                    continue
-                for j, b_terms in other_nonzero[k]:
-                    d = acc.setdefault(j, {})
+        from_dict = self.ring.poly_ring.from_dict
+        cols = []
+        for other_col in other.cols:
+            acc: dict = {}  # row i -> {exps: coeff}
+            for k, b in other_col:
+                for i, a in self.cols[k]:
+                    d = acc.setdefault(i, {})
                     for e1, c1 in a.terms:
-                        for e2, c2 in b_terms:
+                        for e2, c2 in b.terms:
                             e = mono_mul(e1, e2)
                             d[e] = d.get(e, 0) + c1 * c2
-            row = [zero] * other.source.rank
-            for j, d in acc.items():
-                row[j] = poly_ring.from_dict(d)
-            rows.append(row)
-        return ModMap(other.source, self.target, rows, degree=self.degree + other.degree)
+            cols.append([(i, from_dict(acc[i])) for i in sorted(acc)])
+        return ModMap(other.source, self.target, cols, degree=self.degree + other.degree)
 
     def __eq__(self, other) -> bool:
         return (
@@ -143,11 +154,11 @@ class ModMap:
             and self.source == other.source
             and self.target == other.target
             and self.degree == other.degree
-            and self.rows == other.rows
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.degree, self.rows))
+        return hash((self.source, self.target, self.degree, self.cols))
 
     def __repr__(self):
         return f"ModMap({self.target.rank}x{self.source.rank}, degree={self.degree})"
@@ -189,7 +200,8 @@ def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
     per: list = [dict() for _ in range(rank)]
     for (pos, e), c in v.items():
         per[pos][e] = c
-    return tuple(ring.from_dict(d) for d in per)
+    zero = ring.zero()
+    return tuple(ring.from_dict(d) if d else zero for d in per)
 
 
 def polyvec_degree(free: FreeModule, polys: Sequence[Poly]) -> Optional[int]:
@@ -276,8 +288,7 @@ def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> tupl
 def _map_from_columns(target: FreeModule, cols: list) -> ModMap:
     """The map into target with the given columns, source twists read off them."""
     source = FreeModule(target.ring, tuple(polyvec_degree(target, c) for c in cols))
-    rows = [[c[i] for c in cols] for i in range(target.rank)]
-    return ModMap(source, target, rows)
+    return ModMap(source, target, [list(enumerate(c)) for c in cols])
 
 
 def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> ModMap:
@@ -334,49 +345,55 @@ def kernel_and_image(phi: ModMap) -> tuple:
 
 
 def _find_unit(mats: list):
-    for i, mat in enumerate(mats):
-        for a, row in enumerate(mat):
-            for b, e in enumerate(row):
-                if not e.is_zero() and e.is_constant():
-                    return i, a, b
+    for i, cols in enumerate(mats):
+        units = [(a, b) for b, col in enumerate(cols) for a, e in col.items()
+                 if e.is_constant()]
+        if units:
+            return (i, *min(units))
     return None
+
+
+def _drop_row(col: dict, a: int) -> dict:
+    """col without row a and without zeros, the rows below a moved up one."""
+    return {r - (r > a): e for r, e in col.items() if r != a and not e.is_zero()}
 
 
 def cancel_units(ring: QuotientRing, twists: list, mats: list) -> None:
     """Strip unit entries from a chain of matrices by Gaussian cancellation.
 
     mats[i] maps the free module with twists twists[i + 1] to the one
-    with twists twists[i].  A constant entry u at (a, b) of mats[i]
-    splits off an exact summand: basis b of twists[i + 1] and a of
-    twists[i] are removed, the remaining entries of mats[i] pick up the
+    with twists twists[i], as a list of columns, each a dict from row to
+    nonzero entry.  A constant entry u at (a, b) of mats[i] splits off an
+    exact summand: basis b of twists[i + 1] and a of twists[i] are
+    removed, the columns c of mats[i] with an entry at row a pick up the
     correction -D[a][c] * D[r][b] / u, mats[i + 1] loses row b and
     mats[i - 1] loses column a.  Pivots are taken first in (matrix, row,
     column) order until every entry lies in m.  Works in place.
     """
     p = ring.char
+    zero = ring.poly_ring.zero()
     while True:
         hit = _find_unit(mats)
         if hit is None:
             return
         i, a, b = hit
-        old = mats[i]
-        uinv = pow(old[a][b].constant_coeff(), p - 2, p)
-        new_rows = []
-        for r in range(len(old)):
-            if r == a:
+        pivot = mats[i][b]
+        uinv = pow(pivot[a].constant_coeff(), p - 2, p)
+        new_cols = []
+        for c, col in enumerate(mats[i]):
+            if c == b:
                 continue
-            row = []
-            for c in range(len(old[r])):
-                if c == b:
-                    continue
-                corr = old[a][c] * old[r][b]
-                row.append(ring.nf(old[r][c] - corr.scale(uinv)))
-            new_rows.append(row)
-        mats[i] = new_rows
+            f = col.get(a)
+            if f is not None:
+                col = dict(col)
+                for r, g in pivot.items():
+                    col[r] = ring.nf(col.get(r, zero) - (f * g).scale(uinv))
+            new_cols.append(_drop_row(col, a))
+        mats[i] = new_cols
         if i + 1 < len(mats):
-            mats[i + 1] = [row for r, row in enumerate(mats[i + 1]) if r != b]
+            mats[i + 1] = [_drop_row(col, b) for col in mats[i + 1]]
         if i - 1 >= 0:
-            mats[i - 1] = [[e for c, e in enumerate(row) if c != a] for row in mats[i - 1]]
+            del mats[i - 1][a]
         del twists[i + 1][b]
         del twists[i][a]
 
@@ -392,19 +409,14 @@ def minimal_presentation(M: GradedModule) -> GradedModule:
         return M._minimal
     ring = M.ring
     twists = [list(M.gens.twists), list(M.rels.source.twists)]
-    mats = [[list(r) for r in M.rels.rows]]
+    mats = [[dict(col) for col in M.rels.cols]]
     cancel_units(ring, twists, mats)
     gen_twists, src_twists = twists
-    rows = mats[0]
-    keep_cols = [
-        j
-        for j in range(len(src_twists))
-        if any(not rows[i][j].is_zero() for i in range(len(rows)))
-    ]
+    keep = [j for j, col in enumerate(mats[0]) if col]
     gens = FreeModule(ring, tuple(gen_twists))
-    source = FreeModule(ring, tuple(src_twists[j] for j in keep_cols))
-    rows = [[rows[i][j] for j in keep_cols] for i in range(len(rows))]
-    result = GradedModule(gens, ModMap(source, gens, rows))
+    source = FreeModule(ring, tuple(src_twists[j] for j in keep))
+    cols = [sorted(mats[0][j].items()) for j in keep]
+    result = GradedModule(gens, ModMap(source, gens, cols))
     result._minimal = result
     M._minimal = result
     return result
@@ -419,8 +431,11 @@ def transpose_map(phi: ModMap) -> ModMap:
     ring = phi.ring
     dual_source = FreeModule(ring, tuple(-t for t in phi.target.twists))
     dual_target = FreeModule(ring, tuple(-t for t in phi.source.twists))
-    rows = [[phi.rows[i][j] for i in range(phi.target.rank)] for j in range(phi.source.rank)]
-    return ModMap(dual_source, dual_target, rows)
+    cols = [[] for _ in range(phi.target.rank)]
+    for j, col in enumerate(phi.cols):
+        for i, e in col:
+            cols[i].append((j, e))
+    return ModMap(dual_source, dual_target, cols)
 
 
 def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:

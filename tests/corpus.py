@@ -75,7 +75,7 @@ def build_corpus(count=24, seed=20260819):
                 dd = t1[j] - t0[i]
                 row.append(random_homogeneous(rng, P, dd) if dd >= 0 else P.zero())
             rows.append(row)
-        d1 = ModMap(F1, F0, rows)
+        d1 = ModMap.from_rows(F1, F0, rows)
         take = rng.randrange(0, 4)
         cols = [c for c in kernel_and_image(d1)[0][:take]
                 if any(not f.is_zero() for f in c)]
@@ -83,7 +83,7 @@ def build_corpus(count=24, seed=20260819):
             t2 = tuple(polyvec_degree(F1, c) for c in cols)
             F2 = FreeModule(R, t2)
             rows2 = [[cols[c][i] for c in range(len(cols))] for i in range(r1)]
-            C = ChainComplex(R, [F0, F1, F2], [d1, ModMap(F2, F1, rows2)])
+            C = ChainComplex(R, [F0, F1, F2], [d1, ModMap.from_rows(F2, F1, rows2)])
         else:
             C = ChainComplex(R, [F0, F1], [d1])
         out.append(C)
@@ -106,20 +106,20 @@ def direct_sum(A, B):
         rows.append(list(A.rels.rows[i]) + [zero] * B.rels.source.rank)
     for i in range(B.gens.rank):
         rows.append([zero] * A.rels.source.rank + list(B.rels.rows[i]))
-    return GradedModule(gens, ModMap(source, gens, rows))
+    return GradedModule(gens, ModMap.from_rows(source, gens, rows))
 
 
 def diagonal_map(free, r):
     """Multiplication by the homogeneous r on free, of degree deg(r)."""
     zero = free.ring.poly_ring.zero()
     rows = [[r if a == b else zero for b in range(free.rank)] for a in range(free.rank)]
-    return ModMap(free, free, rows, degree=max(r.degree(), 0))
+    return ModMap.from_rows(free, free, rows, degree=max(r.degree(), 0))
 
 
 def free_module(free):
     """free as a presented module with no relations."""
     none = FreeModule(free.ring, ())
-    return GradedModule(free, ModMap(none, free, [[] for _ in range(free.rank)]))
+    return GradedModule(free, ModMap.from_rows(none, free, [[] for _ in range(free.rank)]))
 
 
 @cache

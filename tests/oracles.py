@@ -12,7 +12,9 @@ linalg.rank.  One exception is buchberger_closed, which uses the
 engine's division on purpose: it checks the pair selection of
 module_gb, not its reduction.  Likewise dense_compose hands its product
 to the ModMap constructor, so it checks which entry pairs ModMap.compose
-multiplies, not the J-normalisation.  annihilator, radical_membership
+multiplies, not the J-normalisation; dense_koszul and dense_hom, which
+is built on dense_compose, check the placement and signs of the Koszul
+and Hom entries the same way.  annihilator, radical_membership
 and torsion_generator_by_span are references of another kind: they
 route through the engine by a different construction than the checks
 they are compared with.
@@ -594,13 +596,78 @@ def dense_compose(a, b):
     skipping of zero factors; ModMap then J-normalises the result.
     """
     zero = a.ring.poly_ring.zero()
+    a_rows, b_rows = a.rows, b.rows
     rows = []
     for i in range(a.target.rank):
         row = []
         for j in range(b.source.rank):
             acc = zero
             for k in range(a.source.rank):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
+                acc = acc + a_rows[i][k] * b_rows[k][j]
             row.append(acc)
         rows.append(row)
-    return ModMap(b.source, a.target, rows, degree=a.degree + b.degree)
+    return ModMap.from_rows(b.source, a.target, rows, degree=a.degree + b.degree)
+
+
+def dense_koszul(seq, ring):
+    """The Koszul differentials on seq as dense J-normal matrices.
+
+    Entry (rest, S) of d_k is (-1)^j f_(i_j) when rest is S with its
+    j-th element i_j removed, and zero otherwise; subsets of each size
+    are ordered lex.
+    """
+    zero = ring.poly_ring.zero()
+    subsets = [list(combinations(range(len(seq)), k)) for k in range(len(seq) + 1)]
+    mats = []
+    for k in range(1, len(seq) + 1):
+        mat = []
+        for rest in subsets[k - 1]:
+            row = []
+            for s in subsets[k]:
+                entry = zero
+                for j, i in enumerate(s):
+                    if s[:j] + s[j + 1:] == rest:
+                        entry = ring.nf(seq[i].scale((-1) ** j))
+                row.append(entry)
+            mat.append(row)
+        mats.append(mat)
+    return mats
+
+
+def dense_hom(F, G):
+    """The differentials of Hom(F, G) as dense matrices, from d(phi) itself.
+
+    Each basis map phi of degree i (entry 1 from basis u of F_j to basis
+    v of G_(j+i), as a map of internal degree twist(v) - twist(u)) is
+    sent to dG o phi - (-1)^i phi o dF, both composites taken by
+    dense_compose.  Column phi of the matrix then reads the entries of
+    those composites off in the basis of degree i - 1, ordered by (j,
+    source index, target index).
+    """
+    ring = F.ring
+    P = ring.poly_ring
+
+    def basis(i):
+        return [(j, u, v) for j in range(F.hi + 1) if 0 <= j + i <= G.hi
+                for u in range(F.modules[j].rank) for v in range(G.modules[j + i].rank)]
+
+    mats = []
+    for i in range(-F.hi + 1, G.hi + 1):
+        lower = basis(i - 1)
+        mat = [[P.zero()] * len(basis(i)) for _ in lower]
+        for col, (j, u, v) in enumerate(basis(i)):
+            src, tgt = F.modules[j], G.modules[j + i]
+            unit = [[P.one() if (a, b) == (v, u) else P.zero() for b in range(src.rank)]
+                    for a in range(tgt.rank)]
+            phi = ModMap.from_rows(src, tgt, unit, degree=tgt.twists[v] - src.twists[u])
+            parts = []
+            if j + i >= 1:
+                parts.append((j, dense_compose(G.diff(j + i), phi).rows, 1))
+            if j + 1 <= F.hi:
+                parts.append((j + 1, dense_compose(phi, F.diff(j + 1)).rows, (-1) ** abs(i + 1)))
+            for row, (jj, uu, ww) in enumerate(lower):
+                for block, entries, sign in parts:
+                    if jj == block:
+                        mat[row][col] = mat[row][col] + entries[ww][uu].scale(sign)
+        mats.append(mat)
+    return mats

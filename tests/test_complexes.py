@@ -1,13 +1,16 @@
 """Chain complexes: Koszul construction, homology, minimalization, Hom."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from levelbounds import complexes, gbcore, modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.groebner import E_VAR_CAP, ideal, zero_ideal
+from levelbounds.level import level_interval
 from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, is_power_torsion,
                                  vec_from_polyvec)
 from levelbounds.polys import PolyRing, parse_poly
@@ -65,13 +68,13 @@ def test_koszul_rejects_bad_entries():
 
 def test_complex_validation():
     F0, F1, F2 = (FreeModule(R1, (d,)) for d in (0, 1, 2))
-    mul = lambda s, t: ModMap(s, t, [[T]])
+    mul = lambda s, t: ModMap.from_rows(s, t, [[T]])
     with pytest.raises(UsageError):
         ChainComplex(R1, [F0, F1, F2], [mul(F1, F0), mul(F2, F1)])
     # the same square of maps is a genuine complex once t^2 dies
     Rq = QuotientRing(ideal(P1, [T**2]))
     G0, G1, G2 = (FreeModule(Rq, (d,)) for d in (0, 1, 2))
-    mulq = lambda s, t: ModMap(s, t, [[T]])
+    mulq = lambda s, t: ModMap.from_rows(s, t, [[T]])
     C = ChainComplex(Rq, [G0, G1, G2], [mulq(G1, G0), mulq(G2, G1)])
     assert C.hi == 2
     with pytest.raises(UsageError):
@@ -186,8 +189,8 @@ def identity_summand_complex():
     F0 = FreeModule(R2, (0, 0))
     F1 = FreeModule(R2, (1, 1, 0))
     F2 = FreeModule(R2, (2,))
-    d1 = ModMap(F1, F0, [[X, Y, P2.zero()], [P2.zero(), P2.zero(), P2.one()]])
-    d2 = ModMap(F2, F1, [[Y.scale(-1)], [X], [P2.zero()]])
+    d1 = ModMap.from_rows(F1, F0, [[X, Y, P2.zero()], [P2.zero(), P2.zero(), P2.one()]])
+    d2 = ModMap.from_rows(F2, F1, [[Y.scale(-1)], [X], [P2.zero()]])
     return ChainComplex(R2, [F0, F1, F2], [d1, d2])
 
 
@@ -204,7 +207,7 @@ def test_minimalize_cancels_identity_summand():
 
 def test_minimalize_of_exact_identity_is_zero():
     F = FreeModule(R2, (0,))
-    C = ChainComplex(R2, [F, F], [ModMap(F, F, [[P2.one()]])])
+    C = ChainComplex(R2, [F, F], [ModMap.from_rows(F, F, [[P2.one()]])])
     M = minimalize(C)
     assert M.is_zero_complex()
     assert total_rank(M) == 0
@@ -216,6 +219,43 @@ def test_minimalize_keeps_minimal_complexes():
     assert [m.twists for m in M.modules] == [m.twists for m in K.modules]
     assert all(rows_of(M.diff(i)) == rows_of(K.diff(i)) for i in (1, 2))
     assert total_rank(minimalize(M)) == total_rank(M)
+
+
+def test_minimalize_returns_a_minimal_complex_itself():
+    K = koszul_complex([X, Y], R2)
+    H0 = K.homology(0)
+    assert minimalize(K) is K and minimalize(K).homology(0) is H0
+
+
+def test_minimalize_shortcut_keeps_level_intervals_over_corpus():
+    # a zero module on top makes minimalize trim and rebuild, so the
+    # padded complex takes the rebuilding path to the same minimal complex
+    for C in corpus.build_corpus():
+        top, none = C.modules[-1], FreeModule(C.ring, ())
+        padded = ChainComplex(C.ring, list(C.modules) + [none],
+                              list(C.diffs) + [ModMap(none, top, [])], shift=C.shift)
+        assert minimalize(padded) is not padded
+        if C.is_minimal() and C.modules[0].rank and top.rank:
+            assert minimalize(C) is C
+        assert level_interval(C).as_dict() == level_interval(padded).as_dict()
+
+
+@given(st.data())
+def test_koszul_and_hom_match_dense_oracle_on_corpus(data):
+    C = data.draw(st.sampled_from(corpus.build_corpus(8, seed=7)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    P = C.ring.poly_ring
+    seq = []
+    for _ in range(rng.randrange(0, 3)):
+        f = corpus.random_homogeneous(rng, P, rng.randrange(1, 3))
+        if not f.is_zero():
+            seq.append(f)
+    K = koszul_complex(seq, C.ring)
+    assert [d.rows for d in K.diffs] == [tuple(map(tuple, m))
+                                         for m in oracles.dense_koszul(seq, C.ring)]
+    for F, G in ((C, K), (K, C), (C, C)):
+        assert [d.rows for d in hom_complex(F, G).diffs] == [
+            tuple(map(tuple, m)) for m in oracles.dense_hom(F, G)]
 
 
 def test_minimalize_preserves_homology():

@@ -1,5 +1,6 @@
 """Ideal arithmetic: bases, membership, intersection, radical, dimension."""
 
+import random
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from levelbounds.modules import FreeModule, SubmoduleGB, gamma_torsion, vec_from
 from levelbounds.polys import PolyRing, mono_divides, mono_lcm, mono_mul
 from levelbounds.rings import QuotientRing
 
+import corpus
 import oracles
 
 P2 = PolyRing(2, 101)
@@ -44,6 +46,26 @@ def test_normal_form_examples():
     assert J.normal_form(X1**2) == X1**2
     assert J.contains(X1 * (X2 + X3))
     assert not J.contains(X1**2)
+
+
+def test_normal_form_over_the_free_ring_returns_its_input():
+    f = X ** 2 + X * Y.scale(3)
+    R = QuotientRing.free(P2)
+    assert R.nf(f) is f
+    vec = {(0, e): c for e, c in f.terms}
+    assert P2.from_dict({e: c for (_, e), c in
+                         gbcore.submodule_nf(vec, gbcore.reducer([], 101)).items()}) == f
+    # over a quotient the reducer runs, and nf is still a normal form mod J
+    rng = random.Random(5)
+    quotients = [C.ring.defining for C in corpus.build_corpus(8, seed=7) if C.ring.defining.gb]
+    assert quotients
+    for J in quotients:
+        for d in range(1, 4):
+            g = corpus.random_homogeneous(rng, J.ring, d)
+            r = J.normal_form(g)
+            assert oracles.in_ideal(g - r, list(J.gens))
+            assert not any(mono_divides(lead, e) for lead in J.leading_monomials()
+                           for e, _ in r.terms)
 
 
 def test_ideal_validation():

@@ -96,7 +96,7 @@ def test_gap_certificate_cases():
 
 def _nonminimal():
     F = FreeModule(R2, (0,))
-    return ChainComplex(R2, [F, F], [ModMap(F, F, [[P2.one()]])])
+    return ChainComplex(R2, [F, F], [ModMap.from_rows(F, F, [[P2.one()]])])
 
 
 def test_frank_certificate_values():

@@ -32,7 +32,7 @@ R2 = QuotientRing.free(P2)
 
 def coker(ring, gen_twists, rel_twists, rows):
     gens = FreeModule(ring, gen_twists)
-    return GradedModule(gens, ModMap(FreeModule(ring, rel_twists), gens, rows))
+    return GradedModule(gens, ModMap.from_rows(FreeModule(ring, rel_twists), gens, rows))
 
 
 def test_free_module_basics():
@@ -45,23 +45,41 @@ def test_free_module_basics():
 def test_modmap_validation():
     F = FreeModule(R2, (1,))
     G = FreeModule(R2, (0,))
-    ModMap(F, G, [[X]])
+    ModMap.from_rows(F, G, [[X]])
     with pytest.raises(UsageError):
-        ModMap(F, G, [[X, Y]])
+        ModMap.from_rows(F, G, [[X, Y]])
     with pytest.raises(UsageError):
-        ModMap(F, G, [[X**2]])
+        ModMap.from_rows(F, G, [[X**2]])
     with pytest.raises(UsageError):
-        ModMap(F, G, [[X + P2.one()]])
+        ModMap.from_rows(F, G, [[X + P2.one()]])
     # entries are stored reduced; x^2 dies in k[x,y]/(x^2)
     Rq = QuotientRing(ideal(P2, [X**2]))
-    phi = ModMap(FreeModule(Rq, (2,)), FreeModule(Rq, (0,)), [[X**2]])
+    phi = ModMap.from_rows(FreeModule(Rq, (2,)), FreeModule(Rq, (0,)), [[X**2]])
     assert phi.is_zero()
+
+
+def test_modmap_columns_are_checked_pair_by_pair():
+    F = FreeModule(R2, (1,))
+    G2 = FreeModule(R2, (0, 0))
+    assert ModMap(F, G2, [[(0, P2.zero()), (1, X)]]).cols == (((1, X),),)
+    assert ModMap(F, G2, [[(1, X)]]).rows == ((P2.zero(),), (X,))
+    bad_columns = [
+        [],                            # no column for the one source basis vector
+        [[(1, X), (0, Y)]],            # rows out of order
+        [[(0, X), (0, Y)]],            # a row twice
+        [[(2, X)]],                    # past the target rank
+        [[(-1, X)]],
+        [[(0, PolyRing(3, 101).zero())]],  # a zero from another ring
+    ]
+    for cols in bad_columns:
+        with pytest.raises(UsageError):
+            ModMap(F, G2, cols)
 
 
 def test_modmap_compose_degree():
     F1, F0 = FreeModule(R2, (1,)), FreeModule(R2, (0,))
-    a = ModMap(F1, F0, [[X]])
-    b = ModMap(F0, F0, [[Y]], degree=1)
+    a = ModMap.from_rows(F1, F0, [[X]])
+    b = ModMap.from_rows(F0, F0, [[Y]], degree=1)
     ba = b.compose(a)
     assert ba.degree == 1 and ba.rows[0][0] == X * Y
     with pytest.raises(UsageError):
@@ -87,8 +105,8 @@ def test_map_entries_are_normal():
                 raw = [[f * x for f in row] for row in d.rows]
                 normal = [[R.nf(f) for f in row] for row in raw]
                 reduced_something |= raw != normal
-                assert (ModMap(d.source, d.target, raw, degree=1)
-                        == ModMap(d.source, d.target, normal, degree=1))
+                assert (ModMap.from_rows(d.source, d.target, raw, degree=1)
+                        == ModMap.from_rows(d.source, d.target, normal, degree=1))
         for phi in hom_complex(C, C).diffs:
             entries += entries_of(phi)
         for i in range(C.hi + 1):
@@ -259,7 +277,7 @@ def test_hom_into_ring_examples():
 
 def test_transpose_is_an_involution():
     F1, F0 = FreeModule(R2, (1, 2)), FreeModule(R2, (0,))
-    phi = ModMap(F1, F0, [[X, Y**2]])
+    phi = ModMap.from_rows(F1, F0, [[X, Y**2]])
     tt = transpose_map(transpose_map(phi))
     assert tt.rows == phi.rows
     assert tt.source.twists == phi.source.twists
@@ -560,7 +578,7 @@ def random_map(rng, source, target, degree, blank_row=None, blank_col=None):
             else:
                 row.append(corpus.random_homogeneous(rng, P, d, density))
         rows.append(row)
-    return ModMap(source, target, rows, degree=degree)
+    return ModMap.from_rows(source, target, rows, degree=degree)
 
 
 def assert_compose_matches_dense(a, b):
@@ -573,11 +591,31 @@ def test_compose_in_quotient_vanishes_when_products_fall_into_j():
     R = QuotientRing(ideal(P2, [X ** 2]))
     F = FreeModule(R, (0,))
     G = FreeModule(R, (1,))
-    a = ModMap(G, F, [[X]])
-    b = ModMap(FreeModule(R, (2,)), G, [[X]])
+    a = ModMap.from_rows(G, F, [[X]])
+    b = ModMap.from_rows(FreeModule(R, (2,)), G, [[X]])
     assert not a.is_zero() and not b.is_zero()
     assert a.compose(b).is_zero()
     assert_compose_matches_dense(a, b)
+
+
+def test_zero_entries_and_disjoint_supports_cost_no_normal_form(monkeypatch):
+    R = QuotientRing(ideal(P2, [X ** 2]))
+    calls = []
+    nf = QuotientRing.nf
+    monkeypatch.setattr(QuotientRing, "nf", lambda self, f: calls.append(f) or nf(self, f))
+    F = FreeModule(R, (0,) * 64)
+    z = P2.zero()
+    assert ModMap.from_rows(F, F, [[z] * 64 for _ in range(64)]).is_zero()
+    assert calls == []
+    # a is nonzero only in column 1 and b only in row 0, so no product meets
+    a = ModMap.from_rows(F, F, [[X if j == 1 else z for j in range(64)] for _ in range(64)],
+                         degree=1)
+    b = ModMap.from_rows(F, F, [[Y if i == 0 else z for _ in range(64)] for i in range(64)],
+                         degree=1)
+    calls.clear()
+    assert a.compose(b).is_zero() and calls == []
+    # the other order meets in every index, and its one entry is normalised
+    assert b.compose(a).cols[1] == ((0, (X * Y).scale(64)),) and len(calls) == 1
 
 
 @given(st.data())
