@@ -28,7 +28,6 @@ from .modules import (
     ModMap,
     SubmoduleGB,
     Subquotient,
-    cancel_units,
     kernel_and_image,
     subquotient,
     transpose_map,
@@ -168,6 +167,60 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
 
 # ---------------------------------------------------------------------------
 # minimalization
+
+
+def _find_unit(mats: list):
+    for i, cols in enumerate(mats):
+        units = [(a, b) for b, col in enumerate(cols) for a, e in col.items()
+                 if e.is_constant()]
+        if units:
+            return (i, *min(units))
+    return None
+
+
+def _drop_row(col: dict, a: int) -> dict:
+    """col without row a and without zeros, the rows below a moved up one."""
+    return {r - (r > a): e for r, e in col.items() if r != a and not e.is_zero()}
+
+
+def cancel_units(ring: QuotientRing, twists: list, mats: list) -> None:
+    """Strip unit entries from a chain of matrices by Gaussian cancellation.
+
+    mats[i] maps the free module with twists twists[i + 1] to the one
+    with twists twists[i], as a list of columns, each a dict from row to
+    nonzero entry.  A constant entry u at (a, b) of mats[i] splits off an
+    exact summand: basis b of twists[i + 1] and a of twists[i] are
+    removed, the columns c of mats[i] with an entry at row a pick up the
+    correction -D[a][c] * D[r][b] / u, mats[i + 1] loses row b and
+    mats[i - 1] loses column a.  Pivots are taken first in (matrix, row,
+    column) order until every entry lies in m.  Works in place.
+    """
+    p = ring.char
+    zero = ring.poly_ring.zero()
+    while True:
+        hit = _find_unit(mats)
+        if hit is None:
+            return
+        i, a, b = hit
+        pivot = mats[i][b]
+        uinv = pow(pivot[a].constant_coeff(), p - 2, p)
+        new_cols = []
+        for c, col in enumerate(mats[i]):
+            if c == b:
+                continue
+            f = col.get(a)
+            if f is not None:
+                col = dict(col)
+                for r, g in pivot.items():
+                    col[r] = ring.nf(col.get(r, zero) - (f * g).scale(uinv))
+            new_cols.append(_drop_row(col, a))
+        mats[i] = new_cols
+        if i + 1 < len(mats):
+            mats[i + 1] = [_drop_row(col, b) for col in mats[i + 1]]
+        if i - 1 >= 0:
+            del mats[i - 1][a]
+        del twists[i + 1][b]
+        del twists[i][a]
 
 
 def minimalize(C: ChainComplex) -> ChainComplex:

@@ -22,7 +22,7 @@ from .groebner import (
     ideal_sum,
     krull_dim,
 )
-from .modules import FreeModule, GradedModule, ModMap, frank, syzygies
+from .modules import FreeModule, ModMap, frank, syzygies
 from .polys import Poly
 from .rings import QuotientRing
 
@@ -66,8 +66,9 @@ def edim(R: QuotientRing) -> int:
 
 
 def _sequence_syzygies(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
-    free = FreeModule(R, (0,))
-    return syzygies(free, [(f,) for f in seq])
+    """The syzygies of the 1 x n map sending e_j to seq[j] (twist deg seq[j], 0 if zero)."""
+    source = FreeModule(R, tuple(max(f.degree(), 0) for f in seq))
+    return syzygies(ModMap(source, FreeModule(R, (0,)), [[(0, f)] for f in seq]))
 
 
 def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
@@ -98,8 +99,7 @@ def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
     syz = _sequence_syzygies(seq, R)
     gens = FreeModule(S, syz.target.twists)
     src = FreeModule(S, syz.source.twists)
-    rels = ModMap(src, gens, syz.cols)
-    return frank(GradedModule(gens, rels))
+    return frank(ModMap(src, gens, syz.cols))
 
 
 def is_psop(seq: Sequence[Poly], R: QuotientRing) -> bool:

@@ -23,6 +23,7 @@ from .modules import (
     Subquotient,
     gamma_torsion,
     is_power_torsion,
+    polyvec_from_vec,
 )
 from .polys import DEFAULT_CHAR, Poly, PolyRing
 from .rings import QuotientRing
@@ -118,11 +119,14 @@ def _torsion_generator_witness(h0: Subquotient, I: IdealData):
     Gamma_I(H_0); one not contained in D + m*F_0 is exactly an element
     of Gamma_I(H_0) that survives in H_0 tensor k.  The complex is
     minimal and J is homogeneous and proper, so D lies in m*F_0 and
-    D + m*F_0 = m*F_0: a candidate lies outside it exactly when some
-    coordinate has a nonzero constant term.
+    D + m*F_0 = m*F_0: a candidate lies outside it exactly when it has a
+    constant term.  The witness comes back as one polynomial per
+    coordinate, for the evidence.
     """
-    cols = gamma_torsion(h0.denom, I)
-    return next((c for c in cols if any(f.constant_coeff() for f in c)), None)
+    for v in gamma_torsion(h0.denom, I):
+        if any(not any(e) for _, e in v):
+            return polyvec_from_vec(h0.free.ring.poly_ring, h0.free.rank, v)
+    return None
 
 
 def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:

@@ -1,15 +1,16 @@
-"""Graded modules over R = P/J: presentations and submodule calculus.
+"""Graded modules over R = P/J: free modules, maps and submodule calculus.
 
-A module is presented as the cokernel of a map between twisted free
-modules.  Vectors over R are tuples of polynomials in canonical J-normal
-form.  Every operation (syzygies, kernels, colons, torsion, Hom, free
-rank) reduces to the relative syzygy primitive of the Groebner engine,
-with J folded in by appending J-multiples of the ambient basis.  Kernels
-and torsion submodules come back as generator vectors, which is what
-their callers read; a kernel comes with the image basis of its own run.
-A subquotient, homology among them, stays in its ambient free module:
-generator vectors modulo a reduced basis of the denominator, with no
-presentation built.
+Maps between twisted free modules hold J-normal polynomial entries.  A
+vector of a free module is the Groebner engine's dict from (position,
+exponents) to coefficient, in J-normal form, from the elimination run
+that makes it to the checks that read it.  Every operation (syzygies,
+kernels, colons, torsion, Hom, free rank) reduces to the relative
+syzygy primitive of the Groebner engine, with J folded in by appending
+J-multiples of the ambient basis.  Kernels and torsion submodules come
+back as generator vectors, which is what their callers read; a kernel
+comes with the image basis of its own run.  A subquotient, homology
+among them, stays in its ambient free module: generator vectors modulo
+a reduced basis of the denominator, with no presentation built.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and a nonzero map entry (i, j) must be
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import UsageError
@@ -30,7 +31,7 @@ from .rings import QuotientRing
 
 
 # ---------------------------------------------------------------------------
-# free modules, maps, presented modules
+# free modules and maps
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,8 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.twists)
 
-    def basis_vector(self, j: int) -> tuple:
-        zero = self.ring.poly_ring.zero()
-        one = self.ring.poly_ring.one()
-        return tuple(one if i == j else zero for i in range(self.rank))
+    def basis_vector(self, j: int) -> dict:
+        return {(j, (0,) * self.ring.nvars): 1}
 
 
 class ModMap:
@@ -164,60 +163,17 @@ class ModMap:
         return f"ModMap({self.target.rank}x{self.source.rank}, degree={self.degree})"
 
 
-class GradedModule:
-    """coker(rels) for rels mapping into the free module of generators."""
-
-    def __init__(self, gens: FreeModule, rels: ModMap):
-        if rels.target != gens:
-            raise UsageError("relations must land in the generator module")
-        if rels.degree != 0:
-            raise UsageError("relation maps must have internal degree zero")
-        self.gens = gens
-        self.rels = rels
-        self._minimal: Optional[GradedModule] = None
-
-    @property
-    def ring(self) -> QuotientRing:
-        return self.gens.ring
-
-    def __repr__(self):
-        return f"GradedModule(gens={self.gens.twists}, rels={self.rels.source.rank})"
-
-
 # ---------------------------------------------------------------------------
 # vector plumbing
 
 
-def vec_from_polyvec(polys: Sequence[Poly]) -> dict:
-    out: dict = {}
-    for i, f in enumerate(polys):
-        for e, c in f.terms:
-            out[(i, e)] = c
-    return out
-
-
 def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
+    """v as one polynomial per position, for map entries and evidence strings."""
     per: list = [dict() for _ in range(rank)]
     for (pos, e), c in v.items():
         per[pos][e] = c
     zero = ring.zero()
     return tuple(ring.from_dict(d) if d else zero for d in per)
-
-
-def polyvec_degree(free: FreeModule, polys: Sequence[Poly]) -> Optional[int]:
-    """Homogeneous degree of a vector, None when it is zero."""
-    deg = None
-    for j, f in enumerate(polys):
-        if f.is_zero():
-            continue
-        if not f.is_homogeneous():
-            raise UsageError(f"component {j} is not homogeneous: {f}")
-        d = f.degree() + free.twists[j]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise UsageError("vector is not homogeneous across components")
-    return deg
 
 
 def _defining_multiples(free: FreeModule) -> list:
@@ -254,53 +210,48 @@ class SubmoduleGB:
     def contains(self, v: dict) -> bool:
         return not self.nf(v)
 
-    def contains_polyvec(self, polys: Sequence[Poly]) -> bool:
-        return self.contains(vec_from_polyvec(polys))
-
 
 # ---------------------------------------------------------------------------
 # syzygies and kernels
 
 
-def _nonzero_normal(ring: QuotientRing, rank: int, vecs: Sequence[dict]) -> list:
-    """The raw vectors as J-normal tuples of length rank, zeros dropped."""
-    out = []
-    for v in vecs:
-        raw = polyvec_from_vec(ring.poly_ring, rank, v)
-        pv = tuple(f if f.is_zero() else ring.nf(f) for f in raw)
-        if any(not f.is_zero() for f in pv):
-            out.append(pv)
-    return out
+def _nonzero_normal(free: FreeModule, vecs: Sequence[dict]) -> list:
+    """The vectors of free reduced modulo J*free, zeros dropped.
 
-
-def _syzygy_vectors(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> tuple:
-    """Relations among vectors modulo J, and the reduced basis of their span + J*free.
-
-    Each relation is a nonzero J-normal tuple with one entry per vector.
+    The basis of J*free is J's reduced basis at every position, so each
+    component comes out as its ring.nf.
     """
-    ring = free.ring
-    tracked = [vec_from_polyvec(v) for v in vectors]
-    raw, image = relative_syzygies(tracked, _defining_multiples(free), rank=free.rank,
+    basis = reducer(_defining_multiples(free), free.ring.char)
+    return [w for w in (submodule_nf(v, basis) for v in vecs) if w]
+
+
+def kernel_and_image(phi: ModMap) -> tuple:
+    """ker(phi) as nonzero J-normal source vectors, and im(phi) + J*target as a handle.
+
+    One relative syzygy run on the columns gives both halves: the image
+    basis is that run's own module_gb output, not a second run.
+    """
+    if phi.degree != 0:
+        raise UsageError("kernel is only computed for degree zero maps")
+    ring = phi.ring
+    tracked = [{(i, e): c for i, f in col for e, c in f.terms} for col in phi.cols]
+    raw, image = relative_syzygies(tracked, _defining_multiples(phi.target), rank=phi.target.rank,
                                    nvars=ring.nvars, p=ring.char)
-    return _nonzero_normal(ring, len(vectors), raw), image
+    return _nonzero_normal(phi.source, raw), SubmoduleGB._of_run(phi.target, image)
 
 
-def _map_from_columns(target: FreeModule, cols: list) -> ModMap:
-    """The map into target with the given columns, source twists read off them."""
-    source = FreeModule(target.ring, tuple(polyvec_degree(target, c) for c in cols))
-    return ModMap(source, target, [list(enumerate(c)) for c in cols])
+def syzygies(phi: ModMap) -> ModMap:
+    """The kernel of phi, as a map onto it whose columns generate all R-relations.
 
-
-def syzygies(free: FreeModule, vectors: Sequence[Sequence[Poly]]) -> ModMap:
-    """First syzygy module of the given vectors over R, as a map.
-
-    The target is the free module on the input vectors (twists = their
-    degrees); columns of the returned map generate all R-relations.  A
-    zero vector j gets twist 0: its relation e_j is the only generator
-    that touches position j, so any twist would do.
+    A column's twist is read off its first term; the ModMap constructor
+    checks that every entry is homogeneous.
     """
-    degrees = tuple(polyvec_degree(free, v) or 0 for v in vectors)
-    return _map_from_columns(FreeModule(free.ring, degrees), _syzygy_vectors(free, vectors)[0])
+    kernel = kernel_and_image(phi)[0]
+    source = phi.source
+    twists = tuple(source.twists[pos] + sum(e) for pos, e in (next(iter(v)) for v in kernel))
+    P = phi.ring.poly_ring
+    cols = [list(enumerate(polyvec_from_vec(P, source.rank, v))) for v in kernel]
+    return ModMap(FreeModule(phi.ring, twists), source, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,110 +267,14 @@ class Subquotient:
         return not self.gens
 
 
-def subquotient(
-    free: FreeModule, numerators: Sequence[Sequence[Poly]], denom: SubmoduleGB
-) -> Subquotient:
+def subquotient(free: FreeModule, numerators: Sequence[dict], denom: SubmoduleGB) -> Subquotient:
     """(span(numerators) + D) / D inside free, for D held by its reduced basis handle.
 
     D contains J*free, as every SubmoduleGB does.  The numerators must be
     J-normal: those outside D are kept as the generators.
     """
-    gens = tuple(tuple(v) for v in numerators if not denom.contains_polyvec(v))
+    gens = tuple(v for v in numerators if not denom.contains(v))
     return Subquotient(free, gens, denom)
-
-
-def kernel_and_image(phi: ModMap) -> tuple:
-    """ker(phi) as nonzero J-normal source vectors, and im(phi) + J*target as a handle.
-
-    One relative syzygy run on the columns gives both halves: the image
-    basis is that run's own module_gb output, not a second run.
-    """
-    if phi.degree != 0:
-        raise UsageError("kernel is only computed for degree zero maps")
-    kernel, image = _syzygy_vectors(phi.target, phi.columns())
-    return kernel, SubmoduleGB._of_run(phi.target, image)
-
-
-# ---------------------------------------------------------------------------
-# minimal presentations
-
-
-def _find_unit(mats: list):
-    for i, cols in enumerate(mats):
-        units = [(a, b) for b, col in enumerate(cols) for a, e in col.items()
-                 if e.is_constant()]
-        if units:
-            return (i, *min(units))
-    return None
-
-
-def _drop_row(col: dict, a: int) -> dict:
-    """col without row a and without zeros, the rows below a moved up one."""
-    return {r - (r > a): e for r, e in col.items() if r != a and not e.is_zero()}
-
-
-def cancel_units(ring: QuotientRing, twists: list, mats: list) -> None:
-    """Strip unit entries from a chain of matrices by Gaussian cancellation.
-
-    mats[i] maps the free module with twists twists[i + 1] to the one
-    with twists twists[i], as a list of columns, each a dict from row to
-    nonzero entry.  A constant entry u at (a, b) of mats[i] splits off an
-    exact summand: basis b of twists[i + 1] and a of twists[i] are
-    removed, the columns c of mats[i] with an entry at row a pick up the
-    correction -D[a][c] * D[r][b] / u, mats[i + 1] loses row b and
-    mats[i - 1] loses column a.  Pivots are taken first in (matrix, row,
-    column) order until every entry lies in m.  Works in place.
-    """
-    p = ring.char
-    zero = ring.poly_ring.zero()
-    while True:
-        hit = _find_unit(mats)
-        if hit is None:
-            return
-        i, a, b = hit
-        pivot = mats[i][b]
-        uinv = pow(pivot[a].constant_coeff(), p - 2, p)
-        new_cols = []
-        for c, col in enumerate(mats[i]):
-            if c == b:
-                continue
-            f = col.get(a)
-            if f is not None:
-                col = dict(col)
-                for r, g in pivot.items():
-                    col[r] = ring.nf(col.get(r, zero) - (f * g).scale(uinv))
-            new_cols.append(_drop_row(col, a))
-        mats[i] = new_cols
-        if i + 1 < len(mats):
-            mats[i + 1] = [_drop_row(col, b) for col in mats[i + 1]]
-        if i - 1 >= 0:
-            del mats[i - 1][a]
-        del twists[i + 1][b]
-        del twists[i][a]
-
-
-def minimal_presentation(M: GradedModule) -> GradedModule:
-    """Prune unit entries by pivoting until all relations lie in m.
-
-    Each pivot removes one generator and one relation by the usual
-    Gaussian cancellation; zero relation columns are dropped at the end.
-    Idempotent, and preserves the degreewise Hilbert function.
-    """
-    if M._minimal is not None:
-        return M._minimal
-    ring = M.ring
-    twists = [list(M.gens.twists), list(M.rels.source.twists)]
-    mats = [[dict(col) for col in M.rels.cols]]
-    cancel_units(ring, twists, mats)
-    gen_twists, src_twists = twists
-    keep = [j for j, col in enumerate(mats[0]) if col]
-    gens = FreeModule(ring, tuple(gen_twists))
-    source = FreeModule(ring, tuple(src_twists[j] for j in keep))
-    cols = [sorted(mats[0][j].items()) for j in keep]
-    result = GradedModule(gens, ModMap(source, gens, cols))
-    result._minimal = result
-    M._minimal = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +342,7 @@ def _stable_colon(n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
 _EXPONENT_CAP = 4
 
 
-def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[Sequence[Poly]], f: Poly) -> bool:
+def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[dict], f: Poly) -> bool:
     """True when f^s * v lies in N for every v and some s <= _EXPONENT_CAP.
 
     Iterates w <- nf(f * w) from w = v.  Since N is a submodule,
@@ -496,8 +351,7 @@ def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[Sequence[Poly]], f: 
     the cap ran out.
     """
     p = n_gb.free.ring.char
-    for v in vectors:
-        w = vec_from_polyvec(v)
+    for w in vectors:
         for _ in range(_EXPONENT_CAP):
             fw: dict = {}
             for e, c in f.terms:
@@ -529,14 +383,13 @@ def gamma_torsion(n_gb: SubmoduleGB, I) -> list:
     basis vectors in order.  Candidates that lie in N are dropped.
     """
     free = n_gb.free
-    ring = free.ring
-    gens = _nonzero_gens(ring, I)
+    gens = _nonzero_gens(free.ring, I)
     basis = [free.basis_vector(k) for k in range(free.rank)]
     if all(_kills_by_exponent(n_gb, basis, f) for f in gens):
         candidates = basis
     else:
-        candidates = _nonzero_normal(ring, free.rank, _stable_colon(n_gb, gens).gb)
-    return [v for v in candidates if not n_gb.contains_polyvec(v)]
+        candidates = _nonzero_normal(free, _stable_colon(n_gb, gens).gb)
+    return [v for v in candidates if not n_gb.contains(v)]
 
 
 def is_power_torsion(H: Subquotient, I) -> bool:
@@ -551,7 +404,7 @@ def is_power_torsion(H: Subquotient, I) -> bool:
     """
     return all(
         _kills_by_exponent(H.denom, H.gens, f)
-        or all(map(_stable_colon(H.denom, [f]).contains_polyvec, H.gens))
+        or all(map(_stable_colon(H.denom, [f]).contains, H.gens))
         for f in _nonzero_gens(H.free.ring, I)
     )
 
@@ -560,22 +413,20 @@ def is_power_torsion(H: Subquotient, I) -> bool:
 # free rank
 
 
-def frank(M: GradedModule) -> int:
-    """Rank of the largest free direct summand of M.
+def frank(rels: ModMap) -> int:
+    """Rank of the largest free direct summand of M = coker(rels).
 
     Equals the rank over k of the evaluation pairing between Hom(M, R)
-    and the minimal generators of M: an invertible r x r evaluation
-    minor assembles a split surjection onto a rank r free module, and
-    any free summand contributes such a minor.
+    and the generators of M: an invertible r x r evaluation minor
+    assembles a split surjection onto a rank r free module, and any free
+    summand contributes such a minor.  The generators need not be
+    minimal.  A redundant g_j = sum r_k g_k pairs with every functional
+    as sum r_k(0) times the pairings of the g_k, so its column adds no
+    rank.
     """
-    Mm = minimal_presentation(M)
-    r = Mm.gens.rank
-    if r == 0:
-        return 0
     # Hom_R(M, R) is the kernel of the transposed relations; a kernel
     # vector lists the values of a functional on the generators of M
-    hom = kernel_and_image(transpose_map(Mm.rels))[0]
-    if not hom:
-        return 0
-    pairing = [[f.constant_coeff() for f in vec] for vec in hom]
-    return linalg.rank(pairing, M.ring.char)
+    hom = kernel_and_image(transpose_map(rels))[0]
+    zero = (0,) * rels.ring.nvars
+    pairing = [[vec.get((j, zero), 0) for j in range(rels.target.rank)] for vec in hom]
+    return linalg.rank(pairing, rels.ring.char)

@@ -9,6 +9,7 @@ strictly descending, coefficients reduced to 1..p-1.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -34,25 +35,26 @@ def is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monomials: exponent tuples
+# monomials: exponent tuples, combined by map over an operator, which
+# runs without a generator frame per component
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """Quotient exponent of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: tuple) -> int:

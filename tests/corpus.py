@@ -7,7 +7,10 @@ draw.  Constant matrix entries are allowed on purpose; they exercise
 the minimalization path.  The builders at the end (minimal generator
 count, direct sums, diagonal maps, free modules, and the passage
 between a presented module and a subquotient) make fixtures for the
-tests.
+tests.  Presented modules are the oracles' GradedModule; the vectors
+the engine hands out (kernels, subquotient generators) are its dicts
+from (position, exponents) to coefficient, and polyvecs turns them into
+polynomial tuples where a fixture needs matrix entries.
 """
 
 import random
@@ -17,13 +20,13 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
-                                 kernel_and_image, minimal_presentation, polyvec_degree,
-                                 subquotient, vec_from_polyvec)
+from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, kernel_and_image,
+                                 polyvec_from_vec, subquotient)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
 import oracles
+from oracles import GradedModule, minimal_presentation, polyvec_degree, vec_from_polyvec
 
 _cache = {}
 
@@ -77,8 +80,7 @@ def build_corpus(count=24, seed=20260819):
             rows.append(row)
         d1 = ModMap.from_rows(F1, F0, rows)
         take = rng.randrange(0, 4)
-        cols = [c for c in kernel_and_image(d1)[0][:take]
-                if any(not f.is_zero() for f in c)]
+        cols = polyvecs(F1, kernel_and_image(d1)[0][:take])
         if cols:
             t2 = tuple(polyvec_degree(F1, c) for c in cols)
             F2 = FreeModule(R, t2)
@@ -89,6 +91,17 @@ def build_corpus(count=24, seed=20260819):
         out.append(C)
     _cache[key] = out
     return out
+
+
+def polyvecs(free, vecs):
+    """Dict vectors of free as tuples of polynomials, one per position."""
+    return [polyvec_from_vec(free.ring.poly_ring, free.rank, v) for v in vecs]
+
+
+def map_from_columns(target, cols):
+    """The map into target with the given polynomial-tuple columns, source twists read off them."""
+    source = FreeModule(target.ring, tuple(polyvec_degree(target, c) for c in cols))
+    return ModMap(source, target, [list(enumerate(c)) for c in cols])
 
 
 def min_gens(M):
@@ -133,11 +146,10 @@ def present(H):
     """
     free = H.free
     ring = free.ring
-    gens = FreeModule(ring, tuple(polyvec_degree(free, v) for v in H.gens))
-    raw, _ = relative_syzygies([vec_from_polyvec(v) for v in H.gens], H.denom.gb,
-                               rank=free.rank, nvars=ring.nvars, p=ring.char)
-    cols = modules._nonzero_normal(ring, len(H.gens), raw)
-    return GradedModule(gens, modules._map_from_columns(gens, cols))
+    gens = FreeModule(ring, tuple(polyvec_degree(free, v) for v in polyvecs(free, H.gens)))
+    raw, _ = relative_syzygies(H.gens, H.denom.gb, rank=free.rank, nvars=ring.nvars, p=ring.char)
+    cols = polyvecs(gens, modules._nonzero_normal(gens, raw))
+    return GradedModule(gens, map_from_columns(gens, cols))
 
 
 def as_subquotient(M):

@@ -17,19 +17,97 @@ is built on dense_compose, check the placement and signs of the Koszul
 and Hom entries the same way.  annihilator, radical_membership
 and torsion_generator_by_span are references of another kind: they
 route through the engine by a different construction than the checks
-they are compared with.
+they are compared with.  So is minimal_presentation, which prunes a
+presented module (GradedModule) by unit cancellation for the frank and
+Hilbert function references that read minimal generators; the engine's
+frank reads any presentation.  Presented modules hold their vectors as
+tuples of polynomials, one per position; vec_from_polyvec turns one
+into the engine's dict.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from levelbounds.complexes import cancel_units
 from levelbounds.errors import UsageError
 from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_syzygies
 from levelbounds.groebner import IdealData, ideal_intersection
-from levelbounds.modules import (ModMap, SubmoduleGB, _defining_multiples, gamma_torsion,
-                                 vec_from_polyvec)
+from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, _defining_multiples,
+                                 gamma_torsion, polyvec_from_vec)
 from levelbounds.polys import Poly, mono_mul
+
+
+# ---------------------------------------------------------------------------
+# presented modules: coker(rels), and their minimal presentations
+
+
+class GradedModule:
+    """coker(rels) for rels mapping into the free module of generators."""
+
+    def __init__(self, gens, rels):
+        if rels.target != gens:
+            raise UsageError("relations must land in the generator module")
+        if rels.degree != 0:
+            raise UsageError("relation maps must have internal degree zero")
+        self.gens = gens
+        self.rels = rels
+        self._minimal = None
+
+    @property
+    def ring(self):
+        return self.gens.ring
+
+    def __repr__(self):
+        return f"GradedModule(gens={self.gens.twists}, rels={self.rels.source.rank})"
+
+
+def minimal_presentation(M):
+    """Prune unit entries by pivoting until all relations lie in m.
+
+    Each pivot removes one generator and one relation by the usual
+    Gaussian cancellation; zero relation columns are dropped at the end.
+    Idempotent, and preserves the degreewise Hilbert function.
+    """
+    if M._minimal is not None:
+        return M._minimal
+    ring = M.ring
+    twists = [list(M.gens.twists), list(M.rels.source.twists)]
+    mats = [[dict(col) for col in M.rels.cols]]
+    cancel_units(ring, twists, mats)
+    gen_twists, src_twists = twists
+    keep = [j for j, col in enumerate(mats[0]) if col]
+    gens = FreeModule(ring, tuple(gen_twists))
+    source = FreeModule(ring, tuple(src_twists[j] for j in keep))
+    cols = [sorted(mats[0][j].items()) for j in keep]
+    result = GradedModule(gens, ModMap(source, gens, cols))
+    result._minimal = result
+    M._minimal = result
+    return result
+
+
+def vec_from_polyvec(polys):
+    out = {}
+    for i, f in enumerate(polys):
+        for e, c in f.terms:
+            out[(i, e)] = c
+    return out
+
+
+def polyvec_degree(free, polys):
+    """Homogeneous degree of a vector, None when it is zero."""
+    deg = None
+    for j, f in enumerate(polys):
+        if f.is_zero():
+            continue
+        if not f.is_homogeneous():
+            raise UsageError(f"component {j} is not homogeneous: {f}")
+        d = f.degree() + free.twists[j]
+        if deg is None:
+            deg = d
+        elif deg != d:
+            raise UsageError("vector is not homogeneous across components")
+    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +580,8 @@ def torsion_generator_by_span(h0, I):
             span.append(vec_from_polyvec([x if k == j else P.zero() for k in range(free.rank)]))
     handle = SubmoduleGB(free, span)
     for c in gamma_torsion(h0.denom, I):
-        if not handle.contains_polyvec(c):
-            return c
+        if not handle.contains(c):
+            return polyvec_from_vec(P, free.rank, c)
     return None
 
 

@@ -11,8 +11,7 @@ from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, min
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.groebner import E_VAR_CAP, ideal, zero_ideal
 from levelbounds.level import level_interval
-from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, is_power_torsion,
-                                 vec_from_polyvec)
+from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, is_power_torsion
 from levelbounds.polys import PolyRing, parse_poly
 from levelbounds.rings import QuotientRing
 
@@ -109,7 +108,7 @@ def test_zerodivisor_shows_up_in_h1():
 def test_homology_denominator_is_the_image_half_of_the_next_run():
     for C in corpus.build_corpus():
         for i in range(C.hi):
-            cols = [vec_from_polyvec(c) for c in C.diff(i + 1).columns()]
+            cols = [oracles.vec_from_polyvec(c) for c in C.diff(i + 1).columns()]
             assert C.homology(i).denom.gb == SubmoduleGB(C.modules[i], cols).gb
 
 

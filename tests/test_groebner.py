@@ -14,7 +14,7 @@ from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
                                   zero_ideal)
 from levelbounds.level import verify_factorization_example
-from levelbounds.modules import FreeModule, SubmoduleGB, gamma_torsion, vec_from_polyvec
+from levelbounds.modules import FreeModule, SubmoduleGB, gamma_torsion
 from levelbounds.polys import PolyRing, mono_divides, mono_lcm, mono_mul
 from levelbounds.rings import QuotientRing
 
@@ -92,8 +92,8 @@ def test_quotient_and_saturation():
     # of P/(x^2 y): its generators are the stable colon numerators
     R = QuotientRing.free(P2)
     F = FreeModule(R, (0,))
-    T = gamma_torsion(SubmoduleGB(F, [vec_from_polyvec((X**2 * Y,))]), ideal(P2, [X]))
-    assert gb_set(ideal(P2, [v[0] for v in T])) == {Y}
+    T = gamma_torsion(SubmoduleGB(F, [oracles.vec_from_polyvec((X**2 * Y,))]), ideal(P2, [X]))
+    assert gb_set(ideal(P2, [v[0] for v in corpus.polyvecs(F, T)])) == {Y}
 
 
 def test_radical_membership_examples():

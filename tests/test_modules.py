@@ -1,4 +1,9 @@
-"""Graded modules: syzygies, subquotients, minimal presentations, duals, frank."""
+"""Module calculus: maps, syzygies, kernels, subquotients, torsion, duals, frank.
+
+The engine's vectors are dicts from (position, exponents) to
+coefficient.  Presented modules, minimal presentations and polynomial
+tuple vectors are the test references in oracles.py.
+"""
 
 import random
 from itertools import combinations
@@ -11,19 +16,17 @@ from hypothesis import given, strategies as st
 from levelbounds import linalg, modules
 from levelbounds.complexes import hom_complex, koszul_complex
 from levelbounds.errors import UsageError
-from levelbounds.gbcore import _Basis, normal_form
+from levelbounds.gbcore import _Basis, normal_form, reducer, submodule_nf
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, GradedModule, ModMap, SubmoduleGB,
-                                 frank, gamma_torsion,
-                                 is_power_torsion, kernel_and_image,
-                                 minimal_presentation, polyvec_degree,
-                                 polyvec_from_vec, subquotient, syzygies,
-                                 transpose_map, vec_from_polyvec)
+from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, frank, gamma_torsion,
+                                 is_power_torsion, kernel_and_image, polyvec_from_vec,
+                                 subquotient, syzygies, transpose_map)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
 import corpus
 import oracles
+from oracles import GradedModule, minimal_presentation, polyvec_degree, vec_from_polyvec
 
 P2 = PolyRing(2, 101)
 X, Y = P2.variables()
@@ -38,8 +41,7 @@ def coker(ring, gen_twists, rel_twists, rows):
 def test_free_module_basics():
     F = FreeModule(R2, (0, 1))
     assert F.rank == 2
-    e0 = F.basis_vector(0)
-    assert e0[0] == P2.one() and e0[1].is_zero()
+    assert F.basis_vector(1) == {(1, (0, 0)): 1}
 
 
 def test_modmap_validation():
@@ -90,12 +92,30 @@ def entries_of(phi):
     return [f for row in phi.rows for f in row]
 
 
+def assert_j_normal(free, vecs):
+    """Each vector is fixed by the normal form against J*free, and each of
+    its components is the ring normal form of itself."""
+    j_basis = reducer(modules._defining_multiples(free), free.ring.char)
+    for v in vecs:
+        assert v and submodule_nf(v, j_basis) == v
+        assert all(free.ring.nf(f) == f for f in corpus.polyvecs(free, [v])[0])
+
+
 def test_map_entries_are_normal():
     # compose, hom_complex and subquotient leave J-normalising to ModMap
-    # or to their callers; every entry they hand out must still be normal
+    # or to their callers; every entry they hand out must still be normal,
+    # and so must the vectors of kernels, homology and torsion generators
     reduced_something = False
     for C in corpus.build_corpus(8, seed=7):
         R = C.ring
+        P = R.poly_ring
+        for d in C.diffs:
+            assert_j_normal(d.source, kernel_and_image(d)[0])
+        for i in range(C.hi + 1):
+            H = C.homology(i)
+            assert_j_normal(H.free, H.gens)
+            for I in (ideal(P, [P.var(0)]), ideal(P, list(P.variables()))):
+                assert_j_normal(H.free, gamma_torsion(H.denom, I))
         entries = []
         for d, e in zip(C.diffs, C.diffs[1:]):
             entries += entries_of(d.compose(e))
@@ -109,28 +129,31 @@ def test_map_entries_are_normal():
                         == ModMap.from_rows(d.source, d.target, normal, degree=1))
         for phi in hom_complex(C, C).diffs:
             entries += entries_of(phi)
-        for i in range(C.hi + 1):
-            entries += [f for v in C.homology(i).gens for f in v]
         assert all(R.nf(f) == f for f in entries)
     assert reduced_something
 
 
+def row_syzygies(seq):
+    """The syzygies of the 1 x n map with row seq, twists the entry degrees (0 for a zero)."""
+    source = FreeModule(R2, tuple(max(f.degree(), 0) for f in seq))
+    return syzygies(ModMap.from_rows(source, FreeModule(R2, (0,)), [seq]))
+
+
 def test_syzygies_examples():
-    F = FreeModule(R2, (0,))
-    syz = syzygies(F, [(X,), (Y,)])
+    syz = row_syzygies([X, Y])
     assert syz.source.rank == 1
     c = syz.column(0)
     assert (c[0] * X + c[1] * Y).is_zero()
     assert {oracles.monic(c[0]), oracles.monic(c[1])} == {X, Y}
-    syz2 = syzygies(F, [(X,), (X * Y,)])
+    syz2 = row_syzygies([X, X * Y])
     assert syz2.source.rank == 1
     c2 = syz2.column(0)
     # the unit entry betrays the redundant generator
     assert any(f.is_constant() and not f.is_zero() for f in c2)
-    assert syzygies(F, [(X**2,)]).source.rank == 0
+    assert row_syzygies([X**2]).source.rank == 0
     # a zero vector gets twist 0; its relation e_0 is the only one
     # touching position 0, and the other is the Koszul relation of X, Y
-    syz3 = syzygies(F, [(P2.zero(),), (X,), (Y,)])
+    syz3 = row_syzygies([P2.zero(), X, Y])
     assert syz3.target.twists == (0, 1, 1)
     cols = [syz3.column(j) for j in range(syz3.source.rank)]
     assert sorted(tuple(not f.is_zero() for f in c) for c in cols) == [
@@ -163,8 +186,7 @@ def binary_forms(max_deg=3):
 
 @given(binary_forms(), binary_forms())
 def test_regular_pairs_have_one_syzygy(f, g):
-    F = FreeModule(R2, (0,))
-    syz = syzygies(F, [(f,), (g,)])
+    syz = row_syzygies([f, g])
     if forms_share_factor(f, g):
         assert syz.source.rank >= 1
     else:
@@ -177,10 +199,10 @@ def test_regular_pairs_have_one_syzygy(f, g):
 def test_submodule_gb_membership():
     F = FreeModule(R2, (0,))
     span = SubmoduleGB(F, [vec_from_polyvec((X,)), vec_from_polyvec((Y,))])
-    assert span.contains_polyvec((X * Y,))
-    assert not span.contains_polyvec((P2.one(),))
-    unit = SubmoduleGB(F, [vec_from_polyvec((P2.one(),))])
-    assert unit.contains_polyvec((P2.one(),)) and unit.contains_polyvec((X + Y,))
+    assert span.contains(vec_from_polyvec((X * Y,)))
+    assert not span.contains(F.basis_vector(0))
+    unit = SubmoduleGB(F, [F.basis_vector(0)])
+    assert unit.contains(F.basis_vector(0)) and unit.contains(vec_from_polyvec((X + Y,)))
     x_span = SubmoduleGB(F, [vec_from_polyvec((X,))])
     assert not x_span.nf(vec_from_polyvec((X,)))
     assert x_span.nf(vec_from_polyvec((Y,))) == vec_from_polyvec((Y,))
@@ -215,10 +237,9 @@ def test_cached_reducers_match_fresh_bases():
 def test_kernel_vanishes_after_inclusion():
     for C in corpus.build_corpus(8, seed=7):
         phi = C.diff(1)
-        vecs, _ = kernel_and_image(phi)
-        if not vecs:
-            continue
-        assert phi.compose(modules._map_from_columns(phi.source, vecs)).is_zero()
+        syz = syzygies(phi)
+        assert syz.source.rank == len(kernel_and_image(phi)[0])
+        assert phi.compose(syz).is_zero()
 
 
 def test_min_gens_examples():
@@ -263,7 +284,8 @@ def test_direct_sum_hilbert_additive():
 def hom_degrees(M):
     """Degrees of the generators of Hom(M, R), one kernel vector each."""
     dual = transpose_map(M.rels)
-    return [polyvec_degree(dual.source, v) for v in kernel_and_image(dual)[0]]
+    return [polyvec_degree(dual.source, v)
+            for v in corpus.polyvecs(dual.source, kernel_and_image(dual)[0])]
 
 
 def test_hom_into_ring_examples():
@@ -340,8 +362,7 @@ def test_power_torsion_agrees_with_radical_route(case):
 def colon_route_torsion(H, I):
     """is_power_torsion by the colon loop alone, one generator at a time."""
     gens = modules._nonzero_gens(H.free.ring, I)
-    return all(modules._stable_colon(H.denom, [f]).contains_polyvec(g)
-               for f in gens for g in H.gens)
+    return all(modules._stable_colon(H.denom, [f]).contains(g) for f in gens for g in H.gens)
 
 
 def colon_route_gamma(M, I):
@@ -350,7 +371,7 @@ def colon_route_gamma(M, I):
     gens = modules._nonzero_gens(M.ring, I)
     if gens:
         stable = modules._stable_colon(corpus.as_subquotient(M).denom, gens)
-        numerators = modules._nonzero_normal(M.ring, free.rank, stable.gb)
+        numerators = modules._nonzero_normal(free, stable.gb)
     else:
         numerators = [free.basis_vector(k) for k in range(free.rank)]
     return subquotient(free, numerators, corpus.as_subquotient(M).denom)
@@ -439,29 +460,58 @@ def test_torsion_checks_match_colon_route_on_corpus(data):
 
 
 def frank_catalog():
+    """(M, frank M) as built, before any pruning."""
     kfield = QuotientRing(ideal(P2, [X, Y]))
-    resfield = minimal_presentation(coker(R2, (0,), (1, 1), [[X, Y]]))
+    resfield = coker(R2, (0,), (1, 1), [[X, Y]])
     cases = [
         (corpus.free_module(FreeModule(R2, (0, 1))), 2),
         (resfield, 0),
         (corpus.free_module(FreeModule(kfield, (1, 1))), 2),
-        (minimal_presentation(corpus.direct_sum(
-            corpus.free_module(FreeModule(R2, (0,))), resfield)), 1),
-        (minimal_presentation(
-            corpus.present(koszul_complex([X, X * Y], R2).homology(1))), 0),
-        (minimal_presentation(corpus.direct_sum(
+        (corpus.direct_sum(corpus.free_module(FreeModule(R2, (0,))), resfield), 1),
+        (corpus.present(koszul_complex([X, X * Y], R2).homology(1)), 0),
+        (corpus.direct_sum(
             corpus.free_module(FreeModule(R2, (-1,))),
-            corpus.free_module(FreeModule(R2, (2,))))), 2),
+            corpus.free_module(FreeModule(R2, (2,)))), 2),
     ]
     return cases
 
 
 def test_frank_examples_and_oracle():
     for M, want in frank_catalog():
-        got = frank(M)
+        got = frank(M.rels)
         assert got == want
-        assert oracles.frank_oracle(M) == want
+        assert oracles.frank_oracle(minimal_presentation(M)) == want
         assert got <= max(corpus.min_gens(M), 0)
+
+
+def with_redundant_generator(M):
+    """M with a generator e' = x*e_0 appended, and the relation e' - x*e_0."""
+    ring = M.ring
+    P = ring.poly_ring
+    t = M.gens.twists[0] + 1
+    gens = FreeModule(ring, M.gens.twists + (t,))
+    source = FreeModule(ring, M.rels.source.twists + (t,))
+    x = P.var(0)
+    rows = [list(row) + [x.scale(-1) if i == 0 else P.zero()] for i, row in enumerate(M.rels.rows)]
+    rows.append([P.zero()] * M.rels.source.rank + [P.one()])
+    return GradedModule(gens, ModMap.from_rows(source, gens, rows))
+
+
+def test_frank_reads_non_minimal_presentations():
+    # a redundant generator g_j = sum r_k g_k pairs as sum r_k(0) times
+    # the g_k, so frank needs no pruning: the catalog as built, each with
+    # one more redundant generator, and the corpus homology presentations
+    # and differential cokernels that carry a unit entry
+    cases = [M for M, _ in frank_catalog()]
+    cases += [with_redundant_generator(M) for M in cases if M.gens.rank]
+    presented = [corpus.present(C.homology(i)) for C in corpus.build_corpus()
+                 for i in range(C.hi + 1)]
+    presented += [GradedModule(d.target, d) for C in corpus.build_corpus() for d in C.diffs]
+    with_units = [M for M in presented if not M.rels.entries_in_maximal_ideal()]
+    assert with_units
+    for M in cases + with_units:
+        mp = minimal_presentation(M)
+        assert frank(M.rels) == frank(mp.rels) == oracles.frank_oracle(mp)
 
 
 def has_invertible_minor(mat, r, p):
@@ -484,20 +534,19 @@ def test_frank_is_split_surjection_rank_on_small_modules():
     for M, want in frank_catalog():
         if corpus.min_gens(M) > 2:
             continue
-        mat = oracles.hom_eval_matrix(M)
+        mat = oracles.hom_eval_matrix(minimal_presentation(M))
         best = 0
         for r in range(min(mat.shape) if mat.size else 0, 0, -1):
             if has_invertible_minor(mat, r, 101):
                 best = r
                 break
-        assert best == want == frank(M)
+        assert best == want == frank(M.rels)
 
 
 def test_frank_shifts_under_free_summand():
     for M, want in frank_catalog()[:4]:
-        S = minimal_presentation(corpus.direct_sum(
-            corpus.free_module(FreeModule(M.ring, (0,))), M))
-        assert frank(S) == 1 + want
+        S = corpus.direct_sum(corpus.free_module(FreeModule(M.ring, (0,))), M)
+        assert frank(S.rels) == 1 + want
 
 
 def test_rank_matches_integer_oracle_at_largest_char():
