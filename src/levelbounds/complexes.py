@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import UnsupportedInputError, UsageError
+from .gbcore import vec_add_scaled
 from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
@@ -148,6 +149,7 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
             raise UsageError(f"sequence entry must be homogeneous of positive degree: {f}")
         elems.append(f)
     n = len(elems)
+    p = ring.char
     degs = [f.degree() for f in elems]
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     modules = []
@@ -157,9 +159,14 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     diffs = []
     for k in range(1, n + 1):
         index = {s: idx for idx, s in enumerate(subsets[k - 1])}
-        # dropping a later entry of s gives an earlier subset: rows rise as j falls
-        cols = [[(index[s[:j] + s[j + 1:]], elems[s[j]].scale(-1 if j % 2 else 1))
-                 for j in reversed(range(k))] for s in subsets[k]]
+        cols = []
+        for s in subsets[k]:
+            col = {}
+            for j, i in enumerate(s):
+                row = index[s[:j] + s[j + 1:]]
+                for e, c in elems[i].terms:
+                    col[(row, e)] = p - c if j % 2 else c
+            cols.append(col)
         diffs.append(ModMap(modules[k], modules[k - 1], cols))
     nf_seq = tuple(ring.nf(f) for f in elems)
     return ChainComplex(ring, modules, diffs, koszul=KoszulTag(seq=nf_seq))
@@ -170,49 +177,51 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
 
 
 def _find_unit(mats: list):
+    """(i, a, b, u) for the first unit u at (row a, column b) of mats[i]."""
     for i, cols in enumerate(mats):
-        units = [(a, b) for b, col in enumerate(cols) for a, e in col.items()
-                 if e.is_constant()]
+        units = [(a, b, c) for b, col in enumerate(cols) for (a, e), c in col.items()
+                 if not any(e)]
         if units:
             return (i, *min(units))
     return None
 
 
 def _drop_row(col: dict, a: int) -> dict:
-    """col without row a and without zeros, the rows below a moved up one."""
-    return {r - (r > a): e for r, e in col.items() if r != a and not e.is_zero()}
+    """col without row a, the rows below a moved up one."""
+    return {(r - (r > a), e): c for (r, e), c in col.items() if r != a}
 
 
-def cancel_units(ring: QuotientRing, twists: list, mats: list) -> None:
+def cancel_units(p: int, twists: list, mats: list) -> None:
     """Strip unit entries from a chain of matrices by Gaussian cancellation.
 
     mats[i] maps the free module with twists twists[i + 1] to the one
-    with twists twists[i], as a list of columns, each a dict from row to
-    nonzero entry.  A constant entry u at (a, b) of mats[i] splits off an
-    exact summand: basis b of twists[i + 1] and a of twists[i] are
-    removed, the columns c of mats[i] with an entry at row a pick up the
-    correction -D[a][c] * D[r][b] / u, mats[i + 1] loses row b and
-    mats[i - 1] loses column a.  Pivots are taken first in (matrix, row,
-    column) order until every entry lies in m.  Works in place.
+    with twists twists[i], as a list of column vectors {(row,
+    exponents): coefficient} with homogeneous entries.  A unit is a term
+    with all-zero exponents: a constant entry u at (a, b) of mats[i]
+    splits off an exact summand.  Basis b of twists[i + 1] and a of
+    twists[i] are removed, each column c of mats[i] with entry f at row
+    a becomes c - (f / u) * column b, mats[i + 1] loses row b and
+    mats[i - 1] loses column a.  Pivots are taken first in (matrix,
+    row, column) order until every entry lies in m.  Entries are not
+    J-reduced here: an entry is a unit or not whatever its
+    representative, and ModMap reduces the result.  Works in place.
     """
-    p = ring.char
-    zero = ring.poly_ring.zero()
     while True:
         hit = _find_unit(mats)
         if hit is None:
             return
-        i, a, b = hit
+        i, a, b, u = hit
         pivot = mats[i][b]
-        uinv = pow(pivot[a].constant_coeff(), p - 2, p)
+        uinv = pow(u, p - 2, p)
         new_cols = []
         for c, col in enumerate(mats[i]):
             if c == b:
                 continue
-            f = col.get(a)
-            if f is not None:
+            f = [(e, k) for (r, e), k in col.items() if r == a]
+            if f:
                 col = dict(col)
-                for r, g in pivot.items():
-                    col[r] = ring.nf(col.get(r, zero) - (f * g).scale(uinv))
+                for e, k in f:
+                    vec_add_scaled(col, -k * uinv, e, pivot, p)
             new_cols.append(_drop_row(col, a))
         mats[i] = new_cols
         if i + 1 < len(mats):
@@ -236,8 +245,8 @@ def minimalize(C: ChainComplex) -> ChainComplex:
         return C
     ring = C.ring
     twists = [list(m.twists) for m in C.modules]
-    mats = [[dict(col) for col in d.cols] for d in C.diffs]
-    cancel_units(ring, twists, mats)
+    mats = [list(d.cols) for d in C.diffs]
+    cancel_units(ring.char, twists, mats)
 
     # trim zero modules at both ends, keeping at least one module
     lo_trim = 0
@@ -249,8 +258,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     twists = twists[lo_trim:hi_trim]
     mats = mats[lo_trim : hi_trim - 1]
     modules = [FreeModule(ring, tuple(t)) for t in twists]
-    diffs = [ModMap(modules[k + 1], modules[k], [sorted(col.items()) for col in mat])
-             for k, mat in enumerate(mats)]
+    diffs = [ModMap(modules[k + 1], modules[k], mat) for k, mat in enumerate(mats)]
     return ChainComplex(ring, modules, diffs, shift=C.shift + lo_trim, koszul=C.koszul)
 
 
@@ -302,25 +310,26 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
         basis[i] = items
         twists[i] = tuple(tw)
     modules = {i: FreeModule(ring, twists[i]) for i in range(lo_h, hi_h + 1)}
+    p = ring.char
     dF_rows = [transpose_map(d).cols for d in F.diffs]
     diffs = []
     for i in range(lo_h + 1, hi_h + 1):
         tgt_index = {t: idx for idx, t in enumerate(basis[i - 1])}
         sign = -1 if i % 2 == 0 else 1  # -(-1)^i
         cols = []
-        # dG lands in block j and dF in block j + 1, so the rows increase
+        # dG lands in block j and dF in block j + 1, so no two terms meet
         for j, u, v in basis[i]:
-            col = []
+            col = {}
             if j + i >= 1:
-                for w, e in G.diffs[j + i - 1].cols[v]:
+                for (w, e), c in G.diffs[j + i - 1].cols[v].items():
                     r = tgt_index.get((j, u, w))
                     if r is not None:
-                        col.append((r, e))
+                        col[(r, e)] = c
             if j + 1 <= F.hi:
-                for q, e in dF_rows[j][u]:
+                for (q, e), c in dF_rows[j][u].items():
                     r = tgt_index.get((j + 1, q, v))
                     if r is not None:
-                        col.append((r, e.scale(sign)))
+                        col[(r, e)] = sign * c % p
             cols.append(col)
         diffs.append(ModMap(modules[i], modules[i - 1], cols))
     mods = [modules[i] for i in range(lo_h, hi_h + 1)]

@@ -65,24 +65,30 @@ def edim(R: QuotientRing) -> int:
     return R.nvars - linear
 
 
-def _sequence_syzygies(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
-    """The syzygies of the 1 x n map sending e_j to seq[j] (twist deg seq[j], 0 if zero)."""
+def _conormal_relations(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
+    """The syzygies of seq over R read over S = R/(seq): relations of I/I^2 over S.
+
+    The 1 x n map sends e_j to seq[j] with twist deg seq[j] (0 for a
+    zero entry); its syzygies, as a map over S, are J-normalised for the
+    defining ideal I + J of S.
+    """
+    I = ideal(R.poly_ring, list(seq))
+    total = ideal_sum(I, R.defining)
+    if not total.is_proper():
+        raise UsageError("sequence generates the unit ideal")
     source = FreeModule(R, tuple(max(f.degree(), 0) for f in seq))
-    return syzygies(ModMap(source, FreeModule(R, (0,)), [[(0, f)] for f in seq]))
+    syz = syzygies(ModMap.from_rows(source, FreeModule(R, (0,)), [seq]))
+    S = QuotientRing(total)
+    return ModMap(FreeModule(S, syz.source.twists), FreeModule(S, syz.target.twists), syz.cols)
 
 
 def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
     """Is the surjection (R/I)^n -> I/I^2 an isomorphism, I = (seq)?
 
     Decided on generators: every syzygy of seq over R must have all of
-    its coordinates inside I.
+    its coordinates inside I, that is vanish over R/I.
     """
-    I = ideal(R.poly_ring, list(seq))
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
-        raise UsageError("sequence generates the unit ideal")
-    syz = _sequence_syzygies(seq, R)
-    return all(total.contains(e) for col in syz.cols for _, e in col)
+    return _conormal_relations(seq, R).is_zero()
 
 
 def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
@@ -91,15 +97,7 @@ def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
     Generators are the sequence entries with their degrees as twists;
     relations are the syzygies of the sequence over R, read mod I.
     """
-    I = ideal(R.poly_ring, list(seq))
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
-        raise UsageError("sequence generates the unit ideal")
-    S = QuotientRing(total)
-    syz = _sequence_syzygies(seq, R)
-    gens = FreeModule(S, syz.target.twists)
-    src = FreeModule(S, syz.source.twists)
-    return frank(ModMap(src, gens, syz.cols))
+    return frank(_conormal_relations(seq, R))
 
 
 def is_psop(seq: Sequence[Poly], R: QuotientRing) -> bool:

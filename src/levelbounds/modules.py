@@ -1,20 +1,21 @@
 """Graded modules over R = P/J: free modules, maps and submodule calculus.
 
-Maps between twisted free modules hold J-normal polynomial entries.  A
-vector of a free module is the Groebner engine's dict from (position,
-exponents) to coefficient, in J-normal form, from the elimination run
-that makes it to the checks that read it.  Every operation (syzygies,
-kernels, colons, torsion, Hom, free rank) reduces to the relative
-syzygy primitive of the Groebner engine, with J folded in by appending
-J-multiples of the ambient basis.  Kernels and torsion submodules come
-back as generator vectors, which is what their callers read; a kernel
-comes with the image basis of its own run.  A subquotient, homology
-among them, stays in its ambient free module: generator vectors modulo
-a reduced basis of the denominator, with no presentation built.
+A vector of a free module is the Groebner engine's dict from (position,
+exponents) to coefficient, in J-normal form, from the map column or
+elimination run that makes it to the checks that read it.  A map keeps
+the image of each source basis vector as one such vector.  Every
+operation (syzygies, kernels, colons, torsion, Hom, free rank) reduces
+to the relative syzygy primitive of the Groebner engine, with J folded
+in by appending J-multiples of the ambient basis.  Kernels and torsion
+submodules come back as generator vectors, which is what their callers
+read; a kernel comes with the image basis of its own run.  A
+subquotient, homology among them, stays in its ambient free module:
+generator vectors modulo a reduced basis of the denominator, with no
+presentation built.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
-of twist t has degree t, and a nonzero map entry (i, j) must be
-homogeneous of degree twist_source(j) - twist_target(i) + map degree.
+of twist t has degree t, and every term of a map column j at position i
+must have degree twist_source(j) - twist_target(i) + map degree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 from . import linalg
 from .errors import UsageError
 from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf, vec_add_scaled
-from .polys import Poly, PolyRing, mono_mul
+from .polys import Poly, PolyRing
 from .rings import QuotientRing
 
 
@@ -50,12 +51,13 @@ class FreeModule:
 class ModMap:
     """A degree-homogeneous map between free modules over R.
 
-    cols[j] lists the nonzero entries of the image of source basis j as
-    (target index, entry) pairs in increasing index order; entries are
-    J-normal forms.  The constructor does the reducing and drops the
-    entries that vanish, so callers may pass any representatives, zeros
-    included, as long as the indices increase.  degree is the uniform
-    internal degree shift (0 for differentials and relations).
+    cols[j] is the image of source basis j as a J-normal vector of the
+    target.  The constructor checks every term of a column (position in
+    range, one exponent per variable, degree twist_source(j) -
+    twist_target(position) + degree) and reduces the column modulo
+    J*target, so callers may pass any representatives with coefficients
+    in 1..p-1.  degree is the uniform internal degree shift (0 for
+    differentials and relations).
     """
 
     def __init__(self, source: FreeModule, target: FreeModule, cols: Sequence, degree: int = 0):
@@ -65,40 +67,35 @@ class ModMap:
         self.target = target
         self.degree = degree
         ring = source.ring
-        poly_ring = ring.poly_ring
         if len(cols) != source.rank:
             raise UsageError(f"{len(cols)} columns do not match source rank {source.rank}")
-        normed = []
+        nvars, rank, twists = ring.nvars, target.rank, target.twists
         for j, col in enumerate(cols):
-            out = []
-            prev = -1
-            for i, entry in col:
-                if entry.ring is not poly_ring and entry.ring != poly_ring:
-                    raise UsageError("matrix entry from a different ring")
-                if not prev < i < target.rank:
-                    raise UsageError(f"column {j}: row {i} out of order or out of range")
-                prev = i
-                e = entry if entry.is_zero() else ring.nf(entry)
-                if not e.is_zero():
-                    want = source.twists[j] - target.twists[i] + degree
-                    if not e.is_homogeneous() or e.degree() != want:
-                        raise UsageError(
-                            f"entry ({i},{j}) = {e} must be homogeneous of degree {want}"
-                        )
-                    out.append((i, e))
-            normed.append(tuple(out))
-        self.cols = tuple(normed)
+            want = source.twists[j] + degree
+            for i, e in col:
+                if not (0 <= i < rank and len(e) == nvars and sum(e) == want - twists[i]):
+                    raise UsageError(f"column {j}: term {(i, e)} needs a row below {rank}, "
+                                     f"{nvars} exponents and degree {want} - twist(row)")
+        basis = ring.module_reducer(rank)
+        self.cols = tuple(submodule_nf(col, basis) if col else {} for col in cols)
 
     @classmethod
     def from_rows(cls, source: FreeModule, target: FreeModule, rows: Sequence, degree: int = 0):
-        """The map whose entry (i, j) is rows[i][j]."""
+        """The map whose entry (i, j) is the polynomial rows[i][j]."""
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise UsageError(
                 f"matrix shape {len(rows)}x{'x'.join(str(len(r)) for r in rows[:1]) or '0'} "
                 f"does not match target rank {target.rank}, source rank {source.rank}"
             )
-        cols = [[(i, row[j]) for i, row in enumerate(rows)] for j in range(source.rank)]
+        poly_ring = source.ring.poly_ring
+        cols: list = [{} for _ in range(source.rank)]
+        for i, row in enumerate(rows):
+            for j, f in enumerate(row):
+                if f.ring is not poly_ring and f.ring != poly_ring:
+                    raise UsageError("matrix entry from a different ring")
+                for e, c in f.terms:
+                    cols[j][(i, e)] = c
         return cls(source, target, cols, degree=degree)
 
     @property
@@ -107,44 +104,33 @@ class ModMap:
 
     @property
     def rows(self) -> tuple:
-        """The dense matrix, zeros filled in."""
-        return tuple(zip(*self.columns())) if self.cols else ((),) * self.target.rank
-
-    def column(self, j: int) -> tuple:
-        entries, zero = dict(self.cols[j]), self.ring.poly_ring.zero()
-        return tuple(entries.get(i, zero) for i in range(self.target.rank))
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.source.rank)]
+        """The dense matrix of polynomials, zeros filled in."""
+        P, rank = self.ring.poly_ring, self.target.rank
+        columns = [polyvec_from_vec(P, rank, v) for v in self.cols]
+        return tuple(zip(*columns)) if columns else ((),) * rank
 
     def is_zero(self) -> bool:
         return not any(self.cols)
 
     def entries_in_maximal_ideal(self) -> bool:
-        return all(e.constant_coeff() == 0 for col in self.cols for _, e in col)
+        return all(any(e) for col in self.cols for _, e in col)
 
     def compose(self, other: "ModMap") -> "ModMap":
         """self after other.
 
-        Visits nonzero entry pairs only: column j of the result sums the
-        term products of self[i][k] * other[k][j] over the nonzero
-        other[k][j] and the nonzero self[i][k], one exponent -> coefficient
-        dict per row i, and the constructor J-normalises the result.
+        Column j of the result sums c * x^e times column k of self over
+        the terms c * x^e at position k of other's column j, so only the
+        products that exist are formed; the constructor J-normalises it.
         """
         if other.target != self.source:
             raise UsageError("maps are not composable")
-        from_dict = self.ring.poly_ring.from_dict
+        p = self.ring.char
         cols = []
         for other_col in other.cols:
-            acc: dict = {}  # row i -> {exps: coeff}
-            for k, b in other_col:
-                for i, a in self.cols[k]:
-                    d = acc.setdefault(i, {})
-                    for e1, c1 in a.terms:
-                        for e2, c2 in b.terms:
-                            e = mono_mul(e1, e2)
-                            d[e] = d.get(e, 0) + c1 * c2
-            cols.append([(i, from_dict(acc[i])) for i in sorted(acc)])
+            acc: dict = {}
+            for (k, e), c in other_col.items():
+                vec_add_scaled(acc, c, e, self.cols[k], p)
+            cols.append(acc)
         return ModMap(other.source, self.target, cols, degree=self.degree + other.degree)
 
     def __eq__(self, other) -> bool:
@@ -156,9 +142,6 @@ class ModMap:
             and self.cols == other.cols
         )
 
-    def __hash__(self):
-        return hash((self.source, self.target, self.degree, self.cols))
-
     def __repr__(self):
         return f"ModMap({self.target.rank}x{self.source.rank}, degree={self.degree})"
 
@@ -168,7 +151,7 @@ class ModMap:
 
 
 def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
-    """v as one polynomial per position, for map entries and evidence strings."""
+    """v as one polynomial per position, for the dense view and evidence strings."""
     per: list = [dict() for _ in range(rank)]
     for (pos, e), c in v.items():
         per[pos][e] = c
@@ -176,21 +159,12 @@ def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
     return tuple(ring.from_dict(d) if d else zero for d in per)
 
 
-def _defining_multiples(free: FreeModule) -> list:
-    """J * e_k as raw vectors, the ambient relations of R inside P^rank."""
-    out = []
-    for g in free.ring.defining.gb:
-        for k in range(free.rank):
-            out.append({(k, e): c for e, c in g.terms})
-    return out
-
-
 class SubmoduleGB:
     """Reduced basis of a submodule of P^rank containing J * ambient."""
 
     def __init__(self, free: FreeModule, vectors: Sequence[dict]):
         self.free = free
-        vecs = [dict(v) for v in vectors if v] + _defining_multiples(free)
+        vecs = [dict(v) for v in vectors if v] + free.ring.defining_multiples(free.rank)
         self.gb = module_gb(vecs, free.ring.char)
 
     @classmethod
@@ -216,12 +190,8 @@ class SubmoduleGB:
 
 
 def _nonzero_normal(free: FreeModule, vecs: Sequence[dict]) -> list:
-    """The vectors of free reduced modulo J*free, zeros dropped.
-
-    The basis of J*free is J's reduced basis at every position, so each
-    component comes out as its ring.nf.
-    """
-    basis = reducer(_defining_multiples(free), free.ring.char)
+    """The vectors of free reduced modulo J*free, zeros dropped."""
+    basis = free.ring.module_reducer(free.rank)
     return [w for w in (submodule_nf(v, basis) for v in vecs) if w]
 
 
@@ -233,9 +203,8 @@ def kernel_and_image(phi: ModMap) -> tuple:
     """
     if phi.degree != 0:
         raise UsageError("kernel is only computed for degree zero maps")
-    ring = phi.ring
-    tracked = [{(i, e): c for i, f in col for e, c in f.terms} for col in phi.cols]
-    raw, image = relative_syzygies(tracked, _defining_multiples(phi.target), rank=phi.target.rank,
+    ring, rank = phi.ring, phi.target.rank
+    raw, image = relative_syzygies(phi.cols, ring.defining_multiples(rank), rank=rank,
                                    nvars=ring.nvars, p=ring.char)
     return _nonzero_normal(phi.source, raw), SubmoduleGB._of_run(phi.target, image)
 
@@ -244,14 +213,12 @@ def syzygies(phi: ModMap) -> ModMap:
     """The kernel of phi, as a map onto it whose columns generate all R-relations.
 
     A column's twist is read off its first term; the ModMap constructor
-    checks that every entry is homogeneous.
+    checks that every term has the same degree.
     """
     kernel = kernel_and_image(phi)[0]
     source = phi.source
     twists = tuple(source.twists[pos] + sum(e) for pos, e in (next(iter(v)) for v in kernel))
-    P = phi.ring.poly_ring
-    cols = [list(enumerate(polyvec_from_vec(P, source.rank, v))) for v in kernel]
-    return ModMap(FreeModule(phi.ring, twists), source, cols)
+    return ModMap(FreeModule(phi.ring, twists), source, kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,10 +253,10 @@ def transpose_map(phi: ModMap) -> ModMap:
     ring = phi.ring
     dual_source = FreeModule(ring, tuple(-t for t in phi.target.twists))
     dual_target = FreeModule(ring, tuple(-t for t in phi.source.twists))
-    cols = [[] for _ in range(phi.target.rank)]
+    cols: list = [{} for _ in range(phi.target.rank)]
     for j, col in enumerate(phi.cols):
-        for i, e in col:
-            cols[i].append((j, e))
+        for (i, e), c in col.items():
+            cols[i][(j, e)] = c
     return ModMap(dual_source, dual_target, cols)
 
 
@@ -378,9 +345,14 @@ def gamma_torsion(n_gb: SubmoduleGB, I) -> list:
     shows that every generator of I kills M (vacuously so when all of
     them lie in J), Gamma_I(M) = M and the candidates are the basis
     vectors.  Otherwise the reduced basis of the stable colon, iterated
-    from N, gives them.  Both routes give the same list: the stable
-    colon of a torsion module is all of F, whose reduced basis is the
-    basis vectors in order.  Candidates that lie in N are dropped.
+    from N, gives them, J-normalised: a basis element need not be J-normal
+    (x^2 over k[x,y,z]/(x^2 + y^2)).  That pass cannot change a verdict:
+    N contains J*F, so membership in N is unchanged, and J lies in m, so
+    constant terms, which the witness test reads, are unchanged too.  It
+    fixes only the representative of the printed witness.  Both routes
+    give the same list: the stable colon of a torsion module is all of
+    F, whose reduced basis is the basis vectors in order.  Candidates
+    that lie in N are dropped.
     """
     free = n_gb.free
     gens = _nonzero_gens(free.ring, I)

@@ -145,12 +145,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and mono_deg(self.terms[0][0]) == 0)
 
-    def constant_coeff(self) -> int:
-        for e, c in self.terms:
-            if mono_deg(e) == 0:
-                return c
-        return 0
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

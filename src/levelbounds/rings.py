@@ -2,12 +2,14 @@
 
 J must be homogeneous and proper, so R is graded with R_0 = k and the
 irrelevant maximal ideal generated by the variable images.  Elements of
-R are represented by their normal forms modulo J.
+R are represented by their normal forms modulo J, and vectors of R^rank
+by their normal forms modulo J*R^rank.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
+from .gbcore import reducer
 from .groebner import IdealData, krull_dim, zero_ideal
 from .polys import Poly, PolyRing
 
@@ -20,6 +22,7 @@ class QuotientRing:
             raise UsageError("defining ideal must be proper")
         self.poly_ring = defining.ring
         self.defining = defining
+        self._module_reducers: dict = {}
 
     @classmethod
     def free(cls, ring: PolyRing) -> "QuotientRing":
@@ -37,6 +40,20 @@ class QuotientRing:
     def nf(self, f: Poly) -> Poly:
         """Canonical representative of f mod J."""
         return self.defining.normal_form(f)
+
+    def defining_multiples(self, rank: int) -> list:
+        """J * e_k for k < rank as raw vectors, the relations of R^rank inside P^rank."""
+        return [{(k, e): c for e, c in g.terms} for g in self.defining.gb for k in range(rank)]
+
+    def module_reducer(self, rank: int):
+        """The division structure of J * R^rank, built once per rank.
+
+        J's reduced basis sits at every position, so the normal form of a
+        vector against it is the ring normal form of each component.
+        """
+        if rank not in self._module_reducers:
+            self._module_reducers[rank] = reducer(self.defining_multiples(rank), self.char)
+        return self._module_reducers[rank]
 
     def is_zero_elem(self, f: Poly) -> bool:
         return self.nf(f).is_zero()

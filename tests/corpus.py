@@ -8,9 +8,8 @@ the minimalization path.  The builders at the end (minimal generator
 count, direct sums, diagonal maps, free modules, and the passage
 between a presented module and a subquotient) make fixtures for the
 tests.  Presented modules are the oracles' GradedModule; the vectors
-the engine hands out (kernels, subquotient generators) are its dicts
-from (position, exponents) to coefficient, and polyvecs turns them into
-polynomial tuples where a fixture needs matrix entries.
+the engine hands out (map columns, kernels, subquotient generators) are
+its dicts from (position, exponents) to coefficient.
 """
 
 import random
@@ -20,13 +19,12 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, kernel_and_image,
-                                 polyvec_from_vec, subquotient)
+from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, kernel_and_image, subquotient
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
 import oracles
-from oracles import GradedModule, minimal_presentation, polyvec_degree, vec_from_polyvec
+from oracles import GradedModule, minimal_presentation
 
 _cache = {}
 
@@ -80,12 +78,10 @@ def build_corpus(count=24, seed=20260819):
             rows.append(row)
         d1 = ModMap.from_rows(F1, F0, rows)
         take = rng.randrange(0, 4)
-        cols = polyvecs(F1, kernel_and_image(d1)[0][:take])
+        cols = kernel_and_image(d1)[0][:take]
         if cols:
-            t2 = tuple(polyvec_degree(F1, c) for c in cols)
-            F2 = FreeModule(R, t2)
-            rows2 = [[cols[c][i] for c in range(len(cols))] for i in range(r1)]
-            C = ChainComplex(R, [F0, F1, F2], [d1, ModMap.from_rows(F2, F1, rows2)])
+            d2 = map_from_columns(F1, cols)
+            C = ChainComplex(R, [F0, F1, d2.source], [d1, d2])
         else:
             C = ChainComplex(R, [F0, F1], [d1])
         out.append(C)
@@ -93,15 +89,16 @@ def build_corpus(count=24, seed=20260819):
     return out
 
 
-def polyvecs(free, vecs):
-    """Dict vectors of free as tuples of polynomials, one per position."""
-    return [polyvec_from_vec(free.ring.poly_ring, free.rank, v) for v in vecs]
+def vec_degree(free, v):
+    """The degree of a nonzero homogeneous vector of free, read off one term."""
+    pos, e = next(iter(v))
+    return free.twists[pos] + sum(e)
 
 
 def map_from_columns(target, cols):
-    """The map into target with the given polynomial-tuple columns, source twists read off them."""
-    source = FreeModule(target.ring, tuple(polyvec_degree(target, c) for c in cols))
-    return ModMap(source, target, [list(enumerate(c)) for c in cols])
+    """The map into target with the given nonzero vector columns, source twists read off them."""
+    source = FreeModule(target.ring, tuple(vec_degree(target, v) for v in cols))
+    return ModMap(source, target, cols)
 
 
 def min_gens(M):
@@ -146,14 +143,13 @@ def present(H):
     """
     free = H.free
     ring = free.ring
-    gens = FreeModule(ring, tuple(polyvec_degree(free, v) for v in polyvecs(free, H.gens)))
+    gens = FreeModule(ring, tuple(vec_degree(free, v) for v in H.gens))
     raw, _ = relative_syzygies(H.gens, H.denom.gb, rank=free.rank, nvars=ring.nvars, p=ring.char)
-    cols = polyvecs(gens, modules._nonzero_normal(gens, raw))
-    return GradedModule(gens, map_from_columns(gens, cols))
+    return GradedModule(gens, map_from_columns(gens, modules._nonzero_normal(gens, raw)))
 
 
 def as_subquotient(M):
     """The presented module M = F / N as the subquotient of F it is."""
     free = M.gens
-    denom = SubmoduleGB(free, [vec_from_polyvec(c) for c in M.rels.columns()])
+    denom = SubmoduleGB(free, M.rels.cols)
     return subquotient(free, [free.basis_vector(k) for k in range(free.rank)], denom)

@@ -20,9 +20,10 @@ route through the engine by a different construction than the checks
 they are compared with.  So is minimal_presentation, which prunes a
 presented module (GradedModule) by unit cancellation for the frank and
 Hilbert function references that read minimal generators; the engine's
-frank reads any presentation.  Presented modules hold their vectors as
-tuples of polynomials, one per position; vec_from_polyvec turns one
-into the engine's dict.
+frank reads any presentation.  The degreewise oracles read a vector as
+a tuple of polynomials, one per position: polyvecs turns the engine's
+dicts, map columns among them, into such tuples, and vec_from_polyvec
+turns one back into a dict.
 """
 
 from itertools import combinations
@@ -33,8 +34,7 @@ from levelbounds.complexes import cancel_units
 from levelbounds.errors import UsageError
 from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_syzygies
 from levelbounds.groebner import IdealData, ideal_intersection
-from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, _defining_multiples,
-                                 gamma_torsion, polyvec_from_vec)
+from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, gamma_torsion, polyvec_from_vec
 from levelbounds.polys import Poly, mono_mul
 
 
@@ -73,17 +73,22 @@ def minimal_presentation(M):
         return M._minimal
     ring = M.ring
     twists = [list(M.gens.twists), list(M.rels.source.twists)]
-    mats = [[dict(col) for col in M.rels.cols]]
-    cancel_units(ring, twists, mats)
+    mats = [list(M.rels.cols)]
+    cancel_units(ring.char, twists, mats)
     gen_twists, src_twists = twists
-    keep = [j for j, col in enumerate(mats[0]) if col]
     gens = FreeModule(ring, tuple(gen_twists))
+    rels = ModMap(FreeModule(ring, tuple(src_twists)), gens, mats[0])
+    keep = [j for j, col in enumerate(rels.cols) if col]
     source = FreeModule(ring, tuple(src_twists[j] for j in keep))
-    cols = [sorted(mats[0][j].items()) for j in keep]
-    result = GradedModule(gens, ModMap(source, gens, cols))
+    result = GradedModule(gens, ModMap(source, gens, [rels.cols[j] for j in keep]))
     result._minimal = result
     M._minimal = result
     return result
+
+
+def polyvecs(free, vecs):
+    """Dict vectors of free as tuples of polynomials, one per position."""
+    return [polyvec_from_vec(free.ring.poly_ring, free.rank, v) for v in vecs]
 
 
 def vec_from_polyvec(polys):
@@ -335,7 +340,7 @@ def module_piece_dim(M, d):
         return 0
     zero = ring.poly_ring.zero()
     vectors = _jf_vectors(ring.defining.gens, len(twists), zero)
-    vectors += [tuple(M.rels.column(c)) for c in range(M.rels.source.rank)]
+    vectors += polyvecs(M.gens, M.rels.cols)
     rows = submodule_rows(vectors, twists, nvars, d, p)
     return len(basis) - matrix_rank(rows, p)
 
@@ -364,12 +369,12 @@ def homology_dim(C, i, d):
     quot = len(free_piece(twists, nvars, d)) - matrix_rank(w, p)
     r_in = 0
     if i + 1 <= C.hi:
-        cols = [tuple(C.diffs[i].column(c)) for c in range(C.modules[i + 1].rank)]
+        cols = polyvecs(C.modules[i], C.diffs[i].cols)
         r_in = _induced_rank(cols, jg, twists, nvars, d, p, zero)
     r_out = 0
     if i >= 1:
         out_twists = C.modules[i - 1].twists
-        cols = [tuple(C.diffs[i - 1].column(c)) for c in range(C.modules[i].rank)]
+        cols = polyvecs(C.modules[i - 1], C.diffs[i - 1].cols)
         r_out = _induced_rank(cols, jg, out_twists, nvars, d, p, zero)
     return quot - r_in - r_out
 
@@ -470,10 +475,8 @@ def hom_eval_matrix(M):
     ring = M.ring
     p, nvars = ring.char, ring.nvars
     gens = M.gens
-    for row in M.rels.rows:
-        for f in row:
-            if f.constant_coeff() != 0:
-                raise ValueError("presentation is not minimal")
+    if not M.rels.entries_in_maximal_ideal():
+        raise ValueError("presentation is not minimal")
     jg = [g for g in ring.defining.gens if not g.is_zero()]
     ncols = M.rels.source.rank
     eval_rows = []
@@ -548,8 +551,7 @@ def annihilator(M):
     ring = M.ring
     if M.gens.rank == 0:
         return IdealData(ring.poly_ring, (ring.poly_ring.one(),))
-    u_vecs = [vec_from_polyvec(c) for c in M.rels.columns()]
-    u_vecs.extend(_defining_multiples(M.gens))
+    u_vecs = list(M.rels.cols) + ring.defining_multiples(M.gens.rank)
     result = None
     zero = (0,) * ring.nvars
     for k in range(M.gens.rank):

@@ -93,7 +93,7 @@ def test_quotient_and_saturation():
     R = QuotientRing.free(P2)
     F = FreeModule(R, (0,))
     T = gamma_torsion(SubmoduleGB(F, [oracles.vec_from_polyvec((X**2 * Y,))]), ideal(P2, [X]))
-    assert gb_set(ideal(P2, [v[0] for v in corpus.polyvecs(F, T)])) == {Y}
+    assert gb_set(ideal(P2, [v[0] for v in oracles.polyvecs(F, T)])) == {Y}
 
 
 def test_radical_membership_examples():

@@ -6,10 +6,11 @@ in src/ or scripts/ except in its own definition is dead code, and so
 is a method of a package class, other than a dunder, whose attribute
 access .name appears nowhere there outside its own definition; the
 references the tests compare the engine against, and the helpers only
-the tests call, live in tests/.  The command line loads no third-party
-module.  And the benchmark tracer in perfbench/, which wraps package
-functions by name, still finds every name it wraps and reports every
-per-layer metric of BENCHMARK.json.
+the tests call, live in tests/.  Every name a package module imports
+is used in that module.  The command line loads no third-party module.
+And the benchmark tracer in perfbench/, which wraps package functions
+by name, still finds every name it wraps and reports every per-layer
+metric of BENCHMARK.json.
 """
 
 import ast
@@ -65,6 +66,26 @@ def _uncalled_names():
 
 def test_every_top_level_name_has_a_caller():
     assert _uncalled_names() == []
+
+
+def _unused_imports():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # "import a.b" binds a
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{path.name}:{name}" for name in sorted(imported - used)]
+    return out
+
+
+def test_every_imported_name_is_used():
+    assert _unused_imports() == []
 
 
 def test_cli_imports_only_the_standard_library():
