@@ -1,8 +1,9 @@
 """Byte-for-byte regression guard on the machine output of the CLI.
 
 The files under tests/golden hold the --machine output of the README
-quick-start commands, of the built-in suite at n = 3 and of a session
-file that drives the Groebner core through its callers.  They are a
+quick-start commands, of the built-in suite at n = 3, of a session
+file that drives the Groebner core through its callers and of the two
+benchmark session files (read from perfbench/sessions, never written).  They are a
 drift detector, not a correctness oracle: a change that alters any
 certificate, evidence field or pivot order shows up here as a diff.
 """
@@ -14,6 +15,7 @@ import pytest
 from levelbounds.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SESSIONS = Path(__file__).parent.parent / "perfbench" / "sessions"
 
 CASES = [
     ("paper_suite_n3.jsonl", ["paper-suite", "--n", "3"]),
@@ -27,6 +29,8 @@ CASES = [
         ["invariants", "--vars", "3", "--quotient", "meet(x1; x2, x3)", "--ideal", "x2, x3"],
     ),
     ("groebner_session.jsonl", ["run", str(GOLDEN / "groebner_session.session")]),
+    ("family_a.jsonl", ["run", str(SESSIONS / "family_a.session")]),
+    ("family_b.jsonl", ["run", str(SESSIONS / "family_b.session")]),
 ]
 
 
