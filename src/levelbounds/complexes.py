@@ -9,15 +9,14 @@ J*F_i, with the reduced basis of D; no presentation of it is built.
 Each differential d_i gets one cached elimination run: its kernel goes to
 H_i, and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1).
 
-Koszul complexes built here carry their defining sequence as metadata;
-Hom complexes of two tagged Koszul complexes inherit the concatenated
-sequence, which level bounds exploit (the Hom of Koszul complexes is a
-shifted Koszul complex on the concatenation).
+Koszul complexes built here carry their defining sequence as metadata,
+which level bounds read.  The only Hom built is that of two Koszul
+complexes, and by Koszul self-duality it is the Koszul complex on the
+concatenated sequence, shifted; hom_complex builds it as exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -31,21 +30,17 @@ from .modules import (
     Subquotient,
     kernel_and_image,
     subquotient,
-    transpose_map,
 )
 from .polys import Poly
 from .rings import QuotientRing
 
 
-@dataclass(frozen=True)
-class KoszulTag:
-    """Marks a complex as a sum of shifts of the Koszul complex on seq."""
-
-    seq: tuple
-
-
 class ChainComplex:
-    """A finite complex of twisted free modules with degree zero maps."""
+    """A finite complex of twisted free modules with degree zero maps.
+
+    koszul is the sequence of a Koszul complex, as given to
+    koszul_complex, or None for any other complex.
+    """
 
     def __init__(
         self,
@@ -53,7 +48,7 @@ class ChainComplex:
         modules: Sequence[FreeModule],
         diffs: Sequence[ModMap],
         shift: int = 0,
-        koszul: Optional[KoszulTag] = None,
+        koszul: Optional[tuple] = None,
     ):
         if not modules:
             raise UsageError("a complex needs at least one module")
@@ -127,6 +122,15 @@ class ChainComplex:
 _KOSZUL_CAP = 10
 
 
+def check_koszul_length(m: int) -> None:
+    """Refuse a Koszul complex on more than _KOSZUL_CAP elements."""
+    if m > _KOSZUL_CAP:
+        raise UnsupportedInputError(
+            f"{E_VAR_CAP}: Koszul complexes capped at {_KOSZUL_CAP} elements "
+            f"(rank 2^{_KOSZUL_CAP}), got {m}"
+        )
+
+
 def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     """The Koszul complex on seq over R, basis e_S ordered lex in each degree.
 
@@ -136,11 +140,7 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     positive degree; their images in R may vanish.  More than
     _KOSZUL_CAP entries is refused.
     """
-    if len(seq) > _KOSZUL_CAP:
-        raise UnsupportedInputError(
-            f"{E_VAR_CAP}: Koszul complexes capped at {_KOSZUL_CAP} elements "
-            f"(rank 2^{_KOSZUL_CAP}), got {len(seq)}"
-        )
+    check_koszul_length(len(seq))
     elems = []
     for f in seq:
         if not isinstance(f, Poly) or f.ring != ring.poly_ring:
@@ -168,8 +168,7 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
                     col[(row, e)] = p - c if j % 2 else c
             cols.append(col)
         diffs.append(ModMap(modules[k], modules[k - 1], cols))
-    nf_seq = tuple(ring.nf(f) for f in elems)
-    return ChainComplex(ring, modules, diffs, koszul=KoszulTag(seq=nf_seq))
+    return ChainComplex(ring, modules, diffs, koszul=tuple(elems))
 
 
 # ---------------------------------------------------------------------------
@@ -265,75 +264,24 @@ def minimalize(C: ChainComplex) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Hom complexes
 
-# Hom(F, G) has rank rank(F) * rank(G), which for two Koszul complexes is
-# 2^(m+n); the product is capped.  In-process `level` runs of Hom of
-# Koszul complexes over F_101[x1..x6] on a 2-core host took 0.08, 0.24,
-# 0.9, 3.3 and 10.7 s at ranks 2^8 to 2^12, so the cap matches the rank
-# 2^10 of the largest Koszul complex.
-_HOM_RANK_CAP = 2**10
-
 
 def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
-    """Hom(F, G) with differential d(phi) = dG o phi - (-1)^|phi| phi o dF.
+    """Hom(K(a), K(b)) for two Koszul complexes, built as K(a, b).
 
-    Degree i collects the maps F_j -> G_(j+i); the basis is ordered by
-    (j, source index, target index).  When both inputs are tagged Koszul
-    complexes the result is tagged with the concatenated sequence, which
-    it is isomorphic to up to shift via Koszul self-duality.  A rank
-    above _HOM_RANK_CAP is refused before any basis is built.
+    By Koszul self-duality Hom(K(a), K(b)) = K(a)^* (x) K(b) is the
+    Koszul complex on a then b, shifted down by len(a) and twisted by
+    deg(a) = sum of deg a_i.  The result is koszul_complex(a + b) with
+    homological shift G.shift - F.shift - F.hi.  Its internal twists are
+    K(a, b)'s, which are Hom's plus deg(a); no certificate reads a twist,
+    and level, homology vanishing, torsion and free rank do not depend
+    on one.  The sequences are the ones given, not their normal forms,
+    so an entry lying in J is accepted.  A complex without a sequence is
+    refused, and so are more than _KOSZUL_CAP elements together.
     """
     if F.ring != G.ring:
         raise UsageError("complexes over different rings")
-    rank = sum(m.rank for m in F.modules) * sum(m.rank for m in G.modules)
-    if rank > _HOM_RANK_CAP:
-        raise UnsupportedInputError(
-            f"{E_VAR_CAP}: Hom complexes capped at rank {_HOM_RANK_CAP}, got {rank}"
-        )
-    ring = F.ring
-    lo_h = -F.hi
-    hi_h = G.hi
-    if hi_h < lo_h:
-        raise UsageError("empty Hom range")
-    basis = {}
-    twists = {}
-    for i in range(lo_h, hi_h + 1):
-        items = []
-        tw = []
-        for j in range(F.hi + 1):
-            gi = j + i
-            if not 0 <= gi <= G.hi:
-                continue
-            for u in range(F.modules[j].rank):
-                for v in range(G.modules[gi].rank):
-                    items.append((j, u, v))
-                    tw.append(G.modules[gi].twists[v] - F.modules[j].twists[u])
-        basis[i] = items
-        twists[i] = tuple(tw)
-    modules = {i: FreeModule(ring, twists[i]) for i in range(lo_h, hi_h + 1)}
-    p = ring.char
-    dF_rows = [transpose_map(d).cols for d in F.diffs]
-    diffs = []
-    for i in range(lo_h + 1, hi_h + 1):
-        tgt_index = {t: idx for idx, t in enumerate(basis[i - 1])}
-        sign = -1 if i % 2 == 0 else 1  # -(-1)^i
-        cols = []
-        # dG lands in block j and dF in block j + 1, so no two terms meet
-        for j, u, v in basis[i]:
-            col = {}
-            if j + i >= 1:
-                for (w, e), c in G.diffs[j + i - 1].cols[v].items():
-                    r = tgt_index.get((j, u, w))
-                    if r is not None:
-                        col[(r, e)] = c
-            if j + 1 <= F.hi:
-                for (q, e), c in dF_rows[j][u].items():
-                    r = tgt_index.get((j + 1, q, v))
-                    if r is not None:
-                        col[(r, e)] = sign * c % p
-            cols.append(col)
-        diffs.append(ModMap(modules[i], modules[i - 1], cols))
-    mods = [modules[i] for i in range(lo_h, hi_h + 1)]
-    tag = None
-    if F.koszul is not None and G.koszul is not None:
-        tag = KoszulTag(seq=F.koszul.seq + G.koszul.seq)
-    return ChainComplex(ring, mods, diffs, shift=G.shift - F.shift + lo_h, koszul=tag)
+    if F.koszul is None or G.koszul is None:
+        raise UsageError("Hom is built only between Koszul complexes")
+    H = koszul_complex(F.koszul + G.koszul, F.ring)
+    H.shift = G.shift - F.shift - F.hi
+    return H

@@ -158,7 +158,9 @@ def invariant_report(
             report.height = height_monomial(I, R.defining)
             report.bigheight = bigheight_monomial(I, R.defining)
     if seq is not None:
-        report.lech_independent = lech_independent(seq, R)
-        report.frank_conormal = frank_conormal(seq, R)
+        # one syzygy run answers both lech_independent and frank_conormal
+        rels = _conormal_relations(seq, R)
+        report.lech_independent = rels.is_zero()
+        report.frank_conormal = frank(rels)
         report.is_psop = is_psop(seq, R)
     return report

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .complexes import ChainComplex, koszul_complex, minimalize
+from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
 from .groebner import IdealData, ideal, ideal_intersection, ideal_sum
 from .invariants import dims, edim, frank_conormal
@@ -248,7 +248,7 @@ def level_interval(
         if td is not None:
             certs.append(td)
     if M.koszul is not None:
-        seq = M.koszul.seq
+        seq = tuple(M.ring.nf(f) for f in M.koszul)
         certs.append(lb_frank_koszul(seq, M.ring))
         certs.append(ub_edim_koszul(M.ring))
         certs.append(ub_koszul_trim(seq, M.ring))
@@ -309,6 +309,8 @@ def verify_factorization_example(
     """
     if n < 3:
         raise UsageError("factorization example needs n >= 3")
+    # refuse K(x2..xn) past the cap before building the ring it lives over
+    check_koszul_length(n - 1)
     P = PolyRing(n, char)
     xs = P.variables()
     if ring is None:

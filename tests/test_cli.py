@@ -218,7 +218,8 @@ def test_koszul_on_eleven_elements_exits_two_with_cap_code(capsys):
 
 def test_hom_of_two_nine_element_koszul_complexes_fails_with_cap_code(tmp_path, capsys):
     # each Koszul complex has rank 2^9, within its own cap, but their
-    # Hom of rank 2^18 is refused before any of it is built
+    # Hom is the Koszul complex on all 18 elements, refused before any
+    # of it is built
     elems = ", ".join(f"x{i}" for i in range(1, 10))
     f = tmp_path / "hom.session"
     f.write_text(f"[ring]\nvars = 9\n\n[seq S]\nelems = {elems}\n\n"
@@ -229,6 +230,34 @@ def test_hom_of_two_nine_element_koszul_complexes_fails_with_cap_code(tmp_path, 
     assert code == 1
     rec = json.loads(out.strip())
     assert rec["ok"] is False and "E_VAR_CAP" in rec["result"]["error"]
+
+
+def test_factorization_example_past_the_koszul_cap_fails_alone(tmp_path, capsys):
+    # K(x2..xn) has n - 1 elements; n = 100000 is refused before the
+    # ring on n variables is built, so it costs neither time nor memory.
+    # The memory-limited child runs first: a regression fails there, not
+    # in this process.
+    f = tmp_path / "big.session"
+    f.write_text("[ring]\nvars = 2\n\n[task factorization-example]\nn = 3\n\n"
+                 "[task factorization-example]\nn = 100000\n")
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelbounds.cli", "run", str(f), "--machine"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=30,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    small, big = map(json.loads, proc.stdout.splitlines())
+    assert small["ok"] is True and big["ok"] is False
+    assert big["result"]["error"] == (
+        "E_VAR_CAP: Koszul complexes capped at 10 elements (rank 2^10), got 99999")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == proc.stdout
 
 
 def test_nested_meet_quotient(capsys):
