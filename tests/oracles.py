@@ -12,9 +12,10 @@ linalg.rank.  One exception is buchberger_closed, which uses the
 engine's division on purpose: it checks the pair selection of
 module_gb, not its reduction.  Likewise dense_compose hands its product
 to the ModMap constructor, so it checks which entry pairs ModMap.compose
-multiplies, not the J-normalisation; dense_koszul and dense_hom, which
-is built on dense_compose, check the placement and signs of the Koszul
-and Hom entries the same way.  annihilator, radical_membership
+multiplies, not the J-normalisation; dense_koszul checks the placement
+and signs of the Koszul entries the same way, and dense_hom, built on
+dense_compose, is the general Hom whose homology the Koszul-built Hom
+of two Koszul complexes must match up to a twist.  annihilator, radical_membership
 and torsion_generator_by_span are references of another kind: they
 route through the engine by a different construction than the checks
 they are compared with.  So is minimal_presentation, which prunes a

@@ -294,9 +294,8 @@ def test_hom_matches_the_general_hom_on_corpus(data):
 
 def test_hom_matches_the_general_hom_with_an_entry_in_the_ideal():
     # x1^2 lies in J, so its normal form is 0, which koszul_complex refuses
-    P = P2
-    x1, x2 = P.variables()
-    R = QuotientRing(ideal(P, [x1**2, x1 * x2]))
+    x1, x2 = P2.variables()
+    R = QuotientRing(ideal(P2, [x1**2, x1 * x2]))
     assert_hom_is_koszul_on_both([x1**2], [x1 * x2, x2], R)
     assert_hom_is_koszul_on_both([x2, x1**2], [x1**2], R)
     assert hom_complex(koszul_complex([x1**2], R), koszul_complex([x2], R)).koszul == (x1**2, x2)
