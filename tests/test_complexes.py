@@ -317,8 +317,33 @@ def test_minimalize_preserves_homology():
                     assert oracles.module_piece_dim(before, d) == 0
 
 
-def test_hom_refuses_a_complex_without_a_sequence():
+def test_hom_out_of_the_ring_is_the_identity():
+    # the ring is the Koszul complex on the empty sequence
+    K = koszul_complex([X, Y], R2)
+    H = hom_complex(koszul_complex([], R2), K)
+    assert [m.twists for m in H.modules] == [m.twists for m in K.modules]
+    assert all(rows_of(H.diff(i)) == rows_of(K.diff(i)) for i in (1, 2))
+    assert H.shift == 0
+    assert H.koszul == (X, Y)
+
+
+def test_hom_into_the_ring_dualizes():
+    K = koszul_complex([X, Y], R2)
+    H = hom_complex(K, koszul_complex([], R2))
+    assert [m.rank for m in H.modules] == [1, 2, 1]
+    # internal twists are K(x, y)'s, which are those of Hom(K, R) plus deg(x) + deg(y)
+    assert [tuple(t - 2 for t in m.twists) for m in H.modules] == [(-2,), (-1, -1), (0,)]
+    assert H.shift == -2
+    # entries of the dual differentials are transposes up to sign
+    flat = lambda phi: {oracles.monic(f) for row in phi.rows for f in row if not f.is_zero()}
+    assert flat(H.diff(1)) == {X, Y}
+    assert flat(H.diff(2)) == {X, Y}
+
+
+def test_hom_tag_only_survives_when_both_sides_tagged():
     K = koszul_complex([X], R2)
+    assert hom_complex(K, K).koszul == (X, X)
+    # a complex without a sequence is refused on either side
     S = ChainComplex(R2, [FreeModule(R2, (0,))], [])
     for F, G in ((K, S), (S, K), (S, S)):
         with pytest.raises(UsageError, match="between Koszul complexes"):
