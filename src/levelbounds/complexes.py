@@ -7,7 +7,8 @@ checked to vanish at construction time.  Homology H_i is a Subquotient of
 F_i: the kernel generators of d_i that lie outside D = im d_(i+1) +
 J*F_i, with the reduced basis of D; no presentation of it is built.
 Each differential d_i gets one cached elimination run: its kernel goes to
-H_i, and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1).
+H_i, and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1); on
+top, J's basis at each position is already the reduced basis of J*F_hi.
 
 Koszul complexes built here carry their defining sequence as metadata,
 which level bounds read.  The only Hom built is that of two Koszul
@@ -105,7 +106,8 @@ class ChainComplex:
         if i not in self._homology:
             free = self.modules[i]
             numer = self._run(i)[0] if i else [free.basis_vector(k) for k in range(free.rank)]
-            denom = self._run(i + 1)[1] if i < self.hi else SubmoduleGB(free, [])
+            denom = (self._run(i + 1)[1] if i < self.hi
+                     else SubmoduleGB(free, self.ring.defining_multiples(free.rank)))
             self._homology[i] = subquotient(free, numer, denom)
         return self._homology[i]
 

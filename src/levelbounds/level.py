@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
-from .groebner import IdealData, ideal, ideal_intersection, ideal_sum
-from .invariants import dims, edim, frank_conormal
+from .groebner import IdealData, ideal, ideal_intersection, ideal_sum, krull_dim
+from .invariants import edim, frank_conormal
 from .modules import (
     FreeModule,
     ModMap,
@@ -81,24 +81,19 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     """
     _require_minimal(F)
     R = F.ring
-    if not ideal_sum(I, R.defining).is_proper():
+    total = ideal_sum(I, R.defining)
+    if not total.is_proper():
         raise UsageError("torsion bound needs a proper ideal")
     h0 = F.homology(0)
     if h0.is_zero:
         return None
-    torsion_checks = []
-    for i in range(1, F.hi + 1):
-        hd = F.homology(i)
-        if hd.is_zero:
-            continue
-        ok = is_power_torsion(hd, I)
-        torsion_checks.append({"degree": i, "power_torsion": ok})
-        if not ok:
-            return None
+    torsion_checks = _positive_torsion_checks(F, I)
+    if not all(c["power_torsion"] for c in torsion_checks):
+        return None
     witness = _torsion_generator_witness(h0, I)
     if witness is None:
         return None
-    d_R, d_RI = dims(I, R)
+    d_R, d_RI = R.dim(), krull_dim(total)
     return BoundCertificate(
         kind="TORSION_DIM",
         value=d_R - d_RI + 1,
@@ -110,6 +105,17 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
             "torsion_generator": [str(f) for f in witness],
         },
     )
+
+
+def _positive_torsion_checks(F: ChainComplex, I: IdealData) -> list:
+    """{"degree": i, "power_torsion": ok} per nonzero H_i, i >= 1, up to the first failure."""
+    checks = []
+    for i in range(1, F.hi + 1):
+        if not F.homology(i).is_zero:
+            checks.append({"degree": i, "power_torsion": is_power_torsion(F.homology(i), I)})
+            if not checks[-1]["power_torsion"]:
+                break
+    return checks
 
 
 def _torsion_generator_witness(h0: Subquotient, I: IdealData):
@@ -335,13 +341,6 @@ def verify_factorization_example(
         ("composite_is_x1",
          beta0.compose(alpha0) == ModMap.from_rows(R0, R0, [[xs[0]]], degree=1)),
     ]
-    torsion_ok = True
-    for i in range(1, K.hi + 1):
-        hd = K.homology(i)
-        if hd.is_zero:
-            continue
-        if not is_power_torsion(hd, tail):
-            torsion_ok = False
-            break
+    torsion_ok = all(c["power_torsion"] for c in _positive_torsion_checks(K, tail))
     checks.append(("positive_homology_torsion", torsion_ok))
     return FactorizationReport(n=n, checks=checks, passed=all(v for _, v in checks))

@@ -6,12 +6,15 @@ elimination run that makes it to the checks that read it.  A map keeps
 the image of each source basis vector as one such vector.  Every
 operation (syzygies, kernels, colons, torsion, Hom, free rank) reduces
 to the relative syzygy primitive of the Groebner engine, with J folded
-in by appending J-multiples of the ambient basis.  Kernels and torsion
-submodules come back as generator vectors, which is what their callers
-read; a kernel comes with the image basis of its own run.  A
-subquotient, homology among them, stays in its ambient free module:
-generator vectors modulo a reduced basis of the denominator, with no
-presentation built.
+in by appending J-multiples of the ambient basis.  A submodule handle
+holds a reduced basis that some run already made (the image half of a
+kernel run, the relation half of a colon step), so no handle runs
+Groebner itself.  Kernels and torsion submodules come back as generator
+vectors, which is what their callers read.  A subquotient, homology
+among them, stays in its ambient free module: generator vectors modulo a
+reduced basis of the denominator, with no presentation built.  Both
+torsion checks take one route: the exponent proof, then the stable colon
+where it fails.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and every term of a map column j at position i
@@ -26,7 +29,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf, vec_add_scaled
+from .gbcore import reducer, relative_syzygies, submodule_nf, vec_add_scaled
 from .polys import Poly, PolyRing
 from .rings import QuotientRing
 
@@ -159,20 +162,16 @@ def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
     return tuple(ring.from_dict(d) if d else zero for d in per)
 
 
+@dataclass(frozen=True, eq=False)
 class SubmoduleGB:
-    """Reduced basis of a submodule of P^rank containing J * ambient."""
+    """A submodule of P^rank containing J * ambient, held by its reduced basis.
 
-    def __init__(self, free: FreeModule, vectors: Sequence[dict]):
-        self.free = free
-        vecs = [dict(v) for v in vectors if v] + free.ring.defining_multiples(free.rank)
-        self.gb = module_gb(vecs, free.ring.char)
+    gb is the basis in module_gb's order, from a run that already made
+    it: the handle runs no Groebner itself.
+    """
 
-    @classmethod
-    def _of_run(cls, free: FreeModule, gb: list) -> "SubmoduleGB":
-        """The handle of a basis that module_gb built inside relative_syzygies."""
-        handle = cls.__new__(cls)
-        handle.free, handle.gb = free, gb
-        return handle
+    free: FreeModule
+    gb: list
 
     @cached_property
     def _reducer(self):
@@ -206,7 +205,7 @@ def kernel_and_image(phi: ModMap) -> tuple:
     ring, rank = phi.ring, phi.target.rank
     raw, image = relative_syzygies(phi.cols, ring.defining_multiples(rank), rank=rank,
                                    nvars=ring.nvars, p=ring.char)
-    return _nonzero_normal(phi.source, raw), SubmoduleGB._of_run(phi.target, image)
+    return _nonzero_normal(phi.source, raw), SubmoduleGB(phi.target, image)
 
 
 def syzygies(phi: ModMap) -> ModMap:
@@ -265,24 +264,19 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
 
     Uses the stacked trick: g lies in the colon iff (f_1 g, .., f_t g)
     lies in N + .. + N, which is one relative syzygy computation in
-    P^(rank*t) with the candidate coordinates tracked.
+    P^(rank*t) with the candidate coordinates tracked.  Its syzygy half
+    is the reduced basis of the colon in module_gb's order, as for
+    ideal_intersection, and the colon holds J*free because N does.
     """
     ring = free.ring
     r = free.rank
     t = len(ideal_gens)
     if t == 0:
         raise UsageError("colon by an empty generator list")
-    tracked = []
-    for k in range(r):
-        v: dict = {}
-        for i, f in enumerate(ideal_gens):
-            for e, c in f.terms:
-                v[(i * r + k, e)] = c
-        tracked.append(v)
-    untracked = []
-    for u in n_gb.gb:
-        for i in range(t):
-            untracked.append({(i * r + pos, e): c for (pos, e), c in u.items()})
+    tracked = [{(i * r + k, e): c for i, f in enumerate(ideal_gens) for e, c in f.terms}
+               for k in range(r)]
+    untracked = [{(i * r + pos, e): c for (pos, e), c in u.items()}
+                 for u in n_gb.gb for i in range(t)]
     syz, _ = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
     return SubmoduleGB(free, syz)
 
@@ -290,10 +284,7 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
 def _stable_colon(n_gb: SubmoduleGB, ideal_gens: Sequence[Poly]) -> SubmoduleGB:
     """The union of the chain (N : I^s), from a reduced basis of N.
 
-    Iterates N -> (N : I) until the reduced basis is stable.  The torsion
-    checks run it only when the exponent proof of _kills_by_exponent
-    fails: it decides the answer either way, and it is the only route
-    to a non-torsion verdict and to a torsion submodule short of M.
+    Iterates N -> (N : I) until the reduced basis is stable.
     """
     current = n_gb
     while True:
@@ -331,6 +322,20 @@ def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[dict], f: Poly) -> b
     return True
 
 
+def _torsion_closure(n_gb: SubmoduleGB, vectors: Sequence[dict], fs: Sequence[Poly]):
+    """None when the exponent proof passes for each f in fs, else a stable colon.
+
+    The one route of both torsion checks, and of their exponent witness.
+    At the first f that fails, the colon by it and the f after it is
+    taken: for vectors spanning F mod N that is (N : (fs)^infinity), as
+    f^s F in N and g I'^a in N give g (f, I')^(a + s) in N.
+    """
+    for k, f in enumerate(fs):
+        if not _kills_by_exponent(n_gb, vectors, f):
+            return _stable_colon(n_gb, fs[k:])
+    return None
+
+
 def _nonzero_gens(ring: QuotientRing, I) -> list:
     """The J-normal forms of the generators of I, zeros dropped."""
     return [g for g in (ring.nf(g) for g in I.gens) if not g.is_zero()]
@@ -340,45 +345,38 @@ def gamma_torsion(n_gb: SubmoduleGB, I) -> list:
     """Generators of the I-power torsion submodule of M = F / N.
 
     N is given by its reduced basis handle.  Each generator is a
-    J-normal vector of F outside N; together with N they span the
-    preimage (N : I^infinity) of Gamma_I(M).  When the exponent proof
-    shows that every generator of I kills M (vacuously so when all of
-    them lie in J), Gamma_I(M) = M and the candidates are the basis
-    vectors.  Otherwise the reduced basis of the stable colon, iterated
-    from N, gives them, J-normalised: a basis element need not be J-normal
-    (x^2 over k[x,y,z]/(x^2 + y^2)).  That pass cannot change a verdict:
-    N contains J*F, so membership in N is unchanged, and J lies in m, so
-    constant terms, which the witness test reads, are unchanged too.  It
-    fixes only the representative of the printed witness.  Both routes
-    give the same list: the stable colon of a torsion module is all of
-    F, whose reduced basis is the basis vectors in order.  Candidates
-    that lie in N are dropped.
+    J-normal vector of F outside N; with N they span the preimage
+    (N : I^infinity) of Gamma_I(M).  When the exponent proof passes for
+    every generator of I (vacuously when all lie in J), Gamma_I(M) = M
+    and the candidates are the basis vectors: the reduced basis of F,
+    the closure of a torsion module, so both routes give the same list.
+    Otherwise the closure's reduced basis gives them, J-normalised: a
+    basis element need not be J-normal (x^2 over k[x,y,z]/(x^2 + y^2)).
+    As N contains J*F and J lies in m, the pass keeps membership in N
+    and constant terms, which the witness test reads; it fixes only the
+    printed witness.  Candidates that lie in N are dropped.
     """
     free = n_gb.free
-    gens = _nonzero_gens(free.ring, I)
     basis = [free.basis_vector(k) for k in range(free.rank)]
-    if all(_kills_by_exponent(n_gb, basis, f) for f in gens):
-        candidates = basis
-    else:
-        candidates = _nonzero_normal(free, _stable_colon(n_gb, gens).gb)
+    closure = _torsion_closure(n_gb, basis, _nonzero_gens(free.ring, I))
+    candidates = basis if closure is None else _nonzero_normal(free, closure.gb)
     return [v for v in candidates if not n_gb.contains(v)]
 
 
 def is_power_torsion(H: Subquotient, I) -> bool:
     """True when every element of H is killed by a power of I.
 
-    Checked one generator f of I at a time against the reduced basis of
-    the denominator D.  The exponent proof answers yes: f^s * g in D for
-    every generator g of H is exactly f^s * H = 0, with s <=
-    _EXPONENT_CAP as witness.  When the cap runs out the stable colon
-    (D : f^infinity) decides: H is f-power torsion exactly when it holds
-    every generator.
+    Checked through the torsion closure, one generator f of I at a time,
+    against the reduced basis of the denominator D; the first f that
+    fails ends it.  A passing exponent proof is f^s * H = 0, with s as
+    witness.  Otherwise H is f-power torsion exactly when the stable
+    colon (D : f^infinity) holds every generator.
     """
-    return all(
-        _kills_by_exponent(H.denom, H.gens, f)
-        or all(map(_stable_colon(H.denom, [f]).contains, H.gens))
-        for f in _nonzero_gens(H.free.ring, I)
-    )
+    for f in _nonzero_gens(H.free.ring, I):
+        closure = _torsion_closure(H.denom, H.gens, [f])
+        if closure is not None and not all(map(closure.contains, H.gens)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ class QuotientRing:
         return self.defining.normal_form(f)
 
     def defining_multiples(self, rank: int) -> list:
-        """J * e_k for k < rank as raw vectors, the relations of R^rank inside P^rank."""
-        return [{(k, e): c for e, c in g.terms} for g in self.defining.gb for k in range(rank)]
+        """J's basis at each position in turn: J * P^rank's reduced basis, in module_gb's order."""
+        return [{(k, e): c for e, c in g.terms} for k in range(rank) for g in self.defining.gb]
 
     def module_reducer(self, rank: int):
         """The division structure of J * R^rank, built once per rank.

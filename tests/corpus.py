@@ -19,7 +19,7 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, kernel_and_image, subquotient
+from levelbounds.modules import FreeModule, ModMap, kernel_and_image, subquotient
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -151,5 +151,5 @@ def present(H):
 def as_subquotient(M):
     """The presented module M = F / N as the subquotient of F it is."""
     free = M.gens
-    denom = SubmoduleGB(free, M.rels.cols)
+    denom = oracles.span(free, M.rels.cols)
     return subquotient(free, [free.basis_vector(k) for k in range(free.rank)], denom)

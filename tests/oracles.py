@@ -15,8 +15,8 @@ to the ModMap constructor, so it checks which entry pairs ModMap.compose
 multiplies, not the J-normalisation; dense_koszul checks the placement
 and signs of the Koszul entries the same way, and dense_hom, built on
 dense_compose, is the general Hom whose homology the Koszul-built Hom
-of two Koszul complexes must match up to a twist.  annihilator, radical_membership
-and torsion_generator_by_span are references of another kind: they
+of two Koszul complexes must match up to a twist.  annihilator, radical_membership,
+span and torsion_generator_by_span are references of another kind: they
 route through the engine by a different construction than the checks
 they are compared with.  So is minimal_presentation, which prunes a
 presented module (GradedModule) by unit cancellation for the frank and
@@ -568,6 +568,17 @@ def annihilator(M):
     return result
 
 
+def span(free, vectors):
+    """The handle of the submodule that vectors and J*free generate.
+
+    Its basis comes from a module_gb run of its own, not from the run
+    that made the vectors: the reference the engine's handles, which
+    wrap a basis some run already made, are compared with.
+    """
+    vecs = [dict(v) for v in vectors if v] + free.ring.defining_multiples(free.rank)
+    return SubmoduleGB(free, module_gb(vecs, free.ring.char))
+
+
 def torsion_generator_by_span(h0, I):
     """The first gamma_torsion candidate of H_0 = F_0/D outside D + m*F_0.
 
@@ -577,11 +588,11 @@ def torsion_generator_by_span(h0, I):
     """
     free = h0.free
     P = free.ring.poly_ring
-    span = list(h0.denom.gb)
+    vecs = list(h0.denom.gb)
     for x in P.variables():
         for j in range(free.rank):
-            span.append(vec_from_polyvec([x if k == j else P.zero() for k in range(free.rank)]))
-    handle = SubmoduleGB(free, span)
+            vecs.append(vec_from_polyvec([x if k == j else P.zero() for k in range(free.rank)]))
+    handle = span(free, vecs)
     for c in gamma_torsion(h0.denom, I):
         if not handle.contains(c):
             return polyvec_from_vec(P, free.rank, c)

@@ -3,15 +3,17 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from levelbounds import cli, session, suite
+from levelbounds import cli, modules, session, suite
 from levelbounds.cli import SCHEMA, main
 from levelbounds.errors import InternalInconsistencyError
 
@@ -516,3 +518,56 @@ def test_run_on_arbitrary_bytes_keeps_the_exit_code_contract(tmp_path_factory, d
 def test_run_on_noisy_session_text_keeps_the_exit_code_contract(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "noisy.session"
     _exit_code_contract_holds(path, text.encode("utf-8"))
+
+
+# Koszul tasks for the colon fuzz: 2 or 3 variables, and a quotient,
+# sequence and ideal of nonzero forms of degree 1 or 2.  Many ideals
+# leave the homology non-torsion, which only the colon loop can decide.
+def _forms(nvars):
+    def of_degree(d):
+        monomials = ["*".join(f"x{i}" for i in m)
+                     for m in combinations_with_replacement(range(1, nvars + 1), d)]
+        terms = st.lists(st.tuples(st.integers(1, 100), st.sampled_from(monomials)),
+                         min_size=1, max_size=3, unique_by=lambda t: t[1])
+        return terms.map(lambda ts: " + ".join(f"{c}*{m}" for c, m in ts))
+    return st.lists(st.integers(1, 2).flatmap(of_degree), min_size=1, max_size=3).map(", ".join)
+
+
+_KOSZUL_ARGS = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.just(str(n)), st.one_of(st.just("0"), _forms(n)), _forms(n), _forms(n)))
+
+
+def test_koszul_fuzz_keeps_the_contract_through_the_colon_fallback(monkeypatch):
+    steps = 0
+    colon = modules._colon_submodule
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return colon(*args)
+
+    monkeypatch.setattr(modules, "_colon_submodule", counted)
+
+    # K(x1) over k[x1, x2] with I = (x2): H_0 = k[x2] is not I-torsion
+    @example(("2", "0", "x1", "x2"))
+    @settings(max_examples=40, deadline=None)
+    @given(args=_KOSZUL_ARGS)
+    def check(args):
+        nvars, quotient, seq, ideal = args
+        argv = ["koszul", "--vars", nvars, "--quotient", quotient, "--seq", seq,
+                "--ideal", ideal, "--machine"]
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert time.perf_counter() - start < 10.0
+            assert code in (0, 2)
+            if code == 2:
+                assert re.match(r"error: E_[A-Z_]+: ", err.getvalue())
+            runs.append((code, out.getvalue()))
+        assert runs[0] == runs[1]
+
+    check()
+    assert steps > 0

@@ -16,9 +16,9 @@ from hypothesis import given, strategies as st
 from levelbounds import linalg, modules
 from levelbounds.complexes import hom_complex, koszul_complex
 from levelbounds.errors import UsageError
-from levelbounds.gbcore import _Basis, normal_form, reducer, submodule_nf
-from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import (FreeModule, ModMap, SubmoduleGB, frank, gamma_torsion,
+from levelbounds.gbcore import _Basis, module_gb, normal_form, reducer, submodule_nf
+from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
+from levelbounds.modules import (FreeModule, ModMap, frank, gamma_torsion,
                                  is_power_torsion, kernel_and_image, polyvec_from_vec,
                                  subquotient, syzygies, transpose_map)
 from levelbounds.polys import PolyRing
@@ -205,12 +205,12 @@ def test_regular_pairs_have_one_syzygy(f, g):
 
 def test_submodule_gb_membership():
     F = FreeModule(R2, (0,))
-    span = SubmoduleGB(F, [vec_from_polyvec((X,)), vec_from_polyvec((Y,))])
-    assert span.contains(vec_from_polyvec((X * Y,)))
-    assert not span.contains(F.basis_vector(0))
-    unit = SubmoduleGB(F, [F.basis_vector(0)])
+    xy = oracles.span(F, [vec_from_polyvec((X,)), vec_from_polyvec((Y,))])
+    assert xy.contains(vec_from_polyvec((X * Y,)))
+    assert not xy.contains(F.basis_vector(0))
+    unit = oracles.span(F, [F.basis_vector(0)])
     assert unit.contains(F.basis_vector(0)) and unit.contains(vec_from_polyvec((X + Y,)))
-    x_span = SubmoduleGB(F, [vec_from_polyvec((X,))])
+    x_span = oracles.span(F, [vec_from_polyvec((X,))])
     assert not x_span.nf(vec_from_polyvec((X,)))
     assert x_span.nf(vec_from_polyvec((Y,))) == vec_from_polyvec((Y,))
 
@@ -229,7 +229,7 @@ def test_cached_reducers_match_fresh_bases():
         J = ring.defining
         j_gb = [vec_from_polyvec((g,)) for g in J.gb]
         for d in C.diffs:
-            handle = SubmoduleGB(d.target, d.cols[:1])
+            handle = oracles.span(d.target, d.cols[:1])
             for col in oracles.polyvecs(d.target, d.cols):
                 for x in ring.poly_ring.variables():
                     shifted = tuple(f * x for f in col)
@@ -390,16 +390,29 @@ def assert_torsion_checks_match_colon_route(M, I):
     return want
 
 
+def x1_line():
+    """K(x1) over k[x1..x9]/(x1 x2, .., x1 x9), and I = (x2^2, .., x9^2).
+
+    H_0 = R/(x1) is not I-power torsion, and no generator of I passes
+    the exponent proof on it.
+    """
+    P9 = PolyRing(9, 101)
+    x1, *rest = P9.variables()
+    R = QuotientRing(ideal(P9, [x1 * x for x in rest]))
+    return koszul_complex([x1], R), ideal(P9, [x**2 for x in rest])
+
+
 def exponent_cases():
     """(M, I, torsion, proven by exponent) around the exponent proof.
 
     The torsion_cases, each positive one within the cap; coker(x^d) for
     f = x, which needs s = d, on both sides of the cap; coker(x) for
     (x, y), where x passes and y does not; an ideal inside J, whose
-    generators all vanish in R; and R/(y^2 z) over k[x,y,z]/(x^2 + y^2)
+    generators all vanish in R; R/(y^2 z) over k[x,y,z]/(x^2 + y^2)
     for (z), whose stable colon has the reduced basis {x^2, y^2}: x^2 is
     not J-normal, so gamma_torsion returns [100 y^2, y^2] only because
-    it J-normalises that basis.
+    it J-normalises that basis; and H_0 of x1_line, not torsion for
+    eight generators.
     """
     cap = modules._EXPONENT_CAP
 
@@ -417,6 +430,7 @@ def exponent_cases():
         (line(cap + 2), Ix, True, False),
         (line(1), ideal(P2, [X, Y]), False, False),
         (coker(Rsq, (0,), (3,), [[y**2 * z]]), ideal(P3, [z]), False, False),
+        (corpus.present(x1_line()[0].homology(0)), x1_line()[1], False, False),
     ]
 
 
@@ -435,6 +449,55 @@ def test_torsion_checks_agree_with_colon_route(case, monkeypatch):
     assert is_power_torsion(corpus.as_subquotient(M), I) == want
     assert (steps == 0) == by_exponent
     assert assert_torsion_checks_match_colon_route(M, I) == want
+
+
+def test_power_torsion_colons_one_generator_at_a_time(monkeypatch):
+    # the first generator's stable colon misses the generator of H_0, so
+    # the check ends after one colon step, by that generator alone; a
+    # colon by all eight at once is gamma_torsion's route, and
+    # colon_route_gamma its reference
+    K, I = x1_line()
+    steps = []
+    colon = modules._colon_submodule
+
+    def counted(free, n_gb, ideal_gens):
+        steps.append(len(ideal_gens))
+        return colon(free, n_gb, ideal_gens)
+
+    monkeypatch.setattr(modules, "_colon_submodule", counted)
+    assert not is_power_torsion(K.homology(0), I)
+    assert steps == [1]
+
+
+def test_defining_multiples_are_the_reduced_basis_of_j_times_the_free_module():
+    rings = {C.ring for C in corpus.build_corpus()}
+    for n in range(3, 8):
+        P = PolyRing(n, 101)
+        xs = P.variables()
+        rings.add(QuotientRing(ideal_intersection(ideal(P, [xs[0]]), ideal(P, list(xs[1:])))))
+    a, b = P2.variables()
+    rings |= {QuotientRing(ideal(P2, [a * a, a * b, b**3])), QuotientRing(ideal(P2, [a * b])),
+              QuotientRing(ideal(P2, [a * a, a * b])), x1_line()[0].ring}
+    for R in rings:
+        for rank in range(1, 6):
+            assert module_gb(R.defining_multiples(rank), R.char) == R.defining_multiples(rank)
+
+
+@pytest.mark.parametrize("case", range(len(exponent_cases())))
+def test_colon_step_basis_is_the_basis_of_its_span(case):
+    # the syzygy half of each colon run is the reduced basis of the colon,
+    # which a module_gb run of its own, with J*F added again, reproduces;
+    # checked along the whole chain, by all generators and by each alone
+    M, I = exponent_cases()[case][:2]
+    gens = modules._nonzero_gens(M.ring, I)
+    for fs in ([gens] if gens else []) + [[f] for f in gens]:
+        current = corpus.as_subquotient(M).denom
+        while True:
+            step = modules._colon_submodule(M.gens, current, fs)
+            assert step.gb == oracles.span(M.gens, step.gb).gb
+            if step.gb == current.gb:
+                break
+            current = step
 
 
 def corpus_ideal(data, C, M):
