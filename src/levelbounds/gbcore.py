@@ -1,15 +1,16 @@
 """Groebner engine over free modules P^r for P = F_p[x1..xn].
 
 One Buchberger implementation serves every caller in the package under
-one term order, pot_key: ideals are the rank one case, and all
-submodule and ideal calculus (syzygies, kernels, colons, intersections,
-membership) reduces to reduced module bases plus one primitive,
-relative_syzygies, which eliminates tracked coordinate columns through
-that position-over-term order and returns both halves of its one run.
+one term order, position over term: earlier positions are larger, and
+degrevlex orders the terms at one position.  Ideals are the rank one
+case, and all submodule and ideal calculus (syzygies, kernels, colons,
+intersections, membership) reduces to reduced module bases plus one
+primitive, relative_syzygies, which eliminates tracked coordinate
+columns through that order and returns both halves of its one run.
 
 A vector is a dict mapping terms to nonzero coefficients in 1..p-1,
-where a term is (position, exponent tuple); a larger pot_key means a
-larger term.
+where a term is (position, exponent tuple).  That is the form callers
+pass and get back.
 
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
@@ -30,67 +31,89 @@ Leading terms and reducers are computed once: a basis element carries
 its lead from the moment it is added, interreduction reduces every tail
 against one shared basis, and callers that reduce many vectors against
 the same reduced basis build its reducer once (reducer) and pass it to
-submodule_nf.  The same holds per term: the order key pot_key and the
-support mask _support are cached on the term, so normal_form compares a
-term it meets again without rebuilding its key.  A basis element stores
-its lead's support mask, and find_reducer tests divisibility only when
-that mask lies inside the term's mask (the short exponent vector test
-of Bachmann and Schoenemann, ISSAC 1998).  A lead with a variable the
-term lacks cannot divide it, so the mask skips only leads that would
-fail the full test: the scan still returns the first dividing lead in
-bucket order, and every reduction stays the same.
+submodule_nf.
+
+Packed terms.  Inside the engine a term is one int (Monagan and Pearce,
+CASC 2007): with W-bit fields, W = 64 and B = 2^(W-1) - 1,
+
+    pack(pos, e) = (-pos << W(n+1)) + (deg e << Wn) + sum (B - e_i) << Wi.
+
+While every field lies in [0, 2^W) the int order is the term order: the
+position field comes first, then the degree, then the exponents from the
+last variable down, a smaller exponent giving a larger field, which is
+degrevlex.  The map is affine in (pos, e), so multiplying a term by x^s
+adds the constant pack(0, s) - pack(0, 0), the shift that takes a lead
+le to a term t it divides is t - le, and the lead of a vector is
+max(v).  Every exponent field is at most B, so its top bit is clear, and
+x^a divides x^b (same position) exactly when each field of a is at
+least the field of b: in ((a_low | G) - b_low) & G, with G the top bits
+of the n exponent fields, field i keeps its guard bit set exactly when
+a_i >= b_i, and no field borrows from the next.  Terms are packed on
+entry through a cache (_pack) and unpacked on exit (_unpack).
+
+Soundness guard.  An exponent is at most its term's degree, so every
+field fits while the degree stays below 2^(W-1).  Two checks refuse a
+degree of 2^(W-2) or more, with E_DEGREE_CAP: _pack, on every term it
+packs (the inputs, and the lcm of each pair as its S-vector is formed),
+and normal_form, on each term it pops, once per step.  Every other term
+is built from checked parts: a term of an S-vector has degree below
+deg(term) + deg(lcm), and a term that a reduction step creates has
+degree below deg(tail term) + deg(popped term).  So every term ever
+built has degree below 2^(W-1).  normal_form returns only terms it
+popped, or, against an empty basis, the terms it was given.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .polys import drl_key, mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from .errors import UnsupportedInputError
+from .polys import mono_lcm, mono_mul
+
+E_DEGREE_CAP = "E_DEGREE_CAP"
 
 Term = tuple  # (pos, exps)
 Vec = dict  # Term -> coeff
 
+_W = 64  # bits per packed field
+
 
 @cache
-def pot_key(term: Term) -> tuple:
-    """Position over term, earlier positions larger, degrevlex inside."""
+def _layout(n: int) -> tuple:
+    """(position shift, exponent-field mask, guard bits, degree-cap bits) for n variables."""
+    w = _W
+    guard = sum(1 << (w * i + w - 1) for i in range(n))
+    return w * (n + 1), (1 << (w * n)) - 1, guard, 3 << (w * n + w - 2)
+
+
+def _refuse(deg: int):
+    raise UnsupportedInputError(
+        f"{E_DEGREE_CAP}: a term of degree {deg} reached the cap of 2^{_W - 2}"
+    )
+
+
+@cache
+def _pack(term: Term) -> int:
     pos, e = term
-    return (-pos,) + drl_key(e)
+    deg = sum(e)
+    if deg >> (_W - 2):
+        _refuse(deg)
+    b = (1 << (_W - 1)) - 1
+    x = (-pos << _W) + deg
+    for k in reversed(e):
+        x = (x << _W) + b - k
+    return x
 
 
 @cache
-def _support(e: tuple) -> int:
-    """Bit i set when e[i] > 0; x^a can divide x^b only if a's bits lie in b's."""
-    mask = 0
-    for i, x in enumerate(e):
-        if x:
-            mask |= 1 << i
-    return mask
-
-
-def vec_lt(v: Vec) -> Term:
-    return max(v, key=pot_key)
-
-
-def vec_canon_key(v: Vec) -> tuple:
-    """Total deterministic key on vectors, for canonical sorting."""
-    return tuple(sorted((pot_key(t), t, c) for t, c in v.items()))
-
-
-def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    c %= p
-    if c == 0:
-        return {}
-    return {t: (k * c) % p for t, k in v.items()}
-
-
-def vec_monic(v: Vec, p: int) -> Vec:
-    if not v:
-        return v
-    lc = v[vec_lt(v)]
-    return vec_scale(v, pow(lc, p - 2, p), p)
+def _unpack(t: int, n: int) -> Term:
+    w = _W
+    mask = (1 << w) - 1
+    b = mask >> 1
+    return -(t >> (w * (n + 1))), tuple(b - ((t >> (w * i)) & mask) for i in range(n))
 
 
 def vec_add_scaled(target: Vec, c: int, shift: tuple, src: Vec, p: int) -> None:
@@ -105,66 +128,82 @@ def vec_add_scaled(target: Vec, c: int, shift: tuple, src: Vec, p: int) -> None:
 
 
 class _Basis:
-    """Monic basis elements bucketed by leading position for division."""
+    """Monic packed basis elements bucketed by leading position for division."""
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, layout: Optional[tuple]):
         self.p = p
-        self.elems: list = []  # (lt_term, vec)
-        # lead position -> [(lead exps, vec, index in elems, lead support mask)]
+        self.layout = layout  # None only while the basis is empty
+        self.elems: list = []  # (lead, vec)
+        # lead >> position shift -> [(lead exponent fields | guard, lead, tail items)]
         self.by_pos: dict = {}
 
-    def add(self, v: Vec, lt: Optional[Term] = None) -> None:
-        """Append v; lt is its leading term when the caller knows it."""
-        if lt is None:
-            lt = vec_lt(v)
-        entry = (lt[1], v, len(self.elems), _support(lt[1]))
-        self.by_pos.setdefault(lt[0], []).append(entry)
+    def add(self, v: dict, lt: int) -> None:
+        """Append the monic packed vector v with leading term lt."""
+        psh, low, guard, _ = self.layout
+        tail = dict(v)
+        del tail[lt]
+        self.by_pos.setdefault(lt >> psh, []).append(((lt & low) | guard, lt, tuple(tail.items())))
         self.elems.append((lt, v))
 
-    def find_reducer(self, term: Term):
-        pos, e = term
-        mask = _support(e)
-        for le, g, _, lmask in self.by_pos.get(pos, ()):
-            if not lmask & ~mask and mono_divides(le, e):
-                return le, g
-        return None
 
+def normal_form(v: dict, basis: _Basis) -> dict:
+    """Fully reduced remainder of a packed vector against a monic basis.
 
-def normal_form(v: Vec, basis: _Basis) -> Vec:
-    """Fully reduced remainder of v against a monic basis."""
+    Each step pops the largest term and cancels it with the first
+    element of its position's bucket whose lead divides it.
+    """
+    if basis.layout is None:
+        return dict(sorted(v.items(), reverse=True))
     p = basis.p
+    by_pos = basis.by_pos
+    psh, low, guard, top = basis.layout
     work = dict(v)
-    out: Vec = {}
+    out: dict = {}
     while work:
-        t = max(work, key=pot_key)
+        t = max(work)
         c = work.pop(t)
-        hit = basis.find_reducer(t)
-        if hit is None:
+        if t & top:
+            _refuse((t >> (psh - _W)) & ((1 << _W) - 1))
+        tl = t & low
+        for lg, le, tail in by_pos.get(t >> psh, ()):
+            if (lg - tl) & guard == guard:
+                break
+        else:
             out[t] = c
             continue
-        le, g = hit
-        shift = mono_div(t[1], le)
-        # cancel t: work -= c * x^shift * g, skipping g's lead which
-        # matches t exactly because g is monic
-        for (pos2, e2), k in g.items():
-            if pos2 == t[0] and e2 == le:
-                continue
-            tt = (pos2, mono_mul(e2, shift))
-            val = (work.get(tt, 0) - c * k) % p
+        # cancel t: work -= c * x^(t - le) * g, whose lead is t exactly
+        shift = t - le
+        c = p - c
+        for u, k in tail:
+            u += shift
+            val = (work.get(u, 0) + c * k) % p
             if val:
-                work[tt] = val
+                work[u] = val
             else:
-                work.pop(tt, None)
+                del work[u]
     return out
 
 
-def _spair(lt1: Term, v1: Vec, lt2: Term, v2: Vec, p: int) -> Vec:
-    # both monic with the same leading position
-    m = mono_lcm(lt1[1], lt2[1])
-    s: Vec = {}
-    vec_add_scaled(s, 1, mono_div(m, lt1[1]), v1, p)
-    vec_add_scaled(s, p - 1, mono_div(m, lt2[1]), v2, p)
+def _spair(m: int, a: tuple, b: tuple, p: int) -> dict:
+    """S-vector of monic (lead, vector) pairs a and b at the lcm m of their leads."""
+    (la, va), (lb, vb) = a, b
+    shift = m - la
+    s = {u + shift: k for u, k in va.items()}
+    shift = m - lb
+    for u, k in vb.items():
+        u += shift
+        val = (s.get(u, 0) - k) % p
+        if val:
+            s[u] = val
+        else:
+            del s[u]
     return s
+
+
+def _packed_monic(v: Vec, p: int) -> dict:
+    w = {_pack(t): k for t, k in v.items()}
+    inv = pow(w[max(w)], p - 2, p)
+    return {u: k * inv % p for u, k in w.items()}
 
 
 def module_gb(vectors: Iterable[Vec], p: int) -> list:
@@ -176,82 +215,103 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
     so any generating set of the same submodule yields equal output.
     """
     seed = [v for v in vectors if v]
-    seed = [vec_monic(v, p) for v in seed]
-    seed.sort(key=vec_canon_key)
-    basis = _Basis(p)
+    if not seed:
+        return []
+    n = len(next(iter(seed[0]))[1])
+    layout = _layout(n)
+    psh = layout[0]
+    seed = sorted((_packed_monic(v, p) for v in seed), key=lambda w: sorted(w.items()))
+    basis = _Basis(p, layout)
+    leads: list = []  # (lead exponents, their degree) of element i
     single: list = []  # element i has every term at its lead position
+    members: dict = {}  # lead position -> indices of the elements led there
     queue: list = []  # heap of (lcm deg, lcm exps, i, j)
 
-    def add(v: Vec) -> None:
-        lt = vec_lt(v)
-        j = len(basis.elems)
-        alone = all(pos == lt[0] for pos, _ in v)
-        for le, _, i, _ in basis.by_pos.get(lt[0], ()):
-            m = mono_lcm(le, lt[1])
-            d = mono_deg(m)
-            if alone and single[i] and d == mono_deg(le) + mono_deg(lt[1]):
+    def add(r: dict) -> None:
+        # normal_form lists its terms in descending order, lead first
+        lt = next(iter(r))
+        pos, e = _unpack(lt, n)
+        de = sum(e)
+        alone = next(reversed(r)) >> psh == lt >> psh
+        j = len(leads)
+        bucket = members.setdefault(pos, [])
+        for i in bucket:
+            le, dl = leads[i]
+            m = mono_lcm(le, e)
+            d = sum(m)
+            if alone and single[i] and d == dl + de:
                 continue  # product criterion, sound at a single position
             heapq.heappush(queue, (d, m, i, j))
+        bucket.append(j)
+        leads.append((e, de))
         single.append(alone)
-        basis.add(vec_scale(v, pow(v[lt], p - 2, p), p), lt)
+        inv = pow(r[lt], p - 2, p)
+        basis.add({u: k * inv % p for u, k in r.items()}, lt)
 
-    for v in seed:
-        r = normal_form(v, basis)
+    for w in seed:
+        r = normal_form(w, basis)
         if r:
             add(r)
 
+    elems = basis.elems
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        lti, vi = basis.elems[i]
-        ltj, vj = basis.elems[j]
-        r = normal_form(_spair(lti, vi, ltj, vj, p), basis)
+        _, m, i, j = heapq.heappop(queue)
+        lcm = _pack((-(elems[i][0] >> psh), m))
+        r = normal_form(_spair(lcm, elems[i], elems[j], p), basis)
         if r:
             add(r)
 
-    return _interreduce(basis.elems, p)
+    return [{_unpack(u, n): k for u, k in v.items()} for v in _interreduce(basis)]
 
 
-def _interreduce(elems: Sequence, p: int) -> list:
+def _interreduce(basis: _Basis) -> list:
     # Minimal: every element was fully reduced against all before it, so
     # no lead divides a later one.  Only a later lead can make an element
     # redundant, and a redundant later element hands its divisor on to a
     # kept one: walking in reverse, test against the kept leads only.
+    psh, low, guard, _ = basis.layout
     kept_leads: dict = {}
     keep = []
-    for lt, v in reversed(elems):
-        bucket = kept_leads.setdefault(lt[0], [])
-        if not any(mono_divides(le, lt[1]) for le in bucket):
-            bucket.append(lt[1])
+    for lt, v in reversed(basis.elems):
+        bucket = kept_leads.setdefault(lt >> psh, [])
+        tl = lt & low
+        if not any((lg - tl) & guard == guard for lg in bucket):
+            bucket.append(tl | guard)
             keep.append((lt, v))
     keep.reverse()
     # Tail reduce each against the kept elements.  A tail term is smaller
     # than its own lead, so that lead divides none of the terms met on
     # the way: an element never reduces itself, and one shared basis
-    # picks the same reducers as the others-only basis would.
-    shared = _Basis(p)
-    for lt, v in keep:
-        shared.add(v, lt)
+    # picks the same reducers as the others-only basis would.  It keeps
+    # the division entries of the kept elements, in the same order.
+    kept = {lt for lt, _ in keep}
+    shared = _Basis(basis.p, basis.layout)
+    for key, bucket in basis.by_pos.items():
+        shared.by_pos[key] = [entry for entry in bucket if entry[1] in kept]
     out = []
     for lt, v in keep:
         tail = dict(v)
         reduced = {lt: tail.pop(lt)}
         reduced.update(normal_form(tail, shared))
-        out.append((pot_key(lt), reduced))
-    out.sort(key=lambda kv: kv[0], reverse=True)
+        out.append((lt, reduced))
+    out.sort(key=itemgetter(0), reverse=True)
     return [v for _, v in out]
 
 
 def reducer(gb: Sequence, p: int) -> _Basis:
     """The division structure of a reduced basis, for submodule_nf."""
-    basis = _Basis(p)
+    basis = _Basis(p, _layout(len(next(iter(gb[0]))[1])) if gb else None)
     for g in gb:
-        basis.add(g)
+        w = {_pack(t): k for t, k in g.items()}
+        basis.add(w, max(w))
     return basis
 
 
 def submodule_nf(v: Vec, basis: _Basis) -> Vec:
     """Normal form of v against a reduced basis built by reducer."""
-    return normal_form(v, basis)
+    r = normal_form({_pack(t): k for t, k in v.items()}, basis)
+    n = len(next(iter(v))[1]) if v else 0
+    return {_unpack(u, n): k for u, k in r.items()}
 
 
 def relative_syzygies(
@@ -267,7 +327,7 @@ def relative_syzygies(
     <untracked>}; image equals module_gb(tracked + untracked).  Each
     tracked vector gets a tracking coordinate past the ambient block and
     untracked ones get none, so relations are taken modulo <untracked>.
-    pot_key ranks ambient positions above tracking ones.  So an element
+    The order ranks ambient positions above tracking ones.  So an element
     led in the tracking block has no ambient term and is a relation, and
     those generate all of them.  An element led in the ambient block
     keeps its lead when projected onto that block, and its tail holds

@@ -43,16 +43,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True when x^a divides x^b."""
-    return all(map(operator.le, a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple:
-    """Quotient exponent of x^a / x^b; caller guarantees divisibility."""
-    return tuple(map(operator.sub, a, b))
-
-
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 

@@ -42,6 +42,7 @@ E_SYNTAX = "E_SYNTAX"
 E_UNKNOWN_NAME = "E_UNKNOWN_NAME"
 E_NOT_HOMOGENEOUS = "E_NOT_HOMOGENEOUS"
 E_NOT_PRIME = "E_NOT_PRIME"
+E_CONSTANT_ENTRY = "E_CONSTANT_ENTRY"
 
 # task kind -> (the keys it allows, the one it needs)
 _TASKS = {
@@ -163,7 +164,8 @@ def _split_top_level(text: str, seps: str) -> list:
     return parts
 
 
-def _parse_poly_list(ring: PolyRing, text: str, line: int, col: int) -> list:
+def _parse_poly_list(ring: PolyRing, text: str, line: int, col: int, sequence: bool = False) -> list:
+    """Homogeneous polynomials; a sequence entry must also have positive degree."""
     polys = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -175,6 +177,8 @@ def _parse_poly_list(ring: PolyRing, text: str, line: int, col: int) -> list:
             raise SessionError(E_SYNTAX, str(exc), line, col) from exc
         if not f.is_homogeneous():
             raise SessionError(E_NOT_HOMOGENEOUS, f"{chunk!r} is not homogeneous", line, col)
+        if sequence and f.is_constant():
+            raise SessionError(E_CONSTANT_ENTRY, f"sequence entry {chunk!r} is a constant", line, col)
         polys.append(f)
     return polys
 
@@ -299,7 +303,7 @@ def parse_session(text: str) -> Session:
 
     ring = build_ring(ring_sec.entries, ring_sec.line, define_ideals)
     seqs = {
-        name: tuple(_parse_poly_list(ring.poly_ring, value, line, col))
+        name: tuple(_parse_poly_list(ring.poly_ring, value, line, col, sequence=True))
         for name, value, line, col in _named_sections(sections, "seq", "elems")
     }
 
@@ -335,8 +339,8 @@ def parse_ideal_expression(ring: PolyRing, text: str) -> IdealData:
 
 
 def parse_sequence(ring: PolyRing, text: str) -> tuple:
-    """Inline comma-separated homogeneous polynomial list."""
-    return tuple(_parse_poly_list(ring, text, 0, 1))
+    """Inline comma-separated list of homogeneous polynomials of positive degree."""
+    return tuple(_parse_poly_list(ring, text, 0, 1, sequence=True))
 
 
 _KOSZUL_RE = re.compile(r"^koszul\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)$")

@@ -8,11 +8,13 @@ matrices.  Nothing touches normal forms, Groebner bases or syzygy
 computations, so agreement with the engine is a genuine cross-check.
 The row reduction is this module's own, on numpy int64 matrices, and
 rank_mod_p is a second one on Python ints; neither shares code with
-linalg.rank.  One exception is buchberger_closed, which uses the
-engine's division on purpose: it checks the pair selection of
-module_gb, not its reduction.  Likewise dense_compose hands its product
-to the ModMap constructor, so it checks which entry pairs ModMap.compose
-multiplies, not the J-normalisation; dense_koszul checks the placement
+linalg.rank.  One exception is the tuple-form reference Buchberger
+(pot_key, reference_nf, reference_gb, buchberger_closed): it works on
+(position, exponent tuple) terms under the engine's order, with none of
+the engine's packed terms, so the packed core is compared against it.
+Likewise dense_compose hands its product to the ModMap constructor, so
+it checks which entry pairs ModMap.compose multiplies, not the
+J-normalisation; dense_koszul checks the placement
 and signs of the Koszul entries the same way, and dense_hom, built on
 dense_compose, is the general Hom whose homology the Koszul-built Hom
 of two Koszul complexes must match up to a twist.  annihilator, radical_membership,
@@ -27,16 +29,17 @@ dicts, map columns among them, into such tuples, and vec_from_polyvec
 turns one back into a dict.
 """
 
+import heapq
 from itertools import combinations
 
 import numpy as np
 
 from levelbounds.complexes import cancel_units
 from levelbounds.errors import UsageError
-from levelbounds.gbcore import _Basis, _spair, module_gb, normal_form, relative_syzygies
+from levelbounds.gbcore import module_gb, relative_syzygies, vec_add_scaled
 from levelbounds.groebner import IdealData, ideal_intersection
 from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, gamma_torsion, polyvec_from_vec
-from levelbounds.polys import Poly, mono_mul
+from levelbounds.polys import Poly, drl_key, mono_lcm, mono_mul
 
 
 # ---------------------------------------------------------------------------
@@ -661,24 +664,114 @@ def lead_divisible_terms(vectors, key):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the tuple-form reference Buchberger
+
+
+def pot_key(term):
+    """The engine's term order: position over term, earlier positions
+    larger, degrevlex inside."""
+    pos, e = term
+    return (-pos,) + drl_key(e)
+
+
+def mono_divides(a, b):
+    """True when x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def lead(v):
+    return max(v, key=pot_key)
+
+
+def reference_nf(v, elems, p):
+    """Remainder of v against the monic vectors elems, fully reduced.
+
+    Each step cancels the largest term with the first of elems, in list
+    order, whose lead divides it: the engine's first dividing lead in
+    bucket order.
+    """
+    leads = [lead(g) for g in elems]
+    work = dict(v)
+    out = {}
+    while work:
+        t = max(work, key=pot_key)
+        c = work.pop(t)
+        hit = next((i for i, (pos, le) in enumerate(leads)
+                    if pos == t[0] and mono_divides(le, t[1])), None)
+        if hit is None:
+            out[t] = c
+            continue
+        g = {u: k for u, k in elems[hit].items() if u != leads[hit]}
+        vec_add_scaled(work, p - c, tuple(a - b for a, b in zip(t[1], leads[hit][1])), g, p)
+    return out
+
+
+def reference_spair(f, g, p):
+    """S-vector of two monic vectors whose leads share a position."""
+    (_, ef), (_, eg) = lead(f), lead(g)
+    m = mono_lcm(ef, eg)
+    s = {}
+    vec_add_scaled(s, 1, tuple(a - b for a, b in zip(m, ef)), f, p)
+    vec_add_scaled(s, p - 1, tuple(a - b for a, b in zip(m, eg)), g, p)
+    return s
+
+
+def monic_vec(v, p):
+    """v scaled to leading coefficient 1."""
+    inv = pow(v[lead(v)], p - 2, p)
+    return {t: c * inv % p for t, c in v.items()}
+
+
+def reference_gb(vectors, p):
+    """Reduced basis by plain Buchberger: every same-position pair, no criterion.
+
+    Pairs are taken by ascending lcm degree.  Monic, sorted by
+    descending lead, as module_gb returns it.
+    """
+    gens = []
+    pairs = []  # heap of (lcm degree, i, j)
+
+    def add(r):
+        r = monic_vec(r, p)
+        pos, e = lead(r)
+        for i, g in enumerate(gens):
+            if lead(g)[0] == pos:
+                heapq.heappush(pairs, (sum(mono_lcm(lead(g)[1], e)), i, len(gens)))
+        gens.append(r)
+
+    for v in vectors:
+        r = reference_nf(v, gens, p)
+        if r:
+            add(r)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        r = reference_nf(reference_spair(gens[i], gens[j], p), gens, p)
+        if r:
+            add(r)
+    # no lead divides a later one, so a lead another lead divides is redundant
+    leads = [lead(g) for g in gens]
+    keep = [g for g, (pos, e) in zip(gens, leads)
+            if not any(lp == pos and le != e and mono_divides(le, e) for lp, le in leads)]
+    out = []
+    for g in keep:
+        others = [h for h in keep if h is not g]
+        lt = lead(g)
+        out.append({lt: 1, **reference_nf({t: c for t, c in g.items() if t != lt}, others, p)})
+    return sorted(out, key=lambda g: pot_key(lead(g)), reverse=True)
+
+
 def buchberger_closed(gb, p):
     """True when every same-position S-vector of gb reduces to zero.
 
     gb is a list of monic vectors.  Every pair whose leads share a
-    position is formed, with no criterion, and reduced against a fresh
-    division basis of gb: Buchberger's criterion, so a pair that
-    module_gb skipped unsoundly shows here.
+    position is formed, with no criterion, and reduced against gb by
+    reference_nf: Buchberger's criterion, so a pair that module_gb
+    skipped unsoundly shows here.
     """
-    basis = _Basis(p)
-    for g in gb:
-        basis.add(g)
-    leads = [lt for lt, _ in basis.elems]
-    for i, j in combinations(range(len(gb)), 2):
-        if leads[i][0] == leads[j][0]:
-            s = _spair(leads[i], gb[i], leads[j], gb[j], p)
-            if normal_form(s, basis):
-                return False
-    return True
+    leads = [lead(g) for g in gb]
+    return not any(reference_nf(reference_spair(gb[i], gb[j], p), gb, p)
+                   for i, j in combinations(range(len(gb)), 2) if leads[i][0] == leads[j][0])
 
 
 def dense_compose(a, b):

@@ -371,17 +371,49 @@ def test_koszul_on_an_entry_that_vanishes_in_the_ring(capsys, nvars, quotient, s
 
 
 def test_session_tasks_on_a_sequence_with_a_zero_entry(tmp_path, capsys):
+    # the tasks run on the sequences of a file; a zero entry is refused
+    # where its sequence is parsed, before any task runs
     f = tmp_path / "zero.session"
-    f.write_text(
-        "[ring]\nvars = 2\nquotient = x1\n\n"
-        "[seq S]\nelems = x1, x2\n\n[seq Z]\nelems = 0, x1\n\n"
-        "[task koszul-level]\nseq = S\n\n[task level]\ncomplex = koszul(S)\n\n"
-        "[task lech]\nseq = Z\n"
-    )
+    head = "[ring]\nvars = 2\nquotient = x1\n\n[seq S]\nelems = x1, x2\n\n"
+    tasks = "[task koszul-level]\nseq = S\n\n[task level]\ncomplex = koszul(S)\n"
+    f.write_text(head + tasks)
     code, out, _ = run_cli(capsys, ["run", str(f)])
     assert code == 0
     assert out.count("level koszul(S): [2, 2] exact") == 2
-    assert "lech Z: dependent" in out
+    f.write_text(head + "[seq Z]\nelems = 0, x1\n\n" + tasks + "\n[task lech]\nseq = Z\n")
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: E_CONSTANT_ENTRY:") and "(line 9," in err
+
+
+@pytest.mark.parametrize("seq", ["x1, 0", "0", "x1, 3", "x2^0"])
+def test_constant_sequence_entry_exits_two_with_one_code(tmp_path, capsys, seq):
+    for verb in ("koszul", "invariants"):
+        code, out, err = run_cli(capsys, [verb, "--vars", "2", "--seq", seq])
+        assert code == 2 and out == "" and err.startswith("error: E_CONSTANT_ENTRY:")
+    f = tmp_path / "constant.session"
+    f.write_text(f"[ring]\nvars = 2\n\n[seq S]\nelems = {seq}\n\n[task koszul-level]\nseq = S\n")
+    code, out, err = run_cli(capsys, ["run", str(f)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: E_CONSTANT_ENTRY:") and "(line 5," in err
+
+
+def test_degree_at_the_cap_exits_two_with_cap_code(tmp_path, capsys):
+    # a packed term holds its degree in a 64-bit field, capped at 2^62
+    big = f"x1^{2 ** 62}"
+    code, out, err = run_cli(capsys, ["koszul", "--vars", "2", "--seq", big])
+    assert code == 2 and out == "" and err.startswith("error: E_DEGREE_CAP:")
+    # in a session file the task fails alone, with the code in its error
+    f = tmp_path / "deep.session"
+    f.write_text(f"[ring]\nvars = 2\n\n[seq B]\nelems = {big}\n\n[seq S]\nelems = x1\n\n"
+                 "[task koszul-level]\nseq = B\n\n[task koszul-level]\nseq = S\n")
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [rec["ok"] for rec in records] == [False, True]
+    assert records[0]["result"]["error"].startswith("E_DEGREE_CAP:")
+    # one below the cap is accepted
+    code, out, _ = run_cli(capsys, ["koszul", "--vars", "2", "--seq", f"x1^{2 ** 62 - 1}"])
+    assert code == 0 and out.startswith(f"level koszul(x1^{2 ** 62 - 1}): [2, 2] exact")
 
 
 def test_invariants_verb(capsys):

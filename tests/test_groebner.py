@@ -2,24 +2,26 @@
 
 import random
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
 
 from levelbounds import gbcore, modules
 from levelbounds.errors import UnsupportedInputError, UsageError
-from levelbounds.gbcore import module_gb, pot_key
+from levelbounds.gbcore import E_DEGREE_CAP, module_gb
 from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
                                   height_monomial, ideal, ideal_intersection,
                                   ideal_sum, krull_dim, monomial_minimal_primes,
                                   zero_ideal)
 from levelbounds.level import verify_factorization_example
 from levelbounds.modules import FreeModule, gamma_torsion
-from levelbounds.polys import PolyRing, mono_divides, mono_lcm, mono_mul
+from levelbounds.polys import PolyRing, mono_lcm, mono_mul
 from levelbounds.rings import QuotientRing
 
 import corpus
 import oracles
+from oracles import mono_divides, pot_key
 
 P2 = PolyRing(2, 101)
 P3 = PolyRing(3, 101)
@@ -340,25 +342,22 @@ def sparse_exponents(nvars):
 @KEYS
 @given(data=st.data())
 def test_find_reducer_returns_the_first_dividing_lead(key, data):
-    # the support mask may only skip leads that do not divide the term
+    # the division scan cancels each term with the first element of its
+    # position whose lead divides it, so even against a set that is no
+    # Groebner basis the remainder is the reference's term for term
     nvars = data.draw(st.integers(1, 12))
     exps = sparse_exponents(nvars)
     terms = st.tuples(st.integers(0, 1), exps)
-    basis = gbcore._Basis(101)
     vecs = st.dictionaries(terms, st.integers(1, 100), min_size=1, max_size=3)
-    for v in data.draw(st.lists(vecs, max_size=12)):
-        basis.add(v)
-    queries = data.draw(st.lists(terms, max_size=6))
-    for (pos, le), _ in basis.elems:
-        queries.append((pos, mono_mul(le, data.draw(exps))))
-    for pos, e in queries:
-        want = next(((lt[1], g) for lt, g in basis.elems
-                     if lt[0] == pos and mono_divides(lt[1], e)), None)
-        got = basis.find_reducer((pos, e))
-        if want is None:
-            assert got is None
-        else:
-            assert got[0] == want[0] and got[1] is want[1]
+    elems = data.draw(st.lists(vecs.map(lambda v: oracles.monic_vec(v, 101)), max_size=12))
+    basis = gbcore.reducer(elems, 101)
+    queries = data.draw(st.lists(st.dictionaries(terms, st.integers(1, 100), max_size=3),
+                                 max_size=6))
+    for g in elems:
+        pos, le = max(g, key=key)
+        queries.append({(pos, mono_mul(le, data.draw(exps))): data.draw(st.integers(1, 100))})
+    for v in queries:
+        assert gbcore.submodule_nf(v, basis) == oracles.reference_nf(v, elems, 101)
 
 
 def exponent_pairs(nvars):
@@ -369,11 +368,81 @@ def exponent_pairs(nvars):
 def test_cached_term_functions_are_transparent(pos, pair):
     e, g = pair
     t = (pos, e)
-    assert pot_key(t) == pot_key.__wrapped__(t)
-    assert gbcore._support(e) == gbcore._support.__wrapped__(e)
-    assert gbcore._support(e) == sum(1 << i for i, x in enumerate(e) if x > 0)
-    # every divisor of a term passes the mask test
-    assert not gbcore._support(e) & ~gbcore._support(mono_mul(e, g))
+    packed = gbcore._pack(t)
+    assert packed == gbcore._pack.__wrapped__(t)
+    assert gbcore._unpack(packed, len(e)) == gbcore._unpack.__wrapped__(packed, len(e)) == t
+    assert gbcore._layout(len(e)) == gbcore._layout.__wrapped__(len(e))
+    # a multiple is one addition away, whatever the position
+    assert gbcore._pack((pos, mono_mul(e, g))) - packed == gbcore._pack((0, g)) - gbcore._pack(
+        (0, (0,) * len(e)))
+
+
+def wide_exponents(nvars):
+    """Exponent tuples with small and with field-sized entries."""
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 40))
+    return st.lists(entry, min_size=nvars, max_size=nvars).map(tuple)
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.tuples(st.integers(0, 5), wide_exponents(n))] * 2,
+                        wide_exponents(n))))
+def test_packed_terms_agree_with_the_tuple_forms(terms):
+    a, b, s = terms
+    n = len(s)
+    pa, pb = gbcore._pack(a), gbcore._pack(b)
+    # the int order is the engine's term order
+    assert (pa < pb) == (pot_key(a) < pot_key(b)) and (pa == pb) == (a == b)
+    # unpacking gives the term back
+    assert gbcore._unpack(pa, n) == a and gbcore._unpack(pb, n) == b
+    # a product is the packed term plus the packed shift
+    shift = gbcore._pack((0, s)) - gbcore._pack((0, (0,) * n))
+    assert gbcore._unpack(pa + shift, n) == (a[0], mono_mul(a[1], s))
+    assert pa + shift == gbcore._pack((a[0], mono_mul(a[1], s)))
+    # divisibility: the guarded subtraction on the exponent fields, and
+    # through the engine, a lead at b's position that divides b cancels it
+    _, low, guard, _ = gbcore._layout(n)
+    assert ((((pa & low) | guard) - (pb & low)) & guard == guard) == mono_divides(a[1], b[1])
+    lead_at_b = {(b[0], a[1]): 1}
+    gone = not gbcore.submodule_nf({b: 1}, gbcore.reducer([lead_at_b], 101))
+    assert gone == mono_divides(a[1], b[1])
+
+
+@contextmanager
+def narrow_fields():
+    """8-bit packed fields, so the degree cap is 2^6 = 64."""
+    caches = (gbcore._layout, gbcore._pack, gbcore._unpack)
+    width = gbcore._W
+    gbcore._W = 8
+    for f in caches:
+        f.cache_clear()
+    try:
+        yield 64
+    finally:
+        gbcore._W = width
+        for f in caches:
+            f.cache_clear()
+
+
+@pytest.mark.parametrize("vecs", [
+    # an S-vector term of degree 64: caught when normal_form pops it
+    [{(0, (1, 0)): 1, (1, (0, 63)): 1}, {(0, (0, 1)): 1}],
+    # a pair whose lcm has degree 80: caught when the lcm is packed
+    [{(0, (40, 1)): 1}, {(0, (1, 40)): 1}],
+    # an input term of degree 64: caught when it is packed
+    [{(0, (32, 32)): 1}],
+], ids=["popped", "lcm", "input"])
+def test_degree_cap_refuses_terms_that_reach_it(vecs):
+    with narrow_fields(), pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+        module_gb(vecs, 101)
+
+
+@given(rank=st.integers(1, 3), data=st.data())
+def test_narrow_fields_below_the_cap_match_the_reference(rank, data):
+    vecs = data.draw(st.lists(mixed_vectors(3, rank), min_size=1, max_size=5))
+    with narrow_fields() as cap:
+        # a power well into the 8-bit fields, with room for the lcms
+        vecs.append({(rank - 1, (0, 0, cap - 24)): 1})
+        assert module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
 
 
 def test_factorization_example_spair_count(monkeypatch):
