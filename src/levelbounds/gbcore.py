@@ -15,10 +15,15 @@ pass and get back.
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
 pair; the basis never loses an element before interreduction, so such a
-representation stays valid to the end.  Two rules apply:
+representation stays valid to the end.  Three rules apply:
 
 - Pairs are formed only between elements whose leads share a position;
   any other S-vector is undefined.
+- Two single-term elements are never paired: monic, they are x^a*e_k
+  and x^b*e_k, and their S-vector is lcm*e_k - lcm*e_k = 0.  A
+  monomial submodule, such as J*P^r for a monomial ideal J, is seeded
+  as single terms, so this rule removes most of a run's pairs over a
+  monomial quotient.
 - Product criterion, for single-position elements only (every term at
   the lead's position).  Two such elements at position k are f*e_k and
   g*e_k, the order restricted to position k is degrevlex, and coprime
@@ -55,8 +60,9 @@ Soundness guard.  An exponent is at most its term's degree, so every
 field fits while the degree stays below 2^(W-1).  Two checks refuse a
 degree of 2^(W-2) or more, with E_DEGREE_CAP: _pack, on every term it
 packs (the inputs, and the lcm of each pair as its S-vector is formed),
-and normal_form, on each term it pops, once per step.  Every other term
-is built from checked parts: a term of an S-vector has degree below
+and normal_form, on each term it pops, once per step.  A skipped pair
+builds no term, so its lcm needs no check.  Every other term is built
+from checked parts: a term of an S-vector has degree below
 deg(term) + deg(lcm), and a term that a reduction step creates has
 degree below deg(tail term) + deg(popped term).  So every term ever
 built has degree below 2^(W-1).  normal_form returns only terms it
@@ -224,6 +230,7 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
     basis = _Basis(p, layout)
     leads: list = []  # (lead exponents, their degree) of element i
     single: list = []  # element i has every term at its lead position
+    monomial: list = []  # element i is a single term
     members: dict = {}  # lead position -> indices of the elements led there
     queue: list = []  # heap of (lcm deg, lcm exps, i, j)
 
@@ -233,9 +240,12 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
         pos, e = _unpack(lt, n)
         de = sum(e)
         alone = next(reversed(r)) >> psh == lt >> psh
+        mono = len(r) == 1
         j = len(leads)
         bucket = members.setdefault(pos, [])
         for i in bucket:
+            if mono and monomial[i]:
+                continue  # two single terms: the S-vector is zero
             le, dl = leads[i]
             m = mono_lcm(le, e)
             d = sum(m)
@@ -245,6 +255,7 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
         bucket.append(j)
         leads.append((e, de))
         single.append(alone)
+        monomial.append(mono)
         inv = pow(r[lt], p - 2, p)
         basis.add({u: k * inv % p for u, k in r.items()}, lt)
 
@@ -309,6 +320,8 @@ def reducer(gb: Sequence, p: int) -> _Basis:
 
 def submodule_nf(v: Vec, basis: _Basis) -> Vec:
     """Normal form of v against a reduced basis built by reducer."""
+    if basis.layout is None:
+        return dict(v)
     r = normal_form({_pack(t): k for t, k in v.items()}, basis)
     n = len(next(iter(v))[1]) if v else 0
     return {_unpack(u, n): k for u, k in r.items()}

@@ -24,6 +24,7 @@ from .polys import Poly, PolyRing
 _KRULL_VAR_CAP = 16
 _MINPRIMES_VAR_CAP = 12
 E_VAR_CAP = "E_VAR_CAP"
+E_UNIT_IDEAL = "E_UNIT_IDEAL"
 
 
 def _poly_to_vec(f: Poly) -> dict:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .complexes import koszul_complex
 from .errors import InternalInconsistencyError, UsageError
 from .groebner import (
+    E_UNIT_IDEAL,
     IdealData,
     bigheight_monomial,
     height_monomial,
@@ -55,7 +56,7 @@ def dims(I: IdealData, R: QuotientRing) -> tuple:
     """(dim R, dim R/I), both as Krull dimensions in the ambient ring."""
     total = ideal_sum(I, R.defining)
     if not total.is_proper():
-        raise UsageError("I expands to the unit ideal, R/I is zero")
+        raise UsageError(f"{E_UNIT_IDEAL}: I expands to the unit ideal, R/I is zero")
     return R.dim(), krull_dim(total)
 
 

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
-from .groebner import IdealData, ideal, ideal_intersection, ideal_sum, krull_dim
+from .groebner import (E_UNIT_IDEAL, IdealData, ideal, ideal_intersection, ideal_sum,
+                       krull_dim)
 from .invariants import edim, frank_conormal
 from .modules import (
     FreeModule,
@@ -83,7 +84,7 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     R = F.ring
     total = ideal_sum(I, R.defining)
     if not total.is_proper():
-        raise UsageError("torsion bound needs a proper ideal")
+        raise UsageError(f"{E_UNIT_IDEAL}: torsion bound needs a proper ideal")
     h0 = F.homology(0)
     if h0.is_zero:
         return None

@@ -309,6 +309,23 @@ def test_unit_quotient_exits_two(capsys):
     assert code == 2 and "unit ideal" in err
 
 
+def test_unit_ideal_exits_two_with_one_code(tmp_path, capsys):
+    # I + J = (1) makes R/I zero: both verbs refuse it with one code
+    for argv in (["koszul", "--vars", "2", "--seq", "x1", "--ideal", "1"],
+                 ["invariants", "--vars", "2", "--ideal", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: E_UNIT_IDEAL:")
+    # in a session file each such task fails alone, with the code in its error
+    f = tmp_path / "unit.session"
+    f.write_text("[ring]\nvars = 2\n\n[ideal U]\ngens = 1\n\n[seq S]\nelems = x1\n\n"
+                 "[task koszul-level]\nseq = S\nideal = U\n\n[task invariants]\nideal = U\n\n"
+                 "[task koszul-level]\nseq = S\n")
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [rec["ok"] for rec in records] == [False, False, True]
+    assert all(rec["result"]["error"].startswith("E_UNIT_IDEAL:") for rec in records[:2])
+
+
 def test_no_verb_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levelbounds import gbcore, modules
+from levelbounds.complexes import koszul_complex
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import E_DEGREE_CAP, module_gb
 from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
@@ -334,6 +335,57 @@ def test_coprime_leads_at_two_positions_still_pair(key):
     assert oracles.buchberger_closed(gb, 101)
 
 
+def single_terms(nvars, rank):
+    """Single-term vectors of P^rank, as a monomial submodule is seeded."""
+    mons = [(pos, e) for pos in range(rank)
+            for d in (1, 2, 3) for e in oracles.monomials(nvars, d)]
+    return st.tuples(st.sampled_from(mons), st.integers(1, 100)).map(lambda t: dict([t]))
+
+
+@given(rank=st.integers(1, 3), data=st.data())
+def test_module_gb_on_many_single_terms_matches_plain_buchberger(rank, data):
+    # two single terms are never paired; every pair with a longer element
+    # still is, and plain Buchberger forms every pair
+    singles = data.draw(st.lists(single_terms(3, rank), min_size=2, max_size=8))
+    others = data.draw(st.lists(mixed_vectors(3, rank), max_size=3))
+    vecs = data.draw(st.permutations(singles + others))
+    assert module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
+
+
+@contextmanager
+def module_gb_inputs():
+    """The vectors of every module_gb call made inside the block."""
+    seen = []
+    real = gbcore.module_gb
+
+    def spy(vectors, p):
+        vectors = list(vectors)
+        seen.append((vectors, p))
+        return real(vectors, p)
+
+    gbcore.module_gb = spy
+    try:
+        yield seen
+    finally:
+        gbcore.module_gb = real
+
+
+@given(data=st.data())
+def test_koszul_runs_over_a_monomial_quotient_match_plain_buchberger(data):
+    # each run embeds the tracked Koszul columns beside J's basis at
+    # every position: single terms dense at every position
+    J = data.draw(monomial_ideals(P3))
+    seq = data.draw(st.lists(homogeneous_polys(P3, max_deg=2), min_size=1, max_size=3))
+    K = koszul_complex(seq, QuotientRing(J))
+    d = K.diff(data.draw(st.integers(1, K.hi)))
+    with module_gb_inputs() as seen:
+        modules.kernel_and_image(d)
+    assert len(seen) == 1
+    vecs, p = seen[0]
+    assert sum(len(v) == 1 for v in vecs) >= len(J.gb) * d.target.rank
+    assert module_gb(vecs, p) == oracles.reference_gb(vecs, p)
+
+
 def sparse_exponents(nvars):
     """Exponent tuples that are mostly zero, so supports often differ."""
     return st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=nvars, max_size=nvars).map(tuple)
@@ -427,13 +479,21 @@ def narrow_fields():
     # an S-vector term of degree 64: caught when normal_form pops it
     [{(0, (1, 0)): 1, (1, (0, 63)): 1}, {(0, (0, 1)): 1}],
     # a pair whose lcm has degree 80: caught when the lcm is packed
-    [{(0, (40, 1)): 1}, {(0, (1, 40)): 1}],
+    [{(0, (40, 1, 0)): 1, (0, (0, 0, 41)): 1}, {(0, (1, 40, 0)): 1, (0, (0, 0, 41)): 1}],
     # an input term of degree 64: caught when it is packed
     [{(0, (32, 32)): 1}],
 ], ids=["popped", "lcm", "input"])
 def test_degree_cap_refuses_terms_that_reach_it(vecs):
     with narrow_fields(), pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
         module_gb(vecs, 101)
+
+
+def test_two_single_terms_form_no_pair_and_build_no_lcm():
+    # the lcm has degree 80, but the S-vector of two single terms is
+    # zero, so the pair is never formed and its lcm never packed
+    vecs = [{(0, (40, 1)): 1}, {(0, (1, 40)): 1}]
+    with narrow_fields():
+        assert module_gb(vecs, 101) == vecs
 
 
 @given(rank=st.integers(1, 3), data=st.data())
@@ -463,7 +523,7 @@ def test_factorization_example_spair_count(monkeypatch):
 
     monkeypatch.setattr(gbcore, "_spair", counted)
     assert verify_factorization_example(5).passed
-    assert count == 116
+    assert count == 54
 
 
 def test_factorization_example_colon_steps(monkeypatch):
