@@ -6,9 +6,10 @@ are degree zero maps and the composite of consecutive differentials is
 checked to vanish at construction time.  Homology H_i is a Subquotient of
 F_i: the kernel generators of d_i that lie outside D = im d_(i+1) +
 J*F_i, with the reduced basis of D; no presentation of it is built.
-Each differential d_i gets one cached elimination run: its kernel goes to
-H_i, and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1); on
-top, J's basis at each position is already the reduced basis of J*F_hi.
+Each differential d_i owns one elimination run: its kernel goes to H_i
+(and, for a Koszul d_1, to the conormal bound), and the basis of im d_i
++ J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each position
+is already the reduced basis of J*F_hi.
 
 Koszul complexes built here carry their defining sequence as metadata,
 which level bounds read.  The only Hom built is that of two Koszul
@@ -29,7 +30,6 @@ from .modules import (
     ModMap,
     SubmoduleGB,
     Subquotient,
-    kernel_and_image,
     subquotient,
 )
 from .polys import Poly
@@ -72,7 +72,6 @@ class ChainComplex:
         self.shift = shift
         self.koszul = koszul
         self._homology: dict = {}
-        self._runs: dict = {}
 
     @property
     def hi(self) -> int:
@@ -93,20 +92,15 @@ class ChainComplex:
     def is_minimal(self) -> bool:
         return all(d.entries_in_maximal_ideal() for d in self.diffs)
 
-    def _run(self, i: int) -> tuple:
-        """kernel_and_image(d_i), computed once."""
-        if i not in self._runs:
-            self._runs[i] = kernel_and_image(self.diff(i))
-        return self._runs[i]
-
     def homology(self, i: int) -> Subquotient:
-        """Run i's kernel over run i + 1's image; basis vectors at 0, J*F_hi on top."""
+        """d_i's kernel over d_(i+1)'s image; basis vectors at 0, J*F_hi on top."""
         if not 0 <= i <= self.hi:
             raise UsageError(f"degree {i} outside 0..{self.hi}")
         if i not in self._homology:
             free = self.modules[i]
-            numer = self._run(i)[0] if i else [free.basis_vector(k) for k in range(free.rank)]
-            denom = (self._run(i + 1)[1] if i < self.hi
+            numer = (self.diff(i).kernel_and_image[0] if i
+                     else [free.basis_vector(k) for k in range(free.rank)])
+            denom = (self.diff(i + 1).kernel_and_image[1] if i < self.hi
                      else SubmoduleGB(free, self.ring.defining_multiples(free.rank)))
             self._homology[i] = subquotient(free, numer, denom)
         return self._homology[i]
@@ -240,7 +234,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     cancel_units); zero modules left at either end are trimmed.  The
     result is homotopy equivalent to C and has all entries in m.  A
     complex with nothing to cancel or trim is returned as it is, with
-    its cached homology runs.
+    its cached homology and its maps' runs.
     """
     if C.is_minimal() and (C.hi == 0 or (C.modules[0].rank and C.modules[-1].rank)):
         return C

@@ -24,7 +24,6 @@ from .polys import Poly, PolyRing
 _KRULL_VAR_CAP = 16
 _MINPRIMES_VAR_CAP = 12
 E_VAR_CAP = "E_VAR_CAP"
-E_UNIT_IDEAL = "E_UNIT_IDEAL"
 
 
 def _poly_to_vec(f: Poly) -> dict:
@@ -104,12 +103,6 @@ def ideal(ring: PolyRing, gens: Sequence[Poly]) -> IdealData:
 
 def zero_ideal(ring: PolyRing) -> IdealData:
     return IdealData(ring, ())
-
-
-def ideal_sum(I: IdealData, J: IdealData) -> IdealData:
-    if I.ring != J.ring:
-        raise UsageError("ideals from different rings")
-    return IdealData(I.ring, I.gens + J.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +188,3 @@ def monomial_minimal_primes(I: IdealData) -> list:
                 covers.append(s)
     minimal = [c for c in covers if not any(other < c for other in covers)]
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))
-
-
-def _heights_over_quotient(I: IdealData, J: IdealData) -> list:
-    if I.ring != J.ring:
-        raise UsageError("ideals from different rings")
-    if not (I.is_monomial() and J.is_monomial()):
-        raise UnsupportedInputError("height computations require monomial input ideals")
-    total = ideal_sum(I, J)
-    if not total.is_proper():
-        raise UsageError("height of the unit ideal is not defined")
-    big_primes = monomial_minimal_primes(total)
-    small_primes = monomial_minimal_primes(J) if not J.is_zero() else [frozenset()]
-    heights = []
-    for p_big in big_primes:
-        inside = [q for q in small_primes if q <= p_big]
-        # every minimal prime of I+J contains J, hence some minimal cover of J
-        heights.append(max(len(p_big - q) for q in inside))
-    return heights
-
-
-def height_monomial(I: IdealData, J: IdealData) -> int:
-    """Height of I in P/J for monomial I and J (smallest chain bound)."""
-    return min(_heights_over_quotient(I, J))
-
-
-def bigheight_monomial(I: IdealData, J: IdealData) -> int:
-    """Largest height of a minimal prime over I in P/J, monomial case."""
-    return max(_heights_over_quotient(I, J))

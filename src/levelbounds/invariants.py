@@ -1,9 +1,12 @@
 """Ring and ideal invariants feeding the level bounds.
 
-Dimension, depth, embedding dimension, Lech independence, free rank of
-the conormal module, and the parameter-sequence test.  All depth
-computations go through Koszul homology on a chosen generating set; the
-value does not depend on the choice.
+Dimension, depth, embedding dimension, height and bigheight, Lech
+independence, free rank of the conormal module, and the parameter-sequence
+test.  Each reads R/I through the ring's I + J.  Depth goes through
+Koszul homology on a chosen generating set; the value does not depend on
+the choice.  The conormal relations are the kernel of the sequence map
+R^n -> R from that map's own run: a Koszul d_1 for FRANK, or a map built
+here from the sequence.
 """
 
 from __future__ import annotations
@@ -13,19 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import koszul_complex
-from .errors import InternalInconsistencyError, UsageError
-from .groebner import (
-    E_UNIT_IDEAL,
-    IdealData,
-    bigheight_monomial,
-    height_monomial,
-    ideal,
-    ideal_sum,
-    krull_dim,
-)
+from .errors import InternalInconsistencyError, UnsupportedInputError, UsageError
+from .groebner import IdealData, ideal, krull_dim, monomial_minimal_primes
 from .modules import FreeModule, ModMap, frank, syzygies
 from .polys import Poly
-from .rings import QuotientRing
+from .rings import QuotientRing, UnitIdealError
 
 
 def depth_ideal(I: IdealData, R: QuotientRing):
@@ -36,8 +31,9 @@ def depth_ideal(I: IdealData, R: QuotientRing):
     """
     if I.ring != R.poly_ring:
         raise UsageError("ideal and ring live over different polynomial rings")
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
+    try:
+        R.extension(I.gens)
+    except UnitIdealError:
         return math.inf
     gens = list(I.gens)
     K = koszul_complex(gens, R)
@@ -54,10 +50,7 @@ def depth_ring(R: QuotientRing):
 
 def dims(I: IdealData, R: QuotientRing) -> tuple:
     """(dim R, dim R/I), both as Krull dimensions in the ambient ring."""
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
-        raise UsageError(f"{E_UNIT_IDEAL}: I expands to the unit ideal, R/I is zero")
-    return R.dim(), krull_dim(total)
+    return R.dim(), krull_dim(R.extension(I.gens))
 
 
 def edim(R: QuotientRing) -> int:
@@ -66,21 +59,44 @@ def edim(R: QuotientRing) -> int:
     return R.nvars - linear
 
 
-def _conormal_relations(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
-    """The syzygies of seq over R read over S = R/(seq): relations of I/I^2 over S.
+def _heights_over_quotient(I: IdealData, R: QuotientRing) -> list:
+    if not (I.is_monomial() and R.defining.is_monomial()):
+        raise UnsupportedInputError("height computations require monomial input ideals")
+    big_primes = monomial_minimal_primes(R.extension(I.gens))
+    small_primes = monomial_minimal_primes(R.defining)
+    heights = []
+    for p_big in big_primes:
+        inside = [q for q in small_primes if q <= p_big]
+        # every minimal prime of I+J contains J, hence some minimal cover of J
+        heights.append(max(len(p_big - q) for q in inside))
+    return heights
 
-    The 1 x n map sends e_j to seq[j] with twist deg seq[j] (0 for a
-    zero entry); its syzygies, as a map over S, are J-normalised for the
-    defining ideal I + J of S.
+
+def height_monomial(I: IdealData, R: QuotientRing) -> int:
+    """Height of I in R = P/J for monomial I and J (smallest chain bound)."""
+    return min(_heights_over_quotient(I, R))
+
+
+def bigheight_monomial(I: IdealData, R: QuotientRing) -> int:
+    """Largest height of a minimal prime over I in R = P/J, monomial case."""
+    return max(_heights_over_quotient(I, R))
+
+
+def conormal_relations(d1: ModMap) -> ModMap:
+    """The relations of I/I^2 over S = R/I, for d1: R^n -> R sending e_j to f_j, I = (f).
+
+    They are the syzygies of the f_j, which is the kernel half of d1's
+    own run, read over S: J-normalised for the defining ideal I + J of S.
     """
-    I = ideal(R.poly_ring, list(seq))
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
-        raise UsageError("sequence generates the unit ideal")
-    source = FreeModule(R, tuple(max(f.degree(), 0) for f in seq))
-    syz = syzygies(ModMap.from_rows(source, FreeModule(R, (0,)), [seq]))
-    S = QuotientRing(total)
+    syz = syzygies(d1)
+    S = QuotientRing(d1.ring.extension(d1.rows[0]))
     return ModMap(FreeModule(S, syz.source.twists), FreeModule(S, syz.target.twists), syz.cols)
+
+
+def _sequence_map(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
+    """The 1 x n map sending e_j to seq[j], with twist deg seq[j] (0 for a zero entry)."""
+    source = FreeModule(R, tuple(max(f.degree(), 0) for f in seq))
+    return ModMap.from_rows(source, FreeModule(R, (0,)), [seq])
 
 
 def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
@@ -89,7 +105,7 @@ def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
     Decided on generators: every syzygy of seq over R must have all of
     its coordinates inside I, that is vanish over R/I.
     """
-    return _conormal_relations(seq, R).is_zero()
+    return conormal_relations(_sequence_map(seq, R)).is_zero()
 
 
 def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
@@ -98,7 +114,7 @@ def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
     Generators are the sequence entries with their degrees as twists;
     relations are the syzygies of the sequence over R, read mod I.
     """
-    return frank(_conormal_relations(seq, R))
+    return frank(conormal_relations(_sequence_map(seq, R)))
 
 
 def is_psop(seq: Sequence[Poly], R: QuotientRing) -> bool:
@@ -106,9 +122,7 @@ def is_psop(seq: Sequence[Poly], R: QuotientRing) -> bool:
     for f in seq:
         if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
             raise UsageError("parameter test needs homogeneous entries of positive degree")
-    I = ideal(R.poly_ring, list(seq))
-    quotient_dim = krull_dim(ideal_sum(I, R.defining))
-    return R.dim() - quotient_dim == len(seq)
+    return R.dim() - krull_dim(R.extension(seq)) == len(seq)
 
 
 @dataclass
@@ -156,11 +170,11 @@ def invariant_report(
         report.dim_RmodI = dims(I, R)[1]
         report.depth_I = depth_ideal(I, R)
         if I.is_monomial() and R.defining.is_monomial():
-            report.height = height_monomial(I, R.defining)
-            report.bigheight = bigheight_monomial(I, R.defining)
+            report.height = height_monomial(I, R)
+            report.bigheight = bigheight_monomial(I, R)
     if seq is not None:
         # one syzygy run answers both lech_independent and frank_conormal
-        rels = _conormal_relations(seq, R)
+        rels = conormal_relations(_sequence_map(seq, R))
         report.lech_independent = rels.is_zero()
         report.frank_conormal = frank(rels)
         report.is_psop = is_psop(seq, R)

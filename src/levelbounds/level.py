@@ -4,7 +4,8 @@ Each bound runs its own hypothesis checks and, when they pass, emits a
 BoundCertificate.  level_interval minimalizes the complex, collects all
 applicable certificates, and reports [max lower, min upper].  Exactness
 is claimed only when the two meet.  lower > upper is an engine bug and
-raises InternalInconsistencyError with the full certificate dump.
+raises InternalInconsistencyError with the full certificate dump.  Bounds
+reading R/I take I + J from the ring; FRANK reads the run of K's d_1.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ from typing import Optional, Sequence
 
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
-from .groebner import (E_UNIT_IDEAL, IdealData, ideal, ideal_intersection, ideal_sum,
-                       krull_dim)
-from .invariants import edim, frank_conormal
+from .groebner import IdealData, ideal, ideal_intersection, krull_dim
+from .invariants import conormal_relations, edim
 from .modules import (
     FreeModule,
     ModMap,
     Subquotient,
+    frank,
     gamma_torsion,
     is_power_torsion,
     polyvec_from_vec,
 )
 from .polys import DEFAULT_CHAR, Poly, PolyRing
 from .rings import QuotientRing
+
+E_N_RANGE = "E_N_RANGE"
 
 LOWER_KINDS = ("NONZERO", "GAP", "TORSION_DIM", "FRANK")
 UPPER_KINDS = ("LENGTH_UB", "EDIM_UB", "KOSZUL_TRIM")
@@ -82,9 +85,7 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     """
     _require_minimal(F)
     R = F.ring
-    total = ideal_sum(I, R.defining)
-    if not total.is_proper():
-        raise UsageError(f"{E_UNIT_IDEAL}: torsion bound needs a proper ideal")
+    total = R.extension(I.gens)
     h0 = F.homology(0)
     if h0.is_zero:
         return None
@@ -159,9 +160,16 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
     )
 
 
-def lb_frank_koszul(seq: Sequence[Poly], R: QuotientRing) -> BoundCertificate:
-    """Free rank of the conormal module of (seq), plus one."""
-    fr = frank_conormal(seq, R)
+def lb_frank_koszul(K: ChainComplex) -> BoundCertificate:
+    """Free rank of the conormal module of a Koszul complex's sequence, plus one.
+
+    d_1 sends e_j to the j-th entry, J-normal, so the kernel of its run,
+    which homology also reads, holds the relations.
+    """
+    seq, fr = (), 0
+    if K.hi:  # on the empty sequence I = 0 and the conormal module is zero
+        d1 = K.diff(1)
+        seq, fr = d1.rows[0], frank(conormal_relations(d1))
     return BoundCertificate(
         kind="FRANK",
         value=fr + 1,
@@ -202,9 +210,7 @@ def trim_koszul_sequence(seq: Sequence[Poly], R: QuotientRing) -> tuple:
     while changed:
         changed = False
         for idx in range(len(kept)):
-            rest = kept[:idx] + kept[idx + 1 :]
-            total = ideal_sum(ideal(R.poly_ring, rest), R.defining)
-            if total.contains(kept[idx]):
+            if R.extension(kept[:idx] + kept[idx + 1 :]).contains(kept[idx]):
                 kept.pop(idx)
                 changed = True
                 break
@@ -255,10 +261,9 @@ def level_interval(
         if td is not None:
             certs.append(td)
     if M.koszul is not None:
-        seq = tuple(M.ring.nf(f) for f in M.koszul)
-        certs.append(lb_frank_koszul(seq, M.ring))
+        certs.append(lb_frank_koszul(M))
         certs.append(ub_edim_koszul(M.ring))
-        certs.append(ub_koszul_trim(seq, M.ring))
+        certs.append(ub_koszul_trim(tuple(M.ring.nf(f) for f in M.koszul), M.ring))
     certs.append(ub_length(M))
     lower = max(c.value for c in certs if c.is_lower)
     upper = min(c.value for c in certs if not c.is_lower)
@@ -315,7 +320,7 @@ def verify_factorization_example(
     point of the quotient.
     """
     if n < 3:
-        raise UsageError("factorization example needs n >= 3")
+        raise UsageError(f"{E_N_RANGE}: factorization example needs n >= 3")
     # refuse K(x2..xn) past the cap before building the ring it lives over
     check_koszul_length(n - 1)
     P = PolyRing(n, char)

@@ -8,9 +8,10 @@ operation (syzygies, kernels, colons, torsion, Hom, free rank) reduces
 to the relative syzygy primitive of the Groebner engine, with J folded
 in by appending J-multiples of the ambient basis.  A submodule handle
 holds a reduced basis that some run already made (the image half of a
-kernel run, the relation half of a colon step), so no handle runs
-Groebner itself.  Kernels and torsion submodules come back as generator
-vectors, which is what their callers read.  A subquotient, homology
+map's kernel run, the relation half of a colon step), so no handle runs
+Groebner itself, and a map makes that run once.  Kernels and torsion
+submodules come back as generator vectors, which is what their callers
+read.  A subquotient, homology
 among them, stays in its ambient free module: generator vectors modulo a
 reduced basis of the denominator, with no presentation built.  Both
 torsion checks take one route: the exponent proof, then the stable colon
@@ -112,6 +113,20 @@ class ModMap:
         columns = [polyvec_from_vec(P, rank, v) for v in self.cols]
         return tuple(zip(*columns)) if columns else ((),) * rank
 
+    @cached_property
+    def kernel_and_image(self) -> tuple:
+        """ker as nonzero J-normal source vectors, and im + J*target as a handle.
+
+        One relative syzygy run on the columns, made once, gives both
+        halves: the image basis is that run's own module_gb output.
+        """
+        if self.degree != 0:
+            raise UsageError("kernel is only computed for degree zero maps")
+        ring, rank = self.ring, self.target.rank
+        raw, image = relative_syzygies(self.cols, ring.defining_multiples(rank), rank=rank,
+                                       nvars=ring.nvars, p=ring.char)
+        return _nonzero_normal(self.source, raw), SubmoduleGB(self.target, image)
+
     def is_zero(self) -> bool:
         return not any(self.cols)
 
@@ -194,27 +209,13 @@ def _nonzero_normal(free: FreeModule, vecs: Sequence[dict]) -> list:
     return [w for w in (submodule_nf(v, basis) for v in vecs) if w]
 
 
-def kernel_and_image(phi: ModMap) -> tuple:
-    """ker(phi) as nonzero J-normal source vectors, and im(phi) + J*target as a handle.
-
-    One relative syzygy run on the columns gives both halves: the image
-    basis is that run's own module_gb output, not a second run.
-    """
-    if phi.degree != 0:
-        raise UsageError("kernel is only computed for degree zero maps")
-    ring, rank = phi.ring, phi.target.rank
-    raw, image = relative_syzygies(phi.cols, ring.defining_multiples(rank), rank=rank,
-                                   nvars=ring.nvars, p=ring.char)
-    return _nonzero_normal(phi.source, raw), SubmoduleGB(phi.target, image)
-
-
 def syzygies(phi: ModMap) -> ModMap:
     """The kernel of phi, as a map onto it whose columns generate all R-relations.
 
     A column's twist is read off its first term; the ModMap constructor
     checks that every term has the same degree.
     """
-    kernel = kernel_and_image(phi)[0]
+    kernel = phi.kernel_and_image[0]
     source = phi.source
     twists = tuple(source.twists[pos] + sum(e) for pos, e in (next(iter(v)) for v in kernel))
     return ModMap(FreeModule(phi.ring, twists), source, kernel)
@@ -396,7 +397,7 @@ def frank(rels: ModMap) -> int:
     """
     # Hom_R(M, R) is the kernel of the transposed relations; a kernel
     # vector lists the values of a functional on the generators of M
-    hom = kernel_and_image(transpose_map(rels))[0]
+    hom = transpose_map(rels).kernel_and_image[0]
     zero = (0,) * rels.ring.nvars
     pairing = [[vec.get((j, zero), 0) for j in range(rels.target.rank)] for vec in hom]
     return linalg.rank(pairing, rels.ring.char)

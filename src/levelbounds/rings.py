@@ -3,7 +3,9 @@
 J must be homogeneous and proper, so R is graded with R_0 = k and the
 irrelevant maximal ideal generated by the variable images.  Elements of
 R are represented by their normal forms modulo J, and vectors of R^rank
-by their normal forms modulo J*R^rank.
+by their normal forms modulo J*R^rank.  The ring computes what it
+derives from J once: J*R^rank's division structure per rank, and the
+ideal (gens) + J per generator tuple, which is read wherever R/I is.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ from .errors import UsageError
 from .gbcore import reducer
 from .groebner import IdealData, krull_dim, zero_ideal
 from .polys import Poly, PolyRing
+
+E_UNIT_IDEAL = "E_UNIT_IDEAL"
+
+
+class UnitIdealError(UsageError):
+    """An ideal expands to the unit ideal of R, so R/I is zero."""
 
 
 class QuotientRing:
@@ -23,6 +31,7 @@ class QuotientRing:
         self.poly_ring = defining.ring
         self.defining = defining
         self._module_reducers: dict = {}
+        self._extensions: dict = {}
 
     @classmethod
     def free(cls, ring: PolyRing) -> "QuotientRing":
@@ -54,6 +63,16 @@ class QuotientRing:
         if rank not in self._module_reducers:
             self._module_reducers[rank] = reducer(self.defining_multiples(rank), self.char)
         return self._module_reducers[rank]
+
+    def extension(self, gens) -> IdealData:
+        """(gens) + J, kept per generator tuple; E_UNIT_IDEAL refuses R/(gens)R = 0."""
+        key = tuple(gens)
+        total = self._extensions.get(key)
+        if total is None:
+            total = self._extensions[key] = IdealData(self.poly_ring, key + self.defining.gens)
+        if not total.is_proper():
+            raise UnitIdealError(f"{E_UNIT_IDEAL}: I expands to the unit ideal, R/I is zero")
+        return total
 
     def is_zero_elem(self, f: Poly) -> bool:
         return self.nf(f).is_zero()

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .complexes import hom_complex, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
-from .groebner import bigheight_monomial, ideal, ideal_intersection, zero_ideal
-from .invariants import depth_ring, dims
-from .level import check_torsion_dim, level_interval, verify_factorization_example
+from .groebner import ideal, ideal_intersection
+from .invariants import bigheight_monomial, depth_ring, dims
+from .level import E_N_RANGE, check_torsion_dim, level_interval, verify_factorization_example
 from .polys import DEFAULT_CHAR, PolyRing
 from .rings import QuotientRing
 
@@ -55,7 +55,7 @@ def _intersection_ideal(P: PolyRing):
 
 def run_suite(n: int, char: int = DEFAULT_CHAR) -> SuiteResult:
     if not 3 <= n <= 6:
-        raise UsageError("suite runs for 3 <= n <= 6")
+        raise UsageError(f"{E_N_RANGE}: suite runs for 3 <= n <= 6")
     checks = []
 
     def record(name, fn):
@@ -71,6 +71,8 @@ def run_suite(n: int, char: int = DEFAULT_CHAR) -> SuiteResult:
     xs = P.variables()
     R_free = QuotientRing.free(P)
     I_meet = _intersection_ideal(P)
+    # family B's ring, shared by the checks over it and the factorization example
+    RB = QuotientRing(I_meet)
 
     # partial systems of parameters: exact level m + 1
     for m in range(1, min(n, 4) + 1):
@@ -122,17 +124,16 @@ def run_suite(n: int, char: int = DEFAULT_CHAR) -> SuiteResult:
 
     def family_a_check():
         d_R, d_RI = dims(I_meet, R_free)
-        bh = bigheight_monomial(I_meet, zero_ideal(P))
+        bh = bigheight_monomial(I_meet, R_free)
         ok = d_R - d_RI == 1 and bh == n - 1
         return ok, f"dims diff {d_R - d_RI} want 1, bigheight {bh} want {n - 1}"
 
     record("family_a_dims_bigheight", family_a_check)
 
     def family_b_check():
-        RB = QuotientRing(I_meet)
         IB = ideal(P, list(xs[1:]))
         d_R, d_RI = dims(IB, RB)
-        bh = bigheight_monomial(IB, I_meet)
+        bh = bigheight_monomial(IB, RB)
         ok = d_R - d_RI == n - 2 and bh == 0
         return ok, f"dims diff {d_R - d_RI} want {n - 2}, bigheight {bh} want 0"
 
@@ -147,14 +148,13 @@ def run_suite(n: int, char: int = DEFAULT_CHAR) -> SuiteResult:
     record("remark_no_bigheight_level", remark_check)
 
     def factorization_check():
-        fr = verify_factorization_example(n, char)
+        fr = verify_factorization_example(n, char, ring=RB)
         failed = [name for name, ok in fr.checks if not ok]
         return fr.passed, f"checks failed: {failed}" if failed else "all chain map checks hold"
 
     record("factorization_example", factorization_check)
 
     def hom_self_check():
-        RB = QuotientRing(I_meet)
         K = koszul_complex([xs[0]], RB)
         rep = level_interval(hom_complex(K, K), label="hom(koszul(x1),koszul(x1))")
         ok = rep.exact and rep.lower == 2

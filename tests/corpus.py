@@ -19,7 +19,7 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex
 from levelbounds.gbcore import relative_syzygies
 from levelbounds.groebner import ideal, zero_ideal
-from levelbounds.modules import FreeModule, ModMap, kernel_and_image, subquotient
+from levelbounds.modules import FreeModule, ModMap, subquotient
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
 
@@ -78,7 +78,7 @@ def build_corpus(count=24, seed=20260819):
             rows.append(row)
         d1 = ModMap.from_rows(F1, F0, rows)
         take = rng.randrange(0, 4)
-        cols = kernel_and_image(d1)[0][:take]
+        cols = d1.kernel_and_image[0][:take]
         if cols:
             d2 = map_from_columns(F1, cols)
             C = ChainComplex(R, [F0, F1, d2.source], [d1, d2])

@@ -26,7 +26,9 @@ Hilbert function references that read minimal generators; the engine's
 frank reads any presentation.  The degreewise oracles read a vector as
 a tuple of polynomials, one per position: polyvecs turns the engine's
 dicts, map columns among them, into such tuples, and vec_from_polyvec
-turns one back into a dict.
+turns one back into a dict.  ideal_sum is the plain sum of two ideals
+from their generators, for tests that compare ideals; the engine takes
+I + J from its ring.
 """
 
 import heapq
@@ -306,6 +308,11 @@ def submodule_rows(vectors, twists, nvars, d, p):
     if not rows:
         return np.zeros((0, len(basis)), dtype=np.int64)
     return as_matrix(rows, p)
+
+
+def ideal_sum(I, J):
+    """I + J, from the two generator lists."""
+    return IdealData(I.ring, I.gens + J.gens)
 
 
 def krull_dim_all_subsets(I):

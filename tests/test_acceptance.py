@@ -9,9 +9,8 @@ a second route exists.
 import pytest
 
 from levelbounds.complexes import hom_complex, koszul_complex, minimalize
-from levelbounds.groebner import (bigheight_monomial, ideal,
-                                  ideal_intersection, zero_ideal)
-from levelbounds.invariants import depth_ring, dims
+from levelbounds.groebner import ideal, ideal_intersection
+from levelbounds.invariants import bigheight_monomial, depth_ring, dims
 from levelbounds.level import (check_torsion_dim, level_interval,
                                verify_factorization_example)
 from levelbounds.polys import PolyRing
@@ -73,9 +72,10 @@ def test_criterion_04_split_union_family_invariants(n):
     1 while bigheight is n - 1."""
     P = PolyRing(n, 101)
     I = _meet(P)
-    d_R, d_RI = dims(I, QuotientRing.free(P))
+    R = QuotientRing.free(P)
+    d_R, d_RI = dims(I, R)
     assert d_R - d_RI == 1
-    assert bigheight_monomial(I, zero_ideal(P)) == n - 1
+    assert bigheight_monomial(I, R) == n - 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -89,7 +89,7 @@ def test_criterion_05_quotient_family_invariants(n):
     IB = ideal(P, list(xs[1:]))
     d_R, d_RI = dims(IB, RB)
     assert d_R - d_RI == n - 2
-    assert bigheight_monomial(IB, meet) == 0
+    assert bigheight_monomial(IB, RB) == 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

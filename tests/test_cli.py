@@ -355,6 +355,19 @@ def test_paper_suite_bad_n_exits_two(capsys):
     assert code == 2 and "3 <= n <= 6" in err
 
 
+def test_n_out_of_range_exits_two_with_one_code(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["paper-suite", "--n", "7"])
+    assert code == 2 and out == "" and err.startswith("error: E_N_RANGE:")
+    # in a session file each such task fails alone, with the code in its error
+    f = tmp_path / "range.session"
+    f.write_text("[ring]\nvars = 2\n\n[task factorization-example]\nn = 2\n\n"
+                 "[task paper-suite]\nn = 7\n\n[task factorization-example]\nn = 3\n")
+    code, out, _ = run_cli(capsys, ["run", str(f), "--machine"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [rec["ok"] for rec in records] == [False, False, True]
+    assert all(rec["result"]["error"].startswith("E_N_RANGE:") for rec in records[:2])
+
+
 def test_koszul_verb(capsys):
     code, out, _ = run_cli(capsys, ["koszul", "--vars", "2", "--seq", "x1, x2"])
     assert code == 0

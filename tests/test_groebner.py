@@ -11,10 +11,9 @@ from levelbounds import gbcore, modules
 from levelbounds.complexes import koszul_complex
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import E_DEGREE_CAP, module_gb
-from levelbounds.groebner import (E_VAR_CAP, IdealData, bigheight_monomial,
-                                  height_monomial, ideal, ideal_intersection,
-                                  ideal_sum, krull_dim, monomial_minimal_primes,
-                                  zero_ideal)
+from levelbounds.groebner import (E_VAR_CAP, IdealData, ideal, ideal_intersection,
+                                  krull_dim, monomial_minimal_primes, zero_ideal)
+from levelbounds.invariants import bigheight_monomial, height_monomial
 from levelbounds.level import verify_factorization_example
 from levelbounds.modules import FreeModule, gamma_torsion
 from levelbounds.polys import PolyRing, mono_lcm, mono_mul
@@ -22,7 +21,7 @@ from levelbounds.rings import QuotientRing
 
 import corpus
 import oracles
-from oracles import mono_divides, pot_key
+from oracles import ideal_sum, mono_divides, pot_key
 
 P2 = PolyRing(2, 101)
 P3 = PolyRing(3, 101)
@@ -154,20 +153,20 @@ def test_height_examples():
     P4 = PolyRing(4, 101)
     v = list(P4.variables())
     meet = ideal_intersection(ideal(P4, [v[0]]), ideal(P4, v[1:]))
-    zero = zero_ideal(P4)
-    assert height_monomial(meet, zero) == 1
-    assert bigheight_monomial(meet, zero) == 3
+    free = QuotientRing.free(P4)
+    assert height_monomial(meet, free) == 1
+    assert bigheight_monomial(meet, free) == 3
     # same ideal read over the quotient by itself: everything collapses
     rest = ideal(P4, v[1:])
-    assert height_monomial(rest, meet) == 0
-    assert bigheight_monomial(rest, meet) == 0
+    assert height_monomial(rest, QuotientRing(meet)) == 0
+    assert bigheight_monomial(rest, QuotientRing(meet)) == 0
     two = ideal(P2, [X, Y])
-    assert height_monomial(two, zero_ideal(P2)) == 2
-    assert bigheight_monomial(two, zero_ideal(P2)) == 2
+    assert height_monomial(two, QuotientRing.free(P2)) == 2
+    assert bigheight_monomial(two, QuotientRing.free(P2)) == 2
     with pytest.raises(UnsupportedInputError):
-        height_monomial(ideal(P2, [X + Y]), zero_ideal(P2))
+        height_monomial(ideal(P2, [X + Y]), QuotientRing.free(P2))
     with pytest.raises(UsageError):
-        bigheight_monomial(ideal(P2, [P2.one()]), zero_ideal(P2))
+        bigheight_monomial(ideal(P2, [P2.one()]), QuotientRing.free(P2))
 
 
 def homogeneous_polys(ring, min_deg=1, max_deg=3):
@@ -217,14 +216,14 @@ def test_monomial_intersection_is_pairwise_lcm(A, B):
 
 @given(monomial_ideals(P3), monomial_ideals(P3))
 def test_height_at_most_bigheight(I, J):
-    h = height_monomial(I, J)
-    bh = bigheight_monomial(I, J)
+    h = height_monomial(I, QuotientRing(J))
+    bh = bigheight_monomial(I, QuotientRing(J))
     assert 0 <= h <= bh
 
 
 @given(monomial_ideals(P3))
 def test_monomial_dimension_via_covers(I):
-    assert krull_dim(I) == 3 - height_monomial(I, zero_ideal(P3))
+    assert krull_dim(I) == 3 - height_monomial(I, QuotientRing.free(P3))
 
 
 @given(monomial_ideals(P4))
@@ -379,7 +378,7 @@ def test_koszul_runs_over_a_monomial_quotient_match_plain_buchberger(data):
     K = koszul_complex(seq, QuotientRing(J))
     d = K.diff(data.draw(st.integers(1, K.hi)))
     with module_gb_inputs() as seen:
-        modules.kernel_and_image(d)
+        d.kernel_and_image
     assert len(seen) == 1
     vecs, p = seen[0]
     assert sum(len(v) == 1 for v in vecs) >= len(J.gb) * d.target.rank

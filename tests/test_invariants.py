@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from levelbounds.errors import UsageError
+from levelbounds.errors import UnsupportedInputError, UsageError
+from levelbounds.gbcore import E_DEGREE_CAP
 from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
-from levelbounds.invariants import (InvariantReport, depth_ideal, depth_ring,
-                                    dims, edim, frank_conormal,
-                                    invariant_report, is_psop,
+from levelbounds.invariants import (InvariantReport, bigheight_monomial, depth_ideal,
+                                    depth_ring, dims, edim, frank_conormal,
+                                    height_monomial, invariant_report, is_psop,
                                     lech_independent)
-from levelbounds.polys import PolyRing
+from levelbounds.polys import PolyRing, parse_poly
 from levelbounds.rings import QuotientRing
 
 import oracles
@@ -42,6 +43,34 @@ def test_depth_ideal_examples():
     assert depth_ideal(ideal(P2, [X]), R2) == 1
     # an ideal expanding to the unit ideal has depth +infinity
     assert depth_ideal(ideal(P2, [P2.one()]), R2) == math.inf
+
+
+def test_depth_is_infinite_only_for_the_unit_ideal():
+    # the unit ideal reads as +infinity; any other refusal of I + J
+    # propagates instead of passing for it
+    with pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+        depth_ideal(ideal(P2, [parse_poly(f"x1^{2 ** 62}", P2)]), R2)
+
+
+def test_ring_computes_each_extension_once():
+    R = QuotientRing(ideal(P2, [X * Y]))
+    total = R.extension([X, Y])
+    # equal generators, built afresh, give back the same object
+    assert R.extension((P2.var(0), P2.var(1))) is total
+    assert total.gb == ideal(P2, [X, Y]).gb
+    # another generator tuple is another entry, for the same ideal
+    swapped = R.extension([Y, X])
+    assert swapped is not total and swapped == total
+    assert R.extension([X * X]) == ideal(P2, [X * X, X * Y])
+
+
+def test_heights_refuse_the_unit_ideal_with_its_code():
+    for height in (height_monomial, bigheight_monomial):
+        with pytest.raises(UsageError, match="^E_UNIT_IDEAL:"):
+            height(ideal(P2, [P2.one()]), R2)
+    # over a quotient the refusal reads I + J, not I alone
+    Rx = QuotientRing(ideal(P2, [X]))
+    assert height_monomial(ideal(P2, [Y]), Rx) == 1
 
 
 def test_depth_is_generator_independent():

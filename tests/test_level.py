@@ -2,6 +2,7 @@
 
 import pytest
 
+from levelbounds import modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
@@ -100,10 +101,29 @@ def _nonminimal():
 
 
 def test_frank_certificate_values():
-    assert lb_frank_koszul([X, X * Y], R2).value == 2
-    assert lb_frank_koszul([X**2, Y**2], R2).value == 3
-    cert = lb_frank_koszul([X1], R3)
+    assert lb_frank_koszul(koszul_complex([X, X * Y], R2)).value == 2
+    assert lb_frank_koszul(koszul_complex([X**2, Y**2], R2)).value == 3
+    cert = lb_frank_koszul(koszul_complex([X1], R3))
     assert cert.value == 2 and cert.evidence["seq"] == ["x1"]
+    # the empty sequence has no d_1 and a zero conormal module
+    assert lb_frank_koszul(koszul_complex([], R2)).evidence == {"frank_conormal": 0, "seq": []}
+
+
+def test_frank_reads_the_kernel_that_homology_took(monkeypatch):
+    # three runs for the homology of the three differentials and one for
+    # FRANK's dual: the conormal relations are d_1's kernel, from its run
+    calls = []
+    real = modules.relative_syzygies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(modules, "relative_syzygies", counted)
+    seq = [X, Y, X + Y]
+    rep = level_interval(koszul_complex(seq, QuotientRing(ideal(P2, [X * Y]))),
+                         I=ideal(P2, seq))
+    assert len(calls) == 4
+    assert certmap(rep)["FRANK"].evidence == {"frank_conormal": 2, "seq": ["x1", "x2", "x1 + x2"]}
 
 
 def test_upper_bound_certificates():

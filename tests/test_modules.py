@@ -19,7 +19,7 @@ from levelbounds.errors import UsageError
 from levelbounds.gbcore import module_gb, reducer, submodule_nf
 from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
 from levelbounds.modules import (FreeModule, ModMap, frank, gamma_torsion,
-                                 is_power_torsion, kernel_and_image, polyvec_from_vec,
+                                 is_power_torsion, polyvec_from_vec,
                                  subquotient, syzygies, transpose_map)
 from levelbounds.polys import PolyRing
 from levelbounds.rings import QuotientRing
@@ -116,7 +116,7 @@ def test_map_entries_are_normal():
         R = C.ring
         P = R.poly_ring
         for d in C.diffs:
-            assert_j_normal(d.source, kernel_and_image(d)[0])
+            assert_j_normal(d.source, d.kernel_and_image[0])
         for i in range(C.hi + 1):
             H = C.homology(i)
             assert_j_normal(H.free, H.gens)
@@ -237,7 +237,7 @@ def test_kernel_vanishes_after_inclusion():
     for C in corpus.build_corpus(8, seed=7):
         phi = C.diff(1)
         syz = syzygies(phi)
-        assert syz.source.rank == len(kernel_and_image(phi)[0])
+        assert syz.source.rank == len(phi.kernel_and_image[0])
         assert phi.compose(syz).is_zero()
 
 
@@ -283,7 +283,7 @@ def hom_degrees(M):
     """Degrees of the generators of Hom(M, R), one kernel vector each."""
     dual = transpose_map(M.rels)
     return [polyvec_degree(dual.source, v)
-            for v in oracles.polyvecs(dual.source, kernel_and_image(dual)[0])]
+            for v in oracles.polyvecs(dual.source, dual.kernel_and_image[0])]
 
 
 def test_hom_into_ring_examples():

@@ -88,6 +88,18 @@ def test_every_imported_name_is_used():
     assert _unused_imports() == []
 
 
+def test_only_the_ring_builds_an_ideal_plus_its_defining_ideal():
+    # I + J has one home, QuotientRing.extension: no other package module
+    # reads J's generators, and none defines an ideal sum of its own
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "rings.py" and ".defining.gens" in path.read_text(encoding="utf-8")]
+    assert readers == []
+    defined = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "ideal_sum"]
+    assert defined == []
+
+
 def test_cli_imports_only_the_standard_library():
     # modules that site start-up hooks load before the import are not counted
     probe = (
