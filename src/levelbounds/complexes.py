@@ -11,14 +11,16 @@ Each differential d_i owns one elimination run: its kernel goes to H_i
 + J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each position
 is already the reduced basis of J*F_hi.
 
-Koszul complexes built here carry their defining sequence as metadata,
-which level bounds read.  The only Hom built is that of two Koszul
-complexes, and by Koszul self-duality it is the Koszul complex on the
-concatenated sequence, shifted; hom_complex builds it as exactly that.
+Koszul complexes carry their defining sequence, which level bounds read,
+and the ring keeps one per sequence tuple.  The only Hom built is that
+of two Koszul complexes, and by Koszul self-duality it is the Koszul
+complex on the concatenated sequence, shifted; hom_complex builds it as
+exactly that.
 """
 
 from __future__ import annotations
 
+import copy
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -127,23 +129,43 @@ def check_koszul_length(m: int) -> None:
         )
 
 
+def sequence_map(seq: Sequence[Poly], ring: QuotientRing) -> ModMap:
+    """R's 1 x n map sending e_j to seq[j], with twist deg seq[j] (0 for a zero entry).
+
+    Built once per sequence tuple: it is d_1 of koszul_complex(seq, R),
+    and the conormal relations read the kernel half of its run.
+    """
+    seq = tuple(seq)
+
+    def build():
+        source = FreeModule(ring, tuple(max(f.degree(), 0) for f in seq))
+        return ModMap.from_rows(source, FreeModule(ring, (0,)), [seq])
+
+    return ring.owned(("sequence", seq), build)
+
+
 def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
-    """The Koszul complex on seq over R, basis e_S ordered lex in each degree.
+    """R's Koszul complex on seq, basis e_S ordered lex in each degree.
 
     The differential takes e_S for S = (i_1 < .. < i_k) to the
     alternating sum of f_(i_j) e_(S minus i_j) with sign +1 on the first
-    entry.  Sequence entries must be nonzero homogeneous polynomials of
-    positive degree; their images in R may vanish.  More than
-    _KOSZUL_CAP entries is refused.
+    entry, and d_1 is R's sequence_map.  Sequence entries must be
+    nonzero homogeneous polynomials of positive degree; their images in
+    R may vanish.  More than _KOSZUL_CAP entries is refused.  After the
+    checks, R returns its complex for the tuple, built and d-squared
+    checked on the first request, so callers share its runs and homology.
     """
     check_koszul_length(len(seq))
-    elems = []
     for f in seq:
         if not isinstance(f, Poly) or f.ring != ring.poly_ring:
             raise UsageError("sequence entries must come from the ambient ring")
         if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
             raise UsageError(f"sequence entry must be homogeneous of positive degree: {f}")
-        elems.append(f)
+    elems = tuple(seq)
+    return ring.owned(("koszul", elems), lambda: _build_koszul(elems, ring))
+
+
+def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
     n = len(elems)
     p = ring.char
     degs = [f.degree() for f in elems]
@@ -152,8 +174,8 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     for k in range(n + 1):
         twists = tuple(sum(degs[i] for i in s) for s in subsets[k])
         modules.append(FreeModule(ring, twists))
-    diffs = []
-    for k in range(1, n + 1):
+    diffs = [sequence_map(elems, ring)] if n else []
+    for k in range(2, n + 1):
         index = {s: idx for idx, s in enumerate(subsets[k - 1])}
         cols = []
         for s in subsets[k]:
@@ -164,7 +186,7 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
                     col[(row, e)] = p - c if j % 2 else c
             cols.append(col)
         diffs.append(ModMap(modules[k], modules[k - 1], cols))
-    return ChainComplex(ring, modules, diffs, koszul=tuple(elems))
+    return ChainComplex(ring, modules, diffs, koszul=elems)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +288,8 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
 
     By Koszul self-duality Hom(K(a), K(b)) = K(a)^* (x) K(b) is the
     Koszul complex on a then b, shifted down by len(a) and twisted by
-    deg(a) = sum of deg a_i.  The result is koszul_complex(a + b) with
+    deg(a) = sum of deg a_i.  The result is a copy of R's
+    koszul_complex(a + b), sharing its maps, checks and homology, at
     homological shift G.shift - F.shift - F.hi.  Its internal twists are
     K(a, b)'s, which are Hom's plus deg(a); no certificate reads a twist,
     and level, homology vanishing, torsion and free rank do not depend
@@ -278,6 +301,6 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
         raise UsageError("complexes over different rings")
     if F.koszul is None or G.koszul is None:
         raise UsageError("Hom is built only between Koszul complexes")
-    H = koszul_complex(F.koszul + G.koszul, F.ring)
+    H = copy.copy(koszul_complex(F.koszul + G.koszul, F.ring))
     H.shift = G.shift - F.shift - F.hi
     return H

@@ -33,10 +33,13 @@ representation stays valid to the end.  Three rules apply:
   zero modulo them.
 
 Leading terms and reducers are computed once: a basis element carries
-its lead from the moment it is added, interreduction reduces every tail
-against one shared basis, and callers that reduce many vectors against
-the same reduced basis build its reducer once (reducer) and pass it to
-submodule_nf.
+its lead from the moment it is added, and callers that reduce many
+vectors against the same reduced basis build its reducer once (reducer)
+and pass it to submodule_nf.  Interreduction reduces tails against one
+shared basis of the kept elements, and only the tails a later lead can
+reach: an element is fully reduced against every earlier one when it is
+added, so a tail none of whose terms a later kept lead divides is
+already reduced, and it keeps its terms in the order a pass would give.
 
 Packed terms.  Inside the engine a term is one int (Monagan and Pearce,
 CASC 2007): with W-bit fields, W = 64 and B = 2^(W-1) - 1,
@@ -280,6 +283,8 @@ def _interreduce(basis: _Basis) -> list:
     # no lead divides a later one.  Only a later lead can make an element
     # redundant, and a redundant later element hands its divisor on to a
     # kept one: walking in reverse, test against the kept leads only.
+    # The same holds for tails: a tail needs a pass only when a term of
+    # it is divisible by a kept lead added after it.
     psh, low, guard, _ = basis.layout
     kept_leads: dict = {}
     keep = []
@@ -287,24 +292,29 @@ def _interreduce(basis: _Basis) -> list:
         bucket = kept_leads.setdefault(lt >> psh, [])
         tl = lt & low
         if not any((lg - tl) & guard == guard for lg in bucket):
+            stale = any((lg - (u & low)) & guard == guard
+                        for u in v for lg in kept_leads.get(u >> psh, ()))
             bucket.append(tl | guard)
-            keep.append((lt, v))
+            keep.append((lt, v, stale))
     keep.reverse()
-    # Tail reduce each against the kept elements.  A tail term is smaller
-    # than its own lead, so that lead divides none of the terms met on
-    # the way: an element never reduces itself, and one shared basis
-    # picks the same reducers as the others-only basis would.  It keeps
-    # the division entries of the kept elements, in the same order.
-    kept = {lt for lt, _ in keep}
+    # Tail reduce those against the kept elements.  A tail term is
+    # smaller than its own lead, so that lead divides none of the terms
+    # met on the way: an element never reduces itself, and one shared
+    # basis picks the same reducers as the others-only basis would.  It
+    # keeps the division entries of the kept elements, in the same order.
+    # An element's dict lists its terms in descending order, as a pass
+    # would return them.
+    kept = {lt for lt, _, _ in keep}
     shared = _Basis(basis.p, basis.layout)
     for key, bucket in basis.by_pos.items():
         shared.by_pos[key] = [entry for entry in bucket if entry[1] in kept]
     out = []
-    for lt, v in keep:
-        tail = dict(v)
-        reduced = {lt: tail.pop(lt)}
-        reduced.update(normal_form(tail, shared))
-        out.append((lt, reduced))
+    for lt, v, stale in keep:
+        if stale:
+            tail = dict(v)
+            v = {lt: tail.pop(lt)}
+            v.update(normal_form(tail, shared))
+        out.append((lt, v))
     out.sort(key=itemgetter(0), reverse=True)
     return [v for _, v in out]
 

@@ -4,9 +4,10 @@ Dimension, depth, embedding dimension, height and bigheight, Lech
 independence, free rank of the conormal module, and the parameter-sequence
 test.  Each reads R/I through the ring's I + J.  Depth goes through
 Koszul homology on a chosen generating set; the value does not depend on
-the choice.  The conormal relations are the kernel of the sequence map
-R^n -> R from that map's own run: a Koszul d_1 for FRANK, or a map built
-here from the sequence.
+the choice.  The conormal relations are the kernel of R's sequence map
+R^n -> R, which is also the Koszul complex's d_1, from that map's own
+run; R keeps them and their free rank per sequence tuple, so Lech
+independence, the invariant report and FRANK share one computation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import koszul_complex
+from .complexes import koszul_complex, sequence_map
 from .errors import InternalInconsistencyError, UnsupportedInputError, UsageError
 from .groebner import IdealData, ideal, krull_dim, monomial_minimal_primes
 from .modules import FreeModule, ModMap, frank, syzygies
@@ -82,21 +83,20 @@ def bigheight_monomial(I: IdealData, R: QuotientRing) -> int:
     return max(_heights_over_quotient(I, R))
 
 
-def conormal_relations(d1: ModMap) -> ModMap:
-    """The relations of I/I^2 over S = R/I, for d1: R^n -> R sending e_j to f_j, I = (f).
+def conormal_relations(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
+    """The relations of I/I^2 over S = R/I, for I = (seq), kept by R per sequence tuple.
 
-    They are the syzygies of the f_j, which is the kernel half of d1's
-    own run, read over S: J-normalised for the defining ideal I + J of S.
+    They are the syzygies of the seq entries: the kernel half of the run
+    of R's sequence map, which is also d_1 of koszul_complex(seq, R),
+    read over S: J-normalised for the defining ideal I + J of S.
     """
-    syz = syzygies(d1)
-    S = QuotientRing(d1.ring.extension(d1.rows[0]))
-    return ModMap(FreeModule(S, syz.source.twists), FreeModule(S, syz.target.twists), syz.cols)
+    def build():
+        d1 = sequence_map(seq, R)
+        syz = syzygies(d1)
+        S = QuotientRing(R.extension(d1.rows[0]))
+        return ModMap(FreeModule(S, syz.source.twists), FreeModule(S, syz.target.twists), syz.cols)
 
-
-def _sequence_map(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
-    """The 1 x n map sending e_j to seq[j], with twist deg seq[j] (0 for a zero entry)."""
-    source = FreeModule(R, tuple(max(f.degree(), 0) for f in seq))
-    return ModMap.from_rows(source, FreeModule(R, (0,)), [seq])
+    return R.owned(("conormal", tuple(seq)), build)
 
 
 def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
@@ -105,16 +105,16 @@ def lech_independent(seq: Sequence[Poly], R: QuotientRing) -> bool:
     Decided on generators: every syzygy of seq over R must have all of
     its coordinates inside I, that is vanish over R/I.
     """
-    return conormal_relations(_sequence_map(seq, R)).is_zero()
+    return conormal_relations(seq, R).is_zero()
 
 
 def frank_conormal(seq: Sequence[Poly], R: QuotientRing) -> int:
-    """Free rank of I/I^2 as a module over R/I, I = (seq).
+    """Free rank of I/I^2 as a module over R/I, I = (seq), kept by R per sequence tuple.
 
     Generators are the sequence entries with their degrees as twists;
     relations are the syzygies of the sequence over R, read mod I.
     """
-    return frank(conormal_relations(_sequence_map(seq, R)))
+    return R.owned(("frank", tuple(seq)), lambda: frank(conormal_relations(seq, R)))
 
 
 def is_psop(seq: Sequence[Poly], R: QuotientRing) -> bool:
@@ -173,9 +173,8 @@ def invariant_report(
             report.height = height_monomial(I, R)
             report.bigheight = bigheight_monomial(I, R)
     if seq is not None:
-        # one syzygy run answers both lech_independent and frank_conormal
-        rels = conormal_relations(_sequence_map(seq, R))
-        report.lech_independent = rels.is_zero()
-        report.frank_conormal = frank(rels)
+        # one syzygy run, kept by R, answers both
+        report.lech_independent = lech_independent(seq, R)
+        report.frank_conormal = frank_conormal(seq, R)
         report.is_psop = is_psop(seq, R)
     return report

@@ -5,7 +5,8 @@ BoundCertificate.  level_interval minimalizes the complex, collects all
 applicable certificates, and reports [max lower, min upper].  Exactness
 is claimed only when the two meet.  lower > upper is an engine bug and
 raises InternalInconsistencyError with the full certificate dump.  Bounds
-reading R/I take I + J from the ring; FRANK reads the run of K's d_1.
+reading R/I take I + J from the ring; FRANK reads the conormal relations
+R keeps for K's sequence, from the run of K's d_1.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from typing import Optional, Sequence
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
 from .groebner import IdealData, ideal, ideal_intersection, krull_dim
-from .invariants import conormal_relations, edim
+from .invariants import edim, frank_conormal
 from .modules import (
     FreeModule,
     ModMap,
     Subquotient,
-    frank,
     gamma_torsion,
     is_power_torsion,
     polyvec_from_vec,
@@ -163,13 +163,13 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
 def lb_frank_koszul(K: ChainComplex) -> BoundCertificate:
     """Free rank of the conormal module of a Koszul complex's sequence, plus one.
 
-    d_1 sends e_j to the j-th entry, J-normal, so the kernel of its run,
-    which homology also reads, holds the relations.
+    K's d_1 is R's sequence map for K's sequence, so frank_conormal reads
+    the kernel of the run homology also reads, and the relations and
+    free rank that an invariants or lech task may already have made.
     """
     seq, fr = (), 0
     if K.hi:  # on the empty sequence I = 0 and the conormal module is zero
-        d1 = K.diff(1)
-        seq, fr = d1.rows[0], frank(conormal_relations(d1))
+        seq, fr = K.diff(1).rows[0], frank_conormal(K.koszul, K.ring)
     return BoundCertificate(
         kind="FRANK",
         value=fr + 1,

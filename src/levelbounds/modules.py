@@ -118,11 +118,17 @@ class ModMap:
         """ker as nonzero J-normal source vectors, and im + J*target as a handle.
 
         One relative syzygy run on the columns, made once, gives both
-        halves: the image basis is that run's own module_gb output.
+        halves: the image basis is that run's own module_gb output.  A
+        zero map makes no run: the run would return every source basis
+        vector, then J's reduced basis at each target position, which
+        is what homology also reads at the top degree.
         """
         if self.degree != 0:
             raise UsageError("kernel is only computed for degree zero maps")
         ring, rank = self.ring, self.target.rank
+        if self.is_zero():
+            return ([self.source.basis_vector(j) for j in range(self.source.rank)],
+                    SubmoduleGB(self.target, ring.defining_multiples(rank)))
         raw, image = relative_syzygies(self.cols, ring.defining_multiples(rank), rank=rank,
                                        nvars=ring.nvars, p=ring.char)
         return _nonzero_normal(self.source, raw), SubmoduleGB(self.target, image)

@@ -4,8 +4,10 @@ J must be homogeneous and proper, so R is graded with R_0 = k and the
 irrelevant maximal ideal generated by the variable images.  Elements of
 R are represented by their normal forms modulo J, and vectors of R^rank
 by their normal forms modulo J*R^rank.  The ring computes what it
-derives from J once: J*R^rank's division structure per rank, and the
-ideal (gens) + J per generator tuple, which is read wherever R/I is.
+derives from J once and keeps it (owned): J*R^rank's division structure
+per rank, the ideal (gens) + J per generator tuple, which is read
+wherever R/I is, and the Koszul complexes, sequence maps and conormal
+relations built over R per sequence tuple.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ class QuotientRing:
             raise UsageError("defining ideal must be proper")
         self.poly_ring = defining.ring
         self.defining = defining
-        self._module_reducers: dict = {}
-        self._extensions: dict = {}
+        self._owned: dict = {}
 
     @classmethod
     def free(cls, ring: PolyRing) -> "QuotientRing":
@@ -54,22 +55,31 @@ class QuotientRing:
         """J's basis at each position in turn: J * P^rank's reduced basis, in module_gb's order."""
         return [{(k, e): c for e, c in g.terms} for k in range(rank) for g in self.defining.gb]
 
+    def owned(self, key: tuple, build):
+        """What R keeps under key, made by build() on the first request."""
+        if key not in self._owned:
+            self._owned[key] = build()
+        return self._owned[key]
+
     def module_reducer(self, rank: int):
         """The division structure of J * R^rank, built once per rank.
 
         J's reduced basis sits at every position, so the normal form of a
         vector against it is the ring normal form of each component.
         """
-        if rank not in self._module_reducers:
-            self._module_reducers[rank] = reducer(self.defining_multiples(rank), self.char)
-        return self._module_reducers[rank]
+        return self.owned(("reducer", rank),
+                          lambda: reducer(self.defining_multiples(rank), self.char))
 
     def extension(self, gens) -> IdealData:
-        """(gens) + J, kept per generator tuple; E_UNIT_IDEAL refuses R/(gens)R = 0."""
+        """(gens) + J, kept per generator tuple (J itself for none).
+
+        E_UNIT_IDEAL refuses gens whose R/(gens)R is zero.
+        """
         key = tuple(gens)
-        total = self._extensions.get(key)
-        if total is None:
-            total = self._extensions[key] = IdealData(self.poly_ring, key + self.defining.gens)
+        if not key:
+            return self.defining
+        total = self.owned(("extension", key),
+                           lambda: IdealData(self.poly_ring, key + self.defining.gens))
         if not total.is_proper():
             raise UnitIdealError(f"{E_UNIT_IDEAL}: I expands to the unit ideal, R/I is zero")
         return total

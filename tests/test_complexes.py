@@ -10,6 +10,7 @@ from levelbounds import complexes, gbcore, modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.groebner import E_VAR_CAP, ideal, zero_ideal
+from levelbounds.invariants import lech_independent
 from levelbounds.level import level_interval
 from levelbounds.modules import FreeModule, ModMap, is_power_torsion
 from levelbounds.polys import PolyRing, parse_poly
@@ -401,3 +402,53 @@ def test_shift_bookkeeping_on_single_modules():
     assert C.shift == 2 and C.hi == 0
     assert math.inf not in C.modules[0].twists
     assert not C.homology(0).is_zero
+
+
+def test_the_ring_keeps_one_koszul_complex_per_sequence():
+    x1, x2, _ = P3.variables()
+    R = QuotientRing(ideal(P3, [x1 * x2]))
+    K = koszul_complex([x1, x2], R)
+    assert koszul_complex([x1, x2], R) is K and koszul_complex((x1, x2), R) is K
+    # an equal ring keeps its own
+    assert koszul_complex([x1, x2], QuotientRing(ideal(P3, [x1 * x2]))) is not K
+
+
+def test_a_hom_shares_the_koszul_complex_at_its_own_shift(monkeypatch):
+    x1, x2, x3 = P3.variables()
+    R = QuotientRing(ideal(P3, [x1 * x2]))
+    a, b = [x1, x2], [x3, x1**2]
+    whole = koszul_complex(a + b, R)
+    Ka, Kb = koszul_complex(a, R), koszul_complex(b, R)
+    # K(a + b)'s d-squared check ran when it was built; the Hom runs none
+    monkeypatch.setattr(ModMap, "compose", None)
+    H = hom_complex(Ka, Kb)
+    assert H.shift == -len(a) and whole.shift == 0
+    assert H.modules is whole.modules and H.diffs is whole.diffs
+    assert H.homology(1) is whole.homology(1)
+    again = hom_complex(Ka, Kb)
+    assert again is not H and again.shift == H.shift and whole.shift == 0
+
+
+def test_the_koszul_d1_is_the_map_lech_reads():
+    x1, x2, x3 = P3.variables()
+    R = QuotientRing(ideal(P3, [x1 * x2]))
+    seq = [x1, x2 + x3]
+    d1 = koszul_complex(seq, R).diff(1)
+    assert d1 is complexes.sequence_map(seq, R)
+    assert "kernel_and_image" not in vars(d1)
+    assert not lech_independent(seq, R)
+    assert "kernel_and_image" in vars(d1)
+
+
+@pytest.mark.parametrize("seq", [
+    [X, 3], [X, [Y]], [X, P2.zero()], [X, X + Y**2], [X] * 11,
+], ids=["not_poly", "unhashable", "zero", "inhomogeneous", "too_long"])
+def test_koszul_refusals_come_before_the_ring_is_asked(seq, monkeypatch):
+    R = QuotientRing.free(P2)
+
+    def asked(*args):
+        raise AssertionError("the ring was asked before the entries were checked")
+
+    monkeypatch.setattr(R, "owned", asked)
+    with pytest.raises(UsageError):
+        koszul_complex(seq, R)

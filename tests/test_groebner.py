@@ -2,12 +2,15 @@
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from levelbounds import gbcore, modules
+from levelbounds import gbcore, groebner, modules
+from levelbounds.cli import run_session
 from levelbounds.complexes import koszul_complex
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import E_DEGREE_CAP, module_gb
@@ -16,8 +19,9 @@ from levelbounds.groebner import (E_VAR_CAP, IdealData, ideal, ideal_intersectio
 from levelbounds.invariants import bigheight_monomial, height_monomial
 from levelbounds.level import verify_factorization_example
 from levelbounds.modules import FreeModule, gamma_torsion
-from levelbounds.polys import PolyRing, mono_lcm, mono_mul
+from levelbounds.polys import PolyRing, mono_lcm, mono_mul, parse_poly
 from levelbounds.rings import QuotientRing
+from levelbounds.session import parse_session
 
 import corpus
 import oracles
@@ -28,6 +32,7 @@ P3 = PolyRing(3, 101)
 P4 = PolyRing(4, 101)
 X, Y = P2.variables()
 X1, X2, X3 = P3.variables()
+SESSIONS = Path(__file__).parent.parent / "perfbench" / "sessions"
 
 
 def gb_set(I):
@@ -289,6 +294,30 @@ def mixed_vectors(nvars, rank):
     return st.one_of(homogeneous_vectors(nvars, rank), single)
 
 
+def test_interreduction_passes_only_the_tails_a_later_lead_reaches(monkeypatch):
+    # the run adds x1*x3 + 27*x3^2, then x3^2 (from the third input) and
+    # x1^2 (from the second), each reduced against those before it; only
+    # the first tail holds a term that a later lead divides
+    P = PolyRing(3, 101)
+    fs = [parse_poly(s, P) for s in ("x1*x3 + 27*x3^2", "x1^2 + 4*x1*x3", "x1*x3 + 78*x3^2")]
+    seen = []
+    real = gbcore._interreduce
+
+    def spy(basis):
+        before = {lt: dict(v) for lt, v in basis.elems}
+        out = real(basis)
+        seen.append((before, out))
+        return out
+
+    monkeypatch.setattr(gbcore, "_interreduce", spy)
+    gb = module_gb([{(0, e): c for e, c in f.terms} for f in fs], 101)
+    x1, _, x3 = P.variables()
+    assert gb == [{(0, e): c for e, c in f.terms} for f in (x1**2, x1 * x3, x3**2)]
+    (before, out), = seen
+    assert len(before) == len(out) == 3
+    assert sum(v != before[max(v)] for v in out) == 1
+
+
 @KEYS
 @given(rank=st.integers(1, 2), data=st.data())
 def test_module_gb_is_reduced_and_order_free(key, rank, data):
@@ -353,7 +382,7 @@ def test_module_gb_on_many_single_terms_matches_plain_buchberger(rank, data):
 
 @contextmanager
 def module_gb_inputs():
-    """The vectors of every module_gb call made inside the block."""
+    """The vectors of every module_gb call made inside the block, through either binding."""
     seen = []
     real = gbcore.module_gb
 
@@ -362,11 +391,27 @@ def module_gb_inputs():
         seen.append((vectors, p))
         return real(vectors, p)
 
-    gbcore.module_gb = spy
+    gbcore.module_gb = groebner.module_gb = spy
     try:
         yield seen
     finally:
-        gbcore.module_gb = real
+        gbcore.module_gb = groebner.module_gb = real
+
+
+@pytest.mark.parametrize("name", ["family_a.session", "family_b.session"])
+def test_a_session_makes_each_groebner_run_once(name):
+    # the tasks of a session share the ring's Koszul complexes, sequence
+    # maps and conormal relations, and (no generators) + J is J itself,
+    # so no two runs start from the same vectors; module_gb drops zero
+    # vectors and sorts its seed, so neither tells two inputs apart
+    text = (SESSIONS / name).read_text(encoding="utf-8")
+    with module_gb_inputs() as seen:
+        code, _ = run_session(parse_session(text), machine=True)
+    assert code == 0
+    inputs = [(p, tuple(sorted(tuple(sorted(v.items())) for v in vecs if v)))
+              for vecs, p in seen]
+    repeats = Counter(inputs)
+    assert {k: n for k, n in repeats.items() if n > 1} == {}
 
 
 @given(data=st.data())
@@ -376,7 +421,10 @@ def test_koszul_runs_over_a_monomial_quotient_match_plain_buchberger(data):
     J = data.draw(monomial_ideals(P3))
     seq = data.draw(st.lists(homogeneous_polys(P3, max_deg=2), min_size=1, max_size=3))
     K = koszul_complex(seq, QuotientRing(J))
-    d = K.diff(data.draw(st.integers(1, K.hi)))
+    # a zero differential makes no run (test_kernel_and_image_of_a_zero_map_needs_no_run)
+    nonzero = [d for d in K.diffs if not d.is_zero()]
+    assume(nonzero)
+    d = data.draw(st.sampled_from(nonzero))
     with module_gb_inputs() as seen:
         d.kernel_and_image
     assert len(seen) == 1

@@ -762,3 +762,30 @@ def test_compose_matches_dense_on_corpus_differentials(data):
     after = FreeModule(ring, tuple(rng.randrange(-2, 1) for _ in range(rng.randrange(0, 4))))
     assert_compose_matches_dense(d, random_map(rng, before, d.source, data.draw(st.integers(0, 1))))
     assert_compose_matches_dense(random_map(rng, d.target, after, data.draw(st.integers(0, 1))), d)
+
+
+ZERO_MAP_RINGS = [R2, QuotientRing(ideal(P2, [X**2, X * Y])), QuotientRing(ideal(P2, [X**2 + Y**2]))]
+
+
+@pytest.mark.parametrize("ring", ZERO_MAP_RINGS, ids=["free", "monomial", "non_monomial"])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(4)])
+def test_kernel_and_image_of_a_zero_map_needs_no_run(ring, m, n, monkeypatch):
+    # the run on no nonzero column returns every source basis vector as
+    # a relation, and J's basis at each target position as the image
+    source, target = FreeModule(ring, tuple(range(m))), FreeModule(ring, tuple(range(n)))
+    phi = ModMap(source, target, [{}] * m)
+    raw, image = modules.relative_syzygies(phi.cols, ring.defining_multiples(n), rank=n,
+                                           nvars=ring.nvars, p=ring.char)
+    want = modules._nonzero_normal(source, raw)
+    assert want == raw
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a zero map made a relative syzygy run")
+
+    monkeypatch.setattr(modules, "relative_syzygies", no_run)
+    kernel, handle = phi.kernel_and_image
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want]
+    assert [list(g.items()) for g in handle.gb] == [list(g.items()) for g in image]
+    assert handle.free == target
+    with pytest.raises(UsageError, match="degree zero"):
+        ModMap(source, target, [{}] * m, degree=1).kernel_and_image
