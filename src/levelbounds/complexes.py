@@ -1,26 +1,25 @@
 """Finite free chain complexes over R: Koszul, Hom, homology, minimality.
 
-Complexes are stored with internal homological degrees 0..length-1 and a
-recorded shift, so the lowest internal degree is always 0.  Differentials
-are degree zero maps and the composite of consecutive differentials is
-checked to vanish at construction time.  Homology H_i is a Subquotient of
-F_i: the kernel generators of d_i that lie outside D = im d_(i+1) +
-J*F_i, with the reduced basis of D; no presentation of it is built.
-Each differential d_i owns one elimination run: its kernel goes to H_i
-(and, for a Koszul d_1, to the conormal bound), and the basis of im d_i
-+ J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each position
-is already the reduced basis of J*F_hi.
+Complexes are stored with homological degrees 0..length-1: a level does
+not change under a shift, so none is recorded.  Maps have degree zero,
+their grading is in the twists, and the composite of consecutive
+differentials is checked to vanish at construction time.  Homology H_i is
+a Subquotient of F_i: the kernel generators of d_i that lie outside D =
+im d_(i+1) + J*F_i, with the reduced basis of D; no presentation of it is
+built.  Each differential d_i owns one elimination run: its kernel goes
+to H_i (and, for a Koszul d_1, to the conormal bound), and the basis of
+im d_i + J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each
+position is already the reduced basis of J*F_hi.
 
 Koszul complexes carry their defining sequence, which level bounds read,
 and the ring keeps one per sequence tuple.  The only Hom built is that
 of two Koszul complexes, and by Koszul self-duality it is the Koszul
-complex on the concatenated sequence, shifted; hom_complex builds it as
-exactly that.
+complex on the concatenated sequence up to a shift, which no level
+reads; hom_complex returns exactly that complex.
 """
 
 from __future__ import annotations
 
-import copy
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -39,7 +38,7 @@ from .rings import QuotientRing
 
 
 class ChainComplex:
-    """A finite complex of twisted free modules with degree zero maps.
+    """A finite complex of twisted free modules.
 
     koszul is the sequence of a Koszul complex, as given to
     koszul_complex, or None for any other complex.
@@ -50,7 +49,6 @@ class ChainComplex:
         ring: QuotientRing,
         modules: Sequence[FreeModule],
         diffs: Sequence[ModMap],
-        shift: int = 0,
         koszul: Optional[tuple] = None,
     ):
         if not modules:
@@ -61,8 +59,6 @@ class ChainComplex:
             if m.ring != ring:
                 raise UsageError("module over a different ring")
         for i, d in enumerate(diffs, start=1):
-            if d.degree != 0:
-                raise UsageError("differentials must have internal degree zero")
             if d.source != modules[i] or d.target != modules[i - 1]:
                 raise UsageError(f"differential {i} does not match adjacent modules")
         for i in range(2, len(modules)):
@@ -71,7 +67,6 @@ class ChainComplex:
         self.ring = ring
         self.modules = tuple(modules)
         self.diffs = tuple(diffs)
-        self.shift = shift
         self.koszul = koszul
         self._homology: dict = {}
 
@@ -109,7 +104,7 @@ class ChainComplex:
 
     def __repr__(self):
         ranks = ", ".join(str(m.rank) for m in self.modules)
-        return f"ChainComplex(ranks=[{ranks}], shift={self.shift})"
+        return f"ChainComplex(ranks=[{ranks}])"
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     mats = mats[lo_trim : hi_trim - 1]
     modules = [FreeModule(ring, tuple(t)) for t in twists]
     diffs = [ModMap(modules[k + 1], modules[k], mat) for k, mat in enumerate(mats)]
-    return ChainComplex(ring, modules, diffs, shift=C.shift + lo_trim, koszul=C.koszul)
+    return ChainComplex(ring, modules, diffs, koszul=C.koszul)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +283,17 @@ def hom_complex(F: ChainComplex, G: ChainComplex) -> ChainComplex:
 
     By Koszul self-duality Hom(K(a), K(b)) = K(a)^* (x) K(b) is the
     Koszul complex on a then b, shifted down by len(a) and twisted by
-    deg(a) = sum of deg a_i.  The result is a copy of R's
-    koszul_complex(a + b), sharing its maps, checks and homology, at
-    homological shift G.shift - F.shift - F.hi.  Its internal twists are
-    K(a, b)'s, which are Hom's plus deg(a); no certificate reads a twist,
-    and level, homology vanishing, torsion and free rank do not depend
-    on one.  The sequences are the ones given, not their normal forms,
-    so an entry lying in J is accepted.  A complex without a sequence is
-    refused, and so are more than _KOSZUL_CAP elements together.
+    deg(a) = sum of deg a_i.  The result is R's koszul_complex(a + b)
+    itself, with its maps, checks and homology.  Its degrees and twists
+    are K(a, b)'s, which are Hom's moved up by len(a) and deg(a); no
+    certificate reads either, and level, homology vanishing, torsion and
+    free rank do not depend on them.  The sequences are the ones given,
+    not their normal forms, so an entry lying in J is accepted.  A
+    complex without a sequence is refused, and so are more than
+    _KOSZUL_CAP elements together.
     """
     if F.ring != G.ring:
         raise UsageError("complexes over different rings")
     if F.koszul is None or G.koszul is None:
         raise UsageError("Hom is built only between Koszul complexes")
-    H = copy.copy(koszul_complex(F.koszul + G.koszul, F.ring))
-    H.shift = G.shift - F.shift - F.hi
-    return H
+    return koszul_complex(F.koszul + G.koszul, F.ring)

@@ -91,9 +91,8 @@ def conormal_relations(seq: Sequence[Poly], R: QuotientRing) -> ModMap:
     read over S: J-normalised for the defining ideal I + J of S.
     """
     def build():
-        d1 = sequence_map(seq, R)
-        syz = syzygies(d1)
-        S = QuotientRing(R.extension(d1.rows[0]))
+        syz = syzygies(sequence_map(seq, R))
+        S = QuotientRing(R.extension(seq))
         return ModMap(FreeModule(S, syz.source.twists), FreeModule(S, syz.target.twists), syz.cols)
 
     return R.owned(("conormal", tuple(seq)), build)

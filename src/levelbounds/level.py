@@ -32,9 +32,6 @@ from .rings import QuotientRing
 
 E_N_RANGE = "E_N_RANGE"
 
-LOWER_KINDS = ("NONZERO", "GAP", "TORSION_DIM", "FRANK")
-UPPER_KINDS = ("LENGTH_UB", "EDIM_UB", "KOSZUL_TRIM")
-
 
 @dataclass
 class BoundCertificate:
@@ -310,14 +307,15 @@ def verify_factorization_example(
     """Check the multiplication-by-x1 factorization through K(x2..xn; R).
 
     Over R = k[x1..xn]/((x1) meet (x2..xn)) the maps alpha: R -> K
-    (identity into degree 0) and beta: K -> R (x1 on degree 0) are chain
-    maps whose composite is multiplication by x1, and the positive
+    (identity into degree 0) and beta: K -> R(1) (x1 on degree 0) are
+    chain maps whose composite is multiplication by x1, and the positive
     Koszul homology is (x2..xn)-power torsion.  Each map has one nonzero
     component, so the map identities are checked on those directly:
-    beta_0 . d_1 = 0 and beta_0 . alpha_0 = x1 as maps R -> R.  Passing
-    a ring overrides the quotient construction; over the plain
-    polynomial ring beta_0 . d_1 = x1*(x2..xn) is not zero, which is the
-    point of the quotient.
+    beta_0 . d_1 = 0 and beta_0 . alpha_0 = x1 as maps R -> R(1), where
+    R(1) has its generator in degree -1, so that x1 has degree zero as a
+    map.  Passing a ring overrides the quotient construction; over the
+    plain polynomial ring beta_0 . d_1 = x1*(x2..xn) is not zero, which
+    is the point of the quotient.
     """
     if n < 3:
         raise UsageError(f"{E_N_RANGE}: factorization example needs n >= 3")
@@ -334,9 +332,9 @@ def verify_factorization_example(
         R = ring
     tail = ideal(P, list(xs[1:]))
     K = koszul_complex(list(xs[1:]), R)
-    R0 = FreeModule(R, (0,))
+    R0, R1 = FreeModule(R, (0,)), FreeModule(R, (-1,))
     alpha0 = ModMap.from_rows(R0, K.modules[0], [[P.one()]])
-    beta0 = ModMap.from_rows(K.modules[0], R0, [[xs[0]]], degree=1)
+    beta0 = ModMap.from_rows(K.modules[0], R1, [[xs[0]]])
     # A chain map's squares sit at its source's degrees 1..hi.  alpha's
     # source R has nothing in degree 1 (hi = 0), so alpha has no square
     # and is a chain map by shape.  R has nothing in degree 1 or above
@@ -345,7 +343,7 @@ def verify_factorization_example(
         ("alpha_chain_map", True),
         ("beta_chain_map", beta0.compose(K.diff(1)).is_zero()),
         ("composite_is_x1",
-         beta0.compose(alpha0) == ModMap.from_rows(R0, R0, [[xs[0]]], degree=1)),
+         beta0.compose(alpha0) == ModMap.from_rows(R0, R1, [[xs[0]]])),
     ]
     torsion_ok = all(c["power_torsion"] for c in _positive_torsion_checks(K, tail))
     checks.append(("positive_homology_torsion", torsion_ok))

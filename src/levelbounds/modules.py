@@ -19,7 +19,7 @@ where it fails.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and every term of a map column j at position i
-must have degree twist_source(j) - twist_target(i) + map degree.
+must have degree twist_source(j) - twist_target(i).
 """
 
 from __future__ import annotations
@@ -53,29 +53,26 @@ class FreeModule:
 
 
 class ModMap:
-    """A degree-homogeneous map between free modules over R.
+    """A degree zero map between twisted free modules over R.
 
     cols[j] is the image of source basis j as a J-normal vector of the
     target.  The constructor checks every term of a column (position in
     range, one exponent per variable, degree twist_source(j) -
-    twist_target(position) + degree) and reduces the column modulo
-    J*target, so callers may pass any representatives with coefficients
-    in 1..p-1.  degree is the uniform internal degree shift (0 for
-    differentials and relations).
+    twist_target(position)) and reduces the column modulo J*target, so
+    callers may pass any representatives with coefficients in 1..p-1.
     """
 
-    def __init__(self, source: FreeModule, target: FreeModule, cols: Sequence, degree: int = 0):
+    def __init__(self, source: FreeModule, target: FreeModule, cols: Sequence):
         if source.ring != target.ring:
             raise UsageError("map between modules over different rings")
         self.source = source
         self.target = target
-        self.degree = degree
         ring = source.ring
         if len(cols) != source.rank:
             raise UsageError(f"{len(cols)} columns do not match source rank {source.rank}")
         nvars, rank, twists = ring.nvars, target.rank, target.twists
         for j, col in enumerate(cols):
-            want = source.twists[j] + degree
+            want = source.twists[j]
             for i, e in col:
                 if not (0 <= i < rank and len(e) == nvars and sum(e) == want - twists[i]):
                     raise UsageError(f"column {j}: term {(i, e)} needs a row below {rank}, "
@@ -84,7 +81,7 @@ class ModMap:
         self.cols = tuple(submodule_nf(col, basis) if col else {} for col in cols)
 
     @classmethod
-    def from_rows(cls, source: FreeModule, target: FreeModule, rows: Sequence, degree: int = 0):
+    def from_rows(cls, source: FreeModule, target: FreeModule, rows: Sequence):
         """The map whose entry (i, j) is the polynomial rows[i][j]."""
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
@@ -100,7 +97,7 @@ class ModMap:
                     raise UsageError("matrix entry from a different ring")
                 for e, c in f.terms:
                     cols[j][(i, e)] = c
-        return cls(source, target, cols, degree=degree)
+        return cls(source, target, cols)
 
     @property
     def ring(self) -> QuotientRing:
@@ -123,8 +120,6 @@ class ModMap:
         vector, then J's reduced basis at each target position, which
         is what homology also reads at the top degree.
         """
-        if self.degree != 0:
-            raise UsageError("kernel is only computed for degree zero maps")
         ring, rank = self.ring, self.target.rank
         if self.is_zero():
             return ([self.source.basis_vector(j) for j in range(self.source.rank)],
@@ -155,19 +150,18 @@ class ModMap:
             for (k, e), c in other_col.items():
                 vec_add_scaled(acc, c, e, self.cols[k], p)
             cols.append(acc)
-        return ModMap(other.source, self.target, cols, degree=self.degree + other.degree)
+        return ModMap(other.source, self.target, cols)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModMap)
             and self.source == other.source
             and self.target == other.target
-            and self.degree == other.degree
             and self.cols == other.cols
         )
 
     def __repr__(self):
-        return f"ModMap({self.target.rank}x{self.source.rank}, degree={self.degree})"
+        return f"ModMap({self.target.rank}x{self.source.rank})"
 
 
 # ---------------------------------------------------------------------------

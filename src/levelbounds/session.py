@@ -98,10 +98,6 @@ class Session:
     def char(self) -> int:
         return self.ring.char
 
-    @property
-    def nvars(self) -> int:
-        return self.ring.nvars
-
 
 class _Section:
     def __init__(self, kind, name, line):

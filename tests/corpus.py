@@ -120,10 +120,11 @@ def direct_sum(A, B):
 
 
 def diagonal_map(free, r):
-    """Multiplication by the homogeneous r on free, of degree deg(r)."""
+    """Multiplication by the homogeneous r, from free twisted by deg(r) onto free."""
     zero = free.ring.poly_ring.zero()
     rows = [[r if a == b else zero for b in range(free.rank)] for a in range(free.rank)]
-    return ModMap.from_rows(free, free, rows, degree=max(r.degree(), 0))
+    source = FreeModule(free.ring, tuple(t + max(r.degree(), 0) for t in free.twists))
+    return ModMap.from_rows(source, free, rows)
 
 
 def free_module(free):

@@ -54,8 +54,6 @@ class GradedModule:
     def __init__(self, gens, rels):
         if rels.target != gens:
             raise UsageError("relations must land in the generator module")
-        if rels.degree != 0:
-            raise UsageError("relation maps must have internal degree zero")
         self.gens = gens
         self.rels = rels
         self._minimal = None
@@ -781,24 +779,31 @@ def buchberger_closed(gb, p):
                    for i, j in combinations(range(len(gb)), 2) if leads[i][0] == leads[j][0])
 
 
-def dense_compose(a, b):
-    """a after b by the dense triple loop over every index (i, j, k).
+def dense_product(a_rows, b_rows, shape, zero):
+    """The product of polynomial matrices of shapes (m, k) and (k, n), for shape (m, k, n).
 
-    Each entry is the Poly sum of a[i][k] * b[k][j] over all k, with no
-    skipping of zero factors; ModMap then J-normalises the result.
+    The dense triple loop over every index (i, j, k): each entry is the
+    Poly sum of a[i][k] * b[k][j] over all k, with no skipping of zero
+    factors and no reduction modulo J.
     """
-    zero = a.ring.poly_ring.zero()
-    a_rows, b_rows = a.rows, b.rows
+    m, inner, n = shape
     rows = []
-    for i in range(a.target.rank):
+    for i in range(m):
         row = []
-        for j in range(b.source.rank):
+        for j in range(n):
             acc = zero
-            for k in range(a.source.rank):
+            for k in range(inner):
                 acc = acc + a_rows[i][k] * b_rows[k][j]
             row.append(acc)
         rows.append(row)
-    return ModMap.from_rows(b.source, a.target, rows, degree=a.degree + b.degree)
+    return rows
+
+
+def dense_compose(a, b):
+    """a after b by dense_product; ModMap then J-normalises the result."""
+    shape = (a.target.rank, a.source.rank, b.source.rank)
+    rows = dense_product(a.rows, b.rows, shape, a.ring.poly_ring.zero())
+    return ModMap.from_rows(b.source, a.target, rows)
 
 
 def dense_koszul(seq, ring):
@@ -830,11 +835,12 @@ def dense_hom(F, G):
     """The differentials of Hom(F, G) as dense matrices, from d(phi) itself.
 
     Each basis map phi of degree i (entry 1 from basis u of F_j to basis
-    v of G_(j+i), as a map of internal degree twist(v) - twist(u)) is
-    sent to dG o phi - (-1)^i phi o dF, both composites taken by
-    dense_compose.  Column phi of the matrix then reads the entries of
-    those composites off in the basis of degree i - 1, ordered by (j,
-    source index, target index).
+    v of G_(j+i)) is sent to dG o phi - (-1)^i phi o dF, both composites
+    taken by dense_product on the matrices.  The entries of dG and dF
+    are J-normal and phi picks one column or row of them, so the
+    composites are J-normal too.  Column phi of the matrix then reads the
+    entries of those composites off in the basis of degree i - 1, ordered
+    by (j, source index, target index).
     """
     ring = F.ring
     P = ring.poly_ring
@@ -848,15 +854,19 @@ def dense_hom(F, G):
         lower = basis(i - 1)
         mat = [[P.zero()] * len(basis(i)) for _ in lower]
         for col, (j, u, v) in enumerate(basis(i)):
-            src, tgt = F.modules[j], G.modules[j + i]
-            unit = [[P.one() if (a, b) == (v, u) else P.zero() for b in range(src.rank)]
-                    for a in range(tgt.rank)]
-            phi = ModMap.from_rows(src, tgt, unit, degree=tgt.twists[v] - src.twists[u])
+            src, tgt = F.modules[j].rank, G.modules[j + i].rank
+            phi = [[P.one() if (a, b) == (v, u) else P.zero() for b in range(src)]
+                   for a in range(tgt)]
             parts = []
             if j + i >= 1:
-                parts.append((j, dense_compose(G.diff(j + i), phi).rows, 1))
+                dG = G.diff(j + i)
+                shape = (dG.target.rank, tgt, src)
+                parts.append((j, dense_product(dG.rows, phi, shape, P.zero()), 1))
             if j + 1 <= F.hi:
-                parts.append((j + 1, dense_compose(phi, F.diff(j + 1)).rows, (-1) ** abs(i + 1)))
+                dF = F.diff(j + 1)
+                shape = (tgt, src, dF.source.rank)
+                parts.append((j + 1, dense_product(phi, dF.rows, shape, P.zero()),
+                              (-1) ** abs(i + 1)))
             for row, (jj, uu, ww) in enumerate(lower):
                 for block, entries, sign in parts:
                     if jj == block:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from levelbounds import gbcore, groebner
 from levelbounds.errors import UnsupportedInputError, UsageError
 from levelbounds.gbcore import E_DEGREE_CAP
 from levelbounds.groebner import ideal, ideal_intersection, zero_ideal
@@ -62,6 +63,26 @@ def test_ring_computes_each_extension_once():
     swapped = R.extension([Y, X])
     assert swapped is not total and swapped == total
     assert R.extension([X * X]) == ideal(P2, [X * X, X * Y])
+
+
+def test_invariant_report_runs_groebner_once_on_the_ideal_of_the_sequence(monkeypatch):
+    # x^2 + y^2 is not J-normal over k[x,y]/(x^2): the conormal relations
+    # and the parameter test must read R/I from the same (seq) + J entry
+    R = QuotientRing(ideal(P2, [X**2]))
+    runs = []
+    real = gbcore.module_gb
+
+    def spy(vectors, p):
+        runs.append(vectors)
+        return real(vectors, p)
+
+    monkeypatch.setattr(gbcore, "module_gb", spy)
+    monkeypatch.setattr(groebner, "module_gb", spy)
+    report = invariant_report(R, seq=[X**2 + Y**2])
+    assert (report.lech_independent, report.frank_conormal, report.is_psop) == (True, 1, True)
+    # depth of R: m + J and the two Koszul kernels; the sequence map's
+    # kernel; (seq) + J
+    assert len(runs) == 5
 
 
 def test_heights_refuse_the_unit_ideal_with_its_code():

@@ -6,10 +6,9 @@ from levelbounds import modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
-from levelbounds.level import (LOWER_KINDS, UPPER_KINDS, _torsion_generator_witness,
-                               check_torsion_dim, lb_frank_koszul, lb_gap, level_interval,
-                               trim_koszul_sequence, ub_edim_koszul, ub_length,
-                               ub_koszul_trim, verify_factorization_example)
+from levelbounds.level import (_torsion_generator_witness, check_torsion_dim, lb_frank_koszul,
+                               lb_gap, level_interval, trim_koszul_sequence, ub_edim_koszul,
+                               ub_length, ub_koszul_trim, verify_factorization_example)
 from levelbounds.modules import FreeModule, ModMap
 from levelbounds.polys import PolyRing, format_poly
 from levelbounds.rings import QuotientRing
@@ -32,11 +31,6 @@ def certmap(report):
     for c in report.certificates:
         out.setdefault(c.kind, c)
     return out
-
-
-def test_certificate_kind_registry():
-    assert set(LOWER_KINDS) == {"NONZERO", "GAP", "TORSION_DIM", "FRANK"}
-    assert set(UPPER_KINDS) == {"LENGTH_UB", "EDIM_UB", "KOSZUL_TRIM"}
 
 
 def test_regular_koszul_level():

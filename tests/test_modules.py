@@ -85,11 +85,11 @@ def test_modmap_columns_are_checked_term_by_term():
 
 
 def test_modmap_compose_degree():
-    F1, F0 = FreeModule(R2, (1,)), FreeModule(R2, (0,))
-    a = ModMap.from_rows(F1, F0, [[X]])
-    b = ModMap.from_rows(F0, F0, [[Y]], degree=1)
+    F2, F1, F0 = FreeModule(R2, (2,)), FreeModule(R2, (1,)), FreeModule(R2, (0,))
+    a = ModMap.from_rows(F2, F1, [[X]])
+    b = ModMap.from_rows(F1, F0, [[Y]])
     ba = b.compose(a)
-    assert ba.degree == 1 and ba.rows[0][0] == X * Y
+    assert (ba.source, ba.target) == (F2, F0) and ba.rows[0][0] == X * Y
     with pytest.raises(UsageError):
         a.compose(b.compose(a))
 
@@ -131,8 +131,9 @@ def test_map_entries_are_normal():
                 raw = [[f * x for f in row] for row in d.rows]
                 normal = [[R.nf(f) for f in row] for row in raw]
                 reduced_something |= raw != normal
-                assert (ModMap.from_rows(d.source, d.target, raw, degree=1)
-                        == ModMap.from_rows(d.source, d.target, normal, degree=1))
+                source = FreeModule(R, tuple(t + 1 for t in d.source.twists))
+                assert (ModMap.from_rows(source, d.target, raw)
+                        == ModMap.from_rows(source, d.target, normal))
         K = koszul_complex([x * x for x in P.variables()], R)
         for phi in hom_complex(K, K).diffs:
             entries += entries_of(phi)
@@ -680,26 +681,26 @@ COMPOSE_RINGS = [
 ]
 
 
-def random_map(rng, source, target, degree, blank_row=None, blank_col=None):
+def random_map(rng, source, target, blank_row=None, blank_col=None):
     P = source.ring.poly_ring
     density = rng.choice([0.0, 0.3, 0.7, 1.0])
     rows = []
     for i, tt in enumerate(target.twists):
         row = []
         for j, ts in enumerate(source.twists):
-            d = ts - tt + degree
+            d = ts - tt
             if d < 0 or i == blank_row or j == blank_col:
                 row.append(P.zero())
             else:
                 row.append(corpus.random_homogeneous(rng, P, d, density))
         rows.append(row)
-    return ModMap.from_rows(source, target, rows, degree=degree)
+    return ModMap.from_rows(source, target, rows)
 
 
 def assert_compose_matches_dense(a, b):
     got = a.compose(b)
     assert got == oracles.dense_compose(a, b)
-    assert (got.source, got.target, got.degree) == (b.source, a.target, a.degree + b.degree)
+    assert (got.source, got.target) == (b.source, a.target)
 
 
 def test_compose_in_quotient_vanishes_when_products_fall_into_j():
@@ -723,14 +724,16 @@ def test_zero_entries_and_disjoint_supports_cost_no_normal_form(monkeypatch):
     assert ModMap.from_rows(F, F, [[z] * 64 for _ in range(64)]).is_zero()
     assert calls == []
     # a is nonzero only in column 1 and b only in row 0, so no product meets
-    a = ModMap.from_rows(F, F, [[X if j == 1 else z for j in range(64)] for _ in range(64)],
-                         degree=1)
-    b = ModMap.from_rows(F, F, [[Y if i == 0 else z for _ in range(64)] for i in range(64)],
-                         degree=1)
+    F1, F2, F_1 = (FreeModule(R, (t,) * 64) for t in (1, 2, -1))
+    a_rows = [[X if j == 1 else z for j in range(64)] for _ in range(64)]
+    b_rows = [[Y if i == 0 else z for _ in range(64)] for i in range(64)]
+    a = ModMap.from_rows(F1, F, a_rows)
+    b = ModMap.from_rows(F2, F1, b_rows)
+    b_after_a = ModMap.from_rows(F, F_1, b_rows)
     calls.clear()
     assert a.compose(b).is_zero() and calls == []
     # the other order meets in every index, and its one column is normalised
-    assert b.compose(a).cols[1] == {(0, (1, 1)): 64} and len(calls) == 1
+    assert b_after_a.compose(a).cols[1] == {(0, (1, 1)): 64} and len(calls) == 1
 
 
 @given(st.data())
@@ -738,14 +741,16 @@ def test_compose_matches_dense_on_random_maps(data):
     ring = data.draw(st.sampled_from(COMPOSE_RINGS))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     ranks = [data.draw(st.integers(0, 3)) for _ in range(3)]
-    source, middle, target = (FreeModule(ring, tuple(rng.randrange(0, 3) for _ in range(r)))
-                              for r in ranks)
     da, db = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+    # a of degree da and b of degree db, folded into the source twists
+    source, middle, target = (FreeModule(ring, tuple(rng.randrange(0, 3) + lift
+                                                     for _ in range(r)))
+                              for r, lift in zip(ranks, (da + db, da, 0)))
     # a blanked row of a and column of b give zero rows and columns
     blank_row = data.draw(st.one_of(st.none(), st.integers(0, 2)))
     blank_col = data.draw(st.one_of(st.none(), st.integers(0, 2)))
-    a = random_map(rng, middle, target, da, blank_row=blank_row)
-    b = random_map(rng, source, middle, db, blank_col=blank_col)
+    a = random_map(rng, middle, target, blank_row=blank_row)
+    b = random_map(rng, source, middle, blank_col=blank_col)
     assert_compose_matches_dense(a, b)
 
 
@@ -758,10 +763,14 @@ def test_compose_matches_dense_on_corpus_differentials(data):
     if i + 1 <= C.hi:
         assert_compose_matches_dense(d, C.diff(i + 1))
     ring = C.ring
-    before = FreeModule(ring, tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 4))))
-    after = FreeModule(ring, tuple(rng.randrange(-2, 1) for _ in range(rng.randrange(0, 4))))
-    assert_compose_matches_dense(d, random_map(rng, before, d.source, data.draw(st.integers(0, 1))))
-    assert_compose_matches_dense(random_map(rng, d.target, after, data.draw(st.integers(0, 1))), d)
+    # the maps' degrees are folded into the twists of before and after
+    lift, drop = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    before = FreeModule(ring, tuple(rng.randrange(0, 4) + lift
+                                    for _ in range(rng.randrange(0, 4))))
+    after = FreeModule(ring, tuple(rng.randrange(-2, 1) - drop
+                                   for _ in range(rng.randrange(0, 4))))
+    assert_compose_matches_dense(d, random_map(rng, before, d.source))
+    assert_compose_matches_dense(random_map(rng, d.target, after), d)
 
 
 ZERO_MAP_RINGS = [R2, QuotientRing(ideal(P2, [X**2, X * Y])), QuotientRing(ideal(P2, [X**2 + Y**2]))]
@@ -787,5 +796,3 @@ def test_kernel_and_image_of_a_zero_map_needs_no_run(ring, m, n, monkeypatch):
     assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want]
     assert [list(g.items()) for g in handle.gb] == [list(g.items()) for g in image]
     assert handle.free == target
-    with pytest.raises(UsageError, match="degree zero"):
-        ModMap(source, target, [{}] * m, degree=1).kernel_and_image

@@ -15,7 +15,7 @@ P3 = PolyRing(3, 101)
 
 def test_minimal_session():
     s = parse_session("[ring]\nvars = 2\n")
-    assert s.char == 101 and s.nvars == 2
+    assert s.char == 101 and s.ring.nvars == 2
     assert s.ring.defining.is_zero()
     assert s.ideals == {} and s.seqs == {} and s.tasks == []
 
@@ -61,7 +61,7 @@ ideal = B
 def test_full_session():
     s = parse_session(FULL)
     x1, x2, x3 = P3.variables()
-    assert s.nvars == 3 and s.char == 101
+    assert s.ring.nvars == 3 and s.char == 101
     assert s.ideals["A"] == ideal(P3, [x1])
     assert s.ideals["B"] == ideal(P3, [x2, x3])
     expected = ideal_intersection(ideal(P3, [x1]), ideal(P3, [x2, x3]))

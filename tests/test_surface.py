@@ -1,16 +1,16 @@
 """The package is the product surface and needs nothing outside stdlib.
 
 The package surface is what the command line, the session format and
-the scripts use.  A module-level def or class whose name appears nowhere
-in src/ or scripts/ except in its own definition is dead code, and so
-is a method of a package class, other than a dunder, whose attribute
-access .name appears nowhere there outside its own definition; the
-references the tests compare the engine against, and the helpers only
-the tests call, live in tests/.  Every name a package module imports
-is used in that module.  The command line loads no third-party module.
-And the benchmark tracer in perfbench/, which wraps package functions
-by name, still finds every name it wraps and reports every per-layer
-metric of BENCHMARK.json.
+the scripts use.  A module-level def, class or assigned name, other
+than a dunder, whose name appears nowhere in src/ or scripts/ except in
+its own definition is dead code, and so is a method of a package class,
+other than a dunder, whose attribute access .name appears nowhere there
+outside its own definition; the references the tests compare the
+engine against, and the helpers only the tests call, live in tests/.
+Every name a package module imports is used in that module.  The
+command line loads no third-party module.  And the benchmark tracer in
+perfbench/, which wraps package functions by name, still finds every
+name it wraps and reports every per-layer metric of BENCHMARK.json.
 """
 
 import ast
@@ -49,6 +49,13 @@ def _uncalled_names():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse("\n".join(sources[path]))
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                out += [f"{path.name}:{name}" for name in names
+                        if not (name.startswith("__") and name.endswith("__"))
+                        and not _used(sources, path, node, rf"\b{re.escape(name)}\b")]
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not _used(sources, path, node, rf"\b{re.escape(node.name)}\b"):
