@@ -11,6 +11,11 @@ to H_i (and, for a Koszul d_1, to the conormal bound), and the basis of
 im d_i + J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each
 position is already the reduced basis of J*F_hi.
 
+Differentials hold packed vectors, as every map does: a Koszul entry is
+packed once per sequence entry and moved to its row by one addition,
+and unit cancellation reads a unit as a term of degree zero and drops a
+row by moving the rows below it up one position.
+
 Koszul complexes carry their defining sequence, which level bounds read,
 and the ring keeps one per sequence tuple.  The only Hom built is that
 of two Koszul complexes, and by Koszul self-duality it is the Koszul
@@ -24,7 +29,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import vec_add_scaled
+from .gbcore import degree, pack, position, position_shift, vec_add_scaled
 from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
@@ -162,7 +167,9 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
 
 def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
     n = len(elems)
-    p = ring.char
+    p, nvars = ring.char, ring.nvars
+    # each entry's terms packed once at position 0, then moved to their row
+    packed = [[(pack(0, e), c) for e, c in f.terms] for f in elems]
     degs = [f.degree() for f in elems]
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     modules = []
@@ -176,9 +183,9 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
         for s in subsets[k]:
             col = {}
             for j, i in enumerate(s):
-                row = index[s[:j] + s[j + 1:]]
-                for e, c in elems[i].terms:
-                    col[(row, e)] = p - c if j % 2 else c
+                shift = position_shift(index[s[:j] + s[j + 1:]], nvars)
+                for u, c in packed[i]:
+                    col[u + shift] = p - c if j % 2 else c
             cols.append(col)
         diffs.append(ModMap(modules[k], modules[k - 1], cols))
     return ChainComplex(ring, modules, diffs, koszul=elems)
@@ -188,56 +195,67 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
 # minimalization
 
 
-def _find_unit(mats: list):
+def _find_unit(mats: list, nvars: int):
     """(i, a, b, u) for the first unit u at (row a, column b) of mats[i]."""
     for i, cols in enumerate(mats):
-        units = [(a, b, c) for b, col in enumerate(cols) for (a, e), c in col.items()
-                 if not any(e)]
+        units = [(position(t, nvars), b, c) for b, col in enumerate(cols)
+                 for t, c in col.items() if not degree(t, nvars)]
         if units:
             return (i, *min(units))
     return None
 
 
-def _drop_row(col: dict, a: int) -> dict:
-    """col without row a, the rows below a moved up one."""
-    return {(r - (r > a), e): c for (r, e), c in col.items() if r != a}
+def _drop_row(col: dict, a: int, nvars: int) -> dict:
+    """col without row a, the rows below a moved up one.
+
+    The packed terms of row a lie in [floor, floor + up), for floor the
+    shift to row a and up the shift one row back, and those of the rows
+    below a lie under floor.
+    """
+    floor, up = position_shift(a, nvars), position_shift(-1, nvars)
+    return {(t + up if t < floor else t): c for t, c in col.items()
+            if not floor <= t < floor + up}
 
 
-def cancel_units(p: int, twists: list, mats: list) -> None:
+def cancel_units(p: int, nvars: int, twists: list, mats: list) -> None:
     """Strip unit entries from a chain of matrices by Gaussian cancellation.
 
     mats[i] maps the free module with twists twists[i + 1] to the one
-    with twists twists[i], as a list of column vectors {(row,
-    exponents): coefficient} with homogeneous entries.  A unit is a term
-    with all-zero exponents: a constant entry u at (a, b) of mats[i]
+    with twists twists[i], as a list of packed column vectors in nvars
+    variables with homogeneous entries.  A unit is a term of degree
+    zero: a constant entry u at (a, b) of mats[i]
     splits off an exact summand.  Basis b of twists[i + 1] and a of
     twists[i] are removed, each column c of mats[i] with entry f at row
     a becomes c - (f / u) * column b, mats[i + 1] loses row b and
     mats[i - 1] loses column a.  Pivots are taken first in (matrix,
     row, column) order until every entry lies in m.  Entries are not
     J-reduced here: an entry is a unit or not whatever its
-    representative, and ModMap reduces the result.  Works in place.
+    representative, and ModMap reduces the result.  A multiple of the
+    pivot column keeps each row's degree, as the entries are
+    homogeneous.  Works in place.
     """
+    zero = (0,) * nvars
     while True:
-        hit = _find_unit(mats)
+        hit = _find_unit(mats, nvars)
         if hit is None:
             return
         i, a, b, u = hit
         pivot = mats[i][b]
         uinv = pow(u, p - 2, p)
+        unit_at_a = pack(a, zero)
         new_cols = []
         for c, col in enumerate(mats[i]):
             if c == b:
                 continue
-            f = [(e, k) for (r, e), k in col.items() if r == a]
+            f = [(t, k) for t, k in col.items() if position(t, nvars) == a]
             if f:
                 col = dict(col)
-                for e, k in f:
-                    vec_add_scaled(col, -k * uinv, e, pivot, p)
-            new_cols.append(_drop_row(col, a))
+                for t, k in f:
+                    vec_add_scaled(col, -k * uinv, t - unit_at_a, pivot, p)
+            new_cols.append(_drop_row(col, a, nvars))
         mats[i] = new_cols
         if i + 1 < len(mats):
-            mats[i + 1] = [_drop_row(col, b) for col in mats[i + 1]]
+            mats[i + 1] = [_drop_row(col, b, nvars) for col in mats[i + 1]]
         if i - 1 >= 0:
             del mats[i - 1][a]
         del twists[i + 1][b]
@@ -258,7 +276,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     ring = C.ring
     twists = [list(m.twists) for m in C.modules]
     mats = [list(d.cols) for d in C.diffs]
-    cancel_units(ring.char, twists, mats)
+    cancel_units(ring.char, ring.nvars, twists, mats)
 
     # trim zero modules at both ends, keeping at least one module
     lo_trim = 0

@@ -8,9 +8,12 @@ intersections, membership) reduces to reduced module bases plus one
 primitive, relative_syzygies, which eliminates tracked coordinate
 columns through that order and returns both halves of its one run.
 
-A vector is a dict mapping terms to nonzero coefficients in 1..p-1,
-where a term is (position, exponent tuple).  That is the form callers
-pass and get back.
+A vector is a dict mapping packed terms (below) to nonzero coefficients
+in 1..p-1.  That is the form callers pass and get back: a term is packed
+where a vector is made from a polynomial or a basis index (pack), and
+unpacked only where a polynomial is made from a vector (unpack).  Every
+vector this module returns lists its terms in descending order, lead
+first.
 
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
@@ -41,8 +44,8 @@ reach: an element is fully reduced against every earlier one when it is
 added, so a tail none of whose terms a later kept lead divides is
 already reduced, and it keeps its terms in the order a pass would give.
 
-Packed terms.  Inside the engine a term is one int (Monagan and Pearce,
-CASC 2007): with W-bit fields, W = 64 and B = 2^(W-1) - 1,
+Packed terms.  A term is one int (Monagan and Pearce, CASC 2007): with
+W-bit fields, W = 64 and B = 2^(W-1) - 1,
 
     pack(pos, e) = (-pos << W(n+1)) + (deg e << Wn) + sum (B - e_i) << Wi.
 
@@ -50,26 +53,42 @@ While every field lies in [0, 2^W) the int order is the term order: the
 position field comes first, then the degree, then the exponents from the
 last variable down, a smaller exponent giving a larger field, which is
 degrevlex.  The map is affine in (pos, e), so multiplying a term by x^s
-adds the constant pack(0, s) - pack(0, 0), the shift that takes a lead
-le to a term t it divides is t - le, and the lead of a vector is
+adds the constant pack(0, s) - pack(0, 0) (monomial_shift), moving it d
+positions on adds -d << W(n+1) (position_shift), the shift that takes a
+lead le to a term t it divides is t - le, and the lead of a vector is
 max(v).  Every exponent field is at most B, so its top bit is clear, and
 x^a divides x^b (same position) exactly when each field of a is at
 least the field of b: in ((a_low | G) - b_low) & G, with G the top bits
 of the n exponent fields, field i keeps its guard bit set exactly when
-a_i >= b_i, and no field borrows from the next.  Terms are packed on
-entry through a cache (_pack) and unpacked on exit (_unpack).
+a_i >= b_i, and no field borrows from the next.  A constant term is one
+whose degree field is 0.
 
 Soundness guard.  An exponent is at most its term's degree, so every
-field fits while the degree stays below 2^(W-1).  Two checks refuse a
-degree of 2^(W-2) or more, with E_DEGREE_CAP: _pack, on every term it
-packs (the inputs, and the lcm of each pair as its S-vector is formed),
-and normal_form, on each term it pops, once per step.  A skipped pair
-builds no term, so its lcm needs no check.  Every other term is built
-from checked parts: a term of an S-vector has degree below
-deg(term) + deg(lcm), and a term that a reduction step creates has
-degree below deg(tail term) + deg(popped term).  So every term ever
-built has degree below 2^(W-1).  normal_form returns only terms it
-popped, or, against an empty basis, the terms it was given.
+field fits while the degree stays below 2^(W-1).  Every term that is
+kept anywhere has degree below 2^(W-2), the cap: a term of degree 2^(W-2)
+or more is refused with E_DEGREE_CAP where it is made or first read.
+
+- pack refuses it, on every term made from exponents: a vector made
+  from a polynomial or a basis index, a monomial_shift, the tracking
+  coordinates of relative_syzygies, and the lcm of each pair as its
+  S-vector is formed.  A skipped pair builds no term, so its lcm needs
+  no check.
+- degree refuses it.  The ModMap constructor reads every term's degree
+  for its twist check, so each map column holds checked terms.
+- normal_form refuses it on each term it pops, once per step, and
+  against an empty basis on each term it returns.
+
+Every other term is a sum of checked parts.  A term of an S-vector has
+degree below deg(term) + deg(lcm), a term that a reduction step creates
+has degree below deg(tail term) + deg(popped term), and outside the
+engine a product (a composite map's entry, f * w in the exponent proof
+of torsion, a multiple of a pivot column in unit cancellation) has
+degree below the sum of two checked degrees; a position move leaves the
+degree as it is.  So every term ever built has degree below 2^(W-1),
+none wraps, and each one reaches a check before it is kept: an S-vector
+and a product meet normal_form (the latter through the ModMap
+constructor or the normal form against a submodule, whose basis may be
+empty), and normal_form returns only terms it checked.
 """
 
 from __future__ import annotations
@@ -77,15 +96,14 @@ from __future__ import annotations
 import heapq
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedInputError
-from .polys import mono_lcm, mono_mul
+from .polys import mono_lcm
 
 E_DEGREE_CAP = "E_DEGREE_CAP"
 
-Term = tuple  # (pos, exps)
-Vec = dict  # Term -> coeff
+Vec = dict  # packed term -> coeff
 
 _W = 64  # bits per packed field
 
@@ -105,7 +123,7 @@ def _refuse(deg: int):
 
 
 @cache
-def _pack(term: Term) -> int:
+def _pack(term: tuple) -> int:
     pos, e = term
     deg = sum(e)
     if deg >> (_W - 2):
@@ -118,30 +136,63 @@ def _pack(term: Term) -> int:
 
 
 @cache
-def _unpack(t: int, n: int) -> Term:
+def _unpack(t: int, n: int) -> tuple:
     w = _W
     mask = (1 << w) - 1
     b = mask >> 1
     return -(t >> (w * (n + 1))), tuple(b - ((t >> (w * i)) & mask) for i in range(n))
 
 
-def vec_add_scaled(target: Vec, c: int, shift: tuple, src: Vec, p: int) -> None:
-    """target += c * x^shift * src, in place (positions unchanged)."""
-    for (pos, e), k in src.items():
-        t = (pos, mono_mul(e, shift))
-        val = (target.get(t, 0) + c * k) % p
+def pack(pos: int, e: tuple) -> int:
+    """The term x^e at position pos, packed; refuses the degree cap."""
+    return _pack((pos, e))
+
+
+def unpack(t: int, n: int) -> tuple:
+    """(position, exponent tuple) of a packed term in n variables."""
+    return _unpack(t, n)
+
+
+def position(t: int, n: int) -> int:
+    """The position of a packed term in n variables."""
+    return -(t >> (_W * (n + 1)))
+
+
+def degree(t: int, n: int) -> int:
+    """The degree of a packed term in n variables; refuses the degree cap."""
+    d = (t >> (_W * n)) & ((1 << _W) - 1)
+    if d >> (_W - 2):
+        _refuse(d)
+    return d
+
+
+def position_shift(d: int, n: int) -> int:
+    """What moves a packed term in n variables d positions on, when added."""
+    return -d << (_W * (n + 1))
+
+
+def monomial_shift(e: tuple) -> int:
+    """What multiplies a packed term by x^e, when added; refuses the degree cap."""
+    return _pack((0, e)) - _pack((0, (0,) * len(e)))
+
+
+def vec_add_scaled(target: Vec, c: int, shift: int, src: Vec, p: int) -> None:
+    """target += c * x^s * src in place, for shift = monomial_shift(s)."""
+    for u, k in src.items():
+        u += shift
+        val = (target.get(u, 0) + c * k) % p
         if val:
-            target[t] = val
+            target[u] = val
         else:
-            target.pop(t, None)
+            target.pop(u, None)
 
 
 class _Basis:
     """Monic packed basis elements bucketed by leading position for division."""
 
-    def __init__(self, p: int, layout: Optional[tuple]):
+    def __init__(self, p: int, layout: tuple):
         self.p = p
-        self.layout = layout  # None only while the basis is empty
+        self.layout = layout
         self.elems: list = []  # (lead, vec)
         # lead >> position shift -> [(lead exponent fields | guard, lead, tail items)]
         self.by_pos: dict = {}
@@ -159,13 +210,17 @@ def normal_form(v: dict, basis: _Basis) -> dict:
     """Fully reduced remainder of a packed vector against a monic basis.
 
     Each step pops the largest term and cancels it with the first
-    element of its position's bucket whose lead divides it.
+    element of its position's bucket whose lead divides it.  Against an
+    empty basis the remainder is v itself, its terms checked and sorted.
     """
-    if basis.layout is None:
+    psh, low, guard, top = basis.layout
+    if not basis.elems:
+        for t in v:
+            if t & top:
+                _refuse((t >> (psh - _W)) & ((1 << _W) - 1))
         return dict(sorted(v.items(), reverse=True))
     p = basis.p
     by_pos = basis.by_pos
-    psh, low, guard, top = basis.layout
     work = dict(v)
     out: dict = {}
     while work:
@@ -209,13 +264,12 @@ def _spair(m: int, a: tuple, b: tuple, p: int) -> dict:
     return s
 
 
-def _packed_monic(v: Vec, p: int) -> dict:
-    w = {_pack(t): k for t, k in v.items()}
-    inv = pow(w[max(w)], p - 2, p)
-    return {u: k * inv % p for u, k in w.items()}
+def _monic(v: Vec, p: int) -> dict:
+    inv = pow(v[max(v)], p - 2, p)
+    return {u: k * inv % p for u, k in v.items()}
 
 
-def module_gb(vectors: Iterable[Vec], p: int) -> list:
+def module_gb(vectors: Iterable[Vec], nvars: int, p: int) -> list:
     """Reduced Groebner basis of the submodule generated by vectors.
 
     Deterministic: canonical input normalization, pairs processed in
@@ -226,10 +280,9 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
     seed = [v for v in vectors if v]
     if not seed:
         return []
-    n = len(next(iter(seed[0]))[1])
-    layout = _layout(n)
+    layout = _layout(nvars)
     psh = layout[0]
-    seed = sorted((_packed_monic(v, p) for v in seed), key=lambda w: sorted(w.items()))
+    seed = sorted((_monic(v, p) for v in seed), key=lambda w: sorted(w.items()))
     basis = _Basis(p, layout)
     leads: list = []  # (lead exponents, their degree) of element i
     single: list = []  # element i has every term at its lead position
@@ -240,7 +293,7 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
     def add(r: dict) -> None:
         # normal_form lists its terms in descending order, lead first
         lt = next(iter(r))
-        pos, e = _unpack(lt, n)
+        pos, e = _unpack(lt, nvars)
         de = sum(e)
         alone = next(reversed(r)) >> psh == lt >> psh
         mono = len(r) == 1
@@ -275,7 +328,7 @@ def module_gb(vectors: Iterable[Vec], p: int) -> list:
         if r:
             add(r)
 
-    return [{_unpack(u, n): k for u, k in v.items()} for v in _interreduce(basis)]
+    return _interreduce(basis)
 
 
 def _interreduce(basis: _Basis) -> list:
@@ -308,6 +361,7 @@ def _interreduce(basis: _Basis) -> list:
     shared = _Basis(basis.p, basis.layout)
     for key, bucket in basis.by_pos.items():
         shared.by_pos[key] = [entry for entry in bucket if entry[1] in kept]
+    shared.elems = [(lt, v) for lt, v, _ in keep]
     out = []
     for lt, v, stale in keep:
         if stale:
@@ -319,22 +373,17 @@ def _interreduce(basis: _Basis) -> list:
     return [v for _, v in out]
 
 
-def reducer(gb: Sequence, p: int) -> _Basis:
+def reducer(gb: Sequence, nvars: int, p: int) -> _Basis:
     """The division structure of a reduced basis, for submodule_nf."""
-    basis = _Basis(p, _layout(len(next(iter(gb[0]))[1])) if gb else None)
+    basis = _Basis(p, _layout(nvars))
     for g in gb:
-        w = {_pack(t): k for t, k in g.items()}
-        basis.add(w, max(w))
+        basis.add(g, max(g))
     return basis
 
 
 def submodule_nf(v: Vec, basis: _Basis) -> Vec:
     """Normal form of v against a reduced basis built by reducer."""
-    if basis.layout is None:
-        return dict(v)
-    r = normal_form({_pack(t): k for t, k in v.items()}, basis)
-    n = len(next(iter(v))[1]) if v else 0
-    return {_unpack(u, n): k for u, k in r.items()}
+    return normal_form(v, basis)
 
 
 def relative_syzygies(
@@ -358,12 +407,15 @@ def relative_syzygies(
     of the span, which is unique, in module_gb's descending lead order.
     """
     zero = (0,) * nvars
-    embedded = [{**v, (rank + i, zero): 1} for i, v in enumerate(tracked)]
-    embedded.extend(dict(v) for v in untracked if v)
+    embedded = [{**v, _pack((rank + i, zero)): 1} for i, v in enumerate(tracked)]
+    embedded.extend(v for v in untracked if v)
+    psh = _layout(nvars)[0]
+    back = position_shift(-rank, nvars)
     syzygies, image = [], []
-    for g in module_gb(embedded, p):
-        if all(pos >= rank for pos, _ in g):
-            syzygies.append({(pos - rank, e): c for (pos, e), c in g.items()})
+    for g in module_gb(embedded, nvars, p):
+        # the lead comes first, and a lead in the tracking block leads no ambient term
+        if next(iter(g)) >> psh <= -rank:
+            syzygies.append({t + back: c for t, c in g.items()})
         else:
-            image.append({t: c for t, c in g.items() if t[0] < rank})
+            image.append({t: c for t, c in g.items() if t >> psh > -rank})
     return syzygies, image

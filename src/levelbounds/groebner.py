@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import module_gb, reducer, relative_syzygies, submodule_nf
+from .gbcore import module_gb, pack, reducer, relative_syzygies, submodule_nf, unpack
 from .polys import Poly, PolyRing
 
 # Both enumerations below walk every subset of a variable set, so the set
@@ -26,12 +26,19 @@ _MINPRIMES_VAR_CAP = 12
 E_VAR_CAP = "E_VAR_CAP"
 
 
-def _poly_to_vec(f: Poly) -> dict:
-    return {(0, e): c for e, c in f.terms}
+def _poly_to_vec(f: Poly, pos: int = 0) -> dict:
+    return {pack(pos, e): c for e, c in f.terms}
 
 
 def _vec_to_poly(ring: PolyRing, v: dict) -> Poly:
-    return ring.from_dict({e: c for (_, e), c in v.items()})
+    """The polynomial of an engine vector at position 0, such as a normal form.
+
+    The packed order at one position is degrevlex, and the engine's
+    coefficients lie in 1..p-1, so sorting the packed terms gives the
+    canonical term tuple.
+    """
+    n = ring.nvars
+    return Poly(ring, tuple((unpack(t, n)[1], c) for t, c in sorted(v.items(), reverse=True)))
 
 
 class IdealData:
@@ -57,12 +64,12 @@ class IdealData:
     @cached_property
     def gb(self) -> tuple:
         """Reduced degrevlex Groebner basis, monic, descending leads."""
-        gb = module_gb([_poly_to_vec(f) for f in self.gens], self.ring.char)
+        gb = module_gb([_poly_to_vec(f) for f in self.gens], self.ring.nvars, self.ring.char)
         return tuple(_vec_to_poly(self.ring, v) for v in gb)
 
     @cached_property
     def _reducer(self):
-        return reducer([_poly_to_vec(g) for g in self.gb], self.ring.char)
+        return reducer([_poly_to_vec(g) for g in self.gb], self.ring.nvars, self.ring.char)
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring is not self.ring and f.ring != self.ring:
@@ -120,9 +127,8 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
         raise UsageError("ideals from different rings")
     ring = I.ring
     zero = (0,) * ring.nvars
-    untracked = [_poly_to_vec(f) for f in I.gens]
-    untracked += [{(1, e): c for e, c in g.terms} for g in J.gens]
-    syz, _ = relative_syzygies([{(0, zero): 1, (1, zero): 1}], untracked,
+    untracked = [_poly_to_vec(f) for f in I.gens] + [_poly_to_vec(g, 1) for g in J.gens]
+    syz, _ = relative_syzygies([{pack(0, zero): 1, pack(1, zero): 1}], untracked,
                                rank=2, nvars=ring.nvars, p=ring.char)
     result = IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
     result.__dict__["gb"] = result.gens  # fills the cached property

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
 from .errors import InternalInconsistencyError, UsageError
+from .gbcore import degree
 from .groebner import IdealData, ideal, ideal_intersection, krull_dim
 from .invariants import edim, frank_conormal
 from .modules import (
@@ -125,25 +126,33 @@ def _torsion_generator_witness(h0: Subquotient, I: IdealData):
     of Gamma_I(H_0) that survives in H_0 tensor k.  The complex is
     minimal and J is homogeneous and proper, so D lies in m*F_0 and
     D + m*F_0 = m*F_0: a candidate lies outside it exactly when it has a
-    constant term.  The witness comes back as one polynomial per
-    coordinate, for the evidence.
+    constant term, one of degree zero.  The witness comes back as one
+    polynomial per coordinate, for the evidence.
     """
+    n = h0.free.ring.nvars
     for v in gamma_torsion(h0.denom, I):
-        if any(not any(e) for _, e in v):
+        if any(not degree(t, n) for t in v):
             return polyvec_from_vec(h0.free.ring.poly_ring, h0.free.rank, v)
     return None
 
 
 def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
-    """Largest homology gap below a nonzero differential: b - a + 1."""
+    """Largest homology gap below a nonzero differential: b - a + 1.
+
+    b is scanned downward, and the scan stops once even a = 0 cannot
+    reach the best gap, so low homology that no larger gap needs is
+    never computed.  Among equal gaps the smallest b is kept.
+    """
     _require_minimal(F)
     best = None
-    for b in range(1, F.hi + 1):
+    for b in range(F.hi, 0, -1):
+        if best is not None and b + 1 < best[0]:
+            break
         if F.diffs[b - 1].is_zero():
             continue
         for a in range(b - 1, -1, -1):
             if not F.homology(a).is_zero:
-                if best is None or b - a + 1 > best[0]:
+                if best is None or b - a + 1 >= best[0]:
                     best = (b - a + 1, a, b)
                 break
     if best is None:

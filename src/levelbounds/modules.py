@@ -1,25 +1,31 @@
 """Graded modules over R = P/J: free modules, maps and submodule calculus.
 
-A vector of a free module is the Groebner engine's dict from (position,
-exponents) to coefficient, in J-normal form, from the map column or
-elimination run that makes it to the checks that read it.  A map keeps
-the image of each source basis vector as one such vector.  Every
-operation (syzygies, kernels, colons, torsion, Hom, free rank) reduces
-to the relative syzygy primitive of the Groebner engine, with J folded
-in by appending J-multiples of the ambient basis.  A submodule handle
-holds a reduced basis that some run already made (the image half of a
-map's kernel run, the relation half of a colon step), so no handle runs
-Groebner itself, and a map makes that run once.  Kernels and torsion
-submodules come back as generator vectors, which is what their callers
-read.  A subquotient, homology
-among them, stays in its ambient free module: generator vectors modulo a
-reduced basis of the denominator, with no presentation built.  Both
-torsion checks take one route: the exponent proof, then the stable colon
-where it fails.
+A vector of a free module is the Groebner engine's dict from packed
+terms to coefficients, in J-normal form, from the map column or
+elimination run that makes it to the checks that read it.  Terms are
+packed where a vector is made from polynomials or a basis index
+(from_rows, basis_vector) and unpacked only where polynomials are made
+from one (polyvec_from_vec, for the dense view and evidence strings);
+in between, moving a term to another position and multiplying it by a
+monomial are additions on the packed int, and a constant term is one of
+degree zero.  A map keeps the image of each source basis vector as one
+such vector.  Every operation (syzygies, kernels, colons, torsion, Hom,
+free rank) reduces to the relative syzygy primitive of the Groebner
+engine, with J folded in by appending J-multiples of the ambient basis.
+A submodule handle holds a reduced basis that some run already made
+(the image half of a map's kernel run, the relation half of a colon
+step), so no handle runs Groebner itself, and a map makes that run once.
+Kernels and torsion submodules come back as generator vectors, which is
+what their callers read.  A subquotient, homology among them, stays in
+its ambient free module: generator vectors modulo a reduced basis of the
+denominator, with no presentation built.  Both torsion checks take one
+route: the exponent proof, then the stable colon where it fails.
 
 Degree bookkeeping is strict: free modules carry twists, a basis element
 of twist t has degree t, and every term of a map column j at position i
-must have degree twist_source(j) - twist_target(i).
+must have degree twist_source(j) - twist_target(i).  Reading that degree
+also refuses the engine's degree cap, so a product that a composite or
+a cancellation forms is checked before any map keeps it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from typing import Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import reducer, relative_syzygies, submodule_nf, vec_add_scaled
+from .gbcore import (degree, monomial_shift, pack, position, position_shift, reducer,
+                     relative_syzygies, submodule_nf, unpack, vec_add_scaled)
 from .polys import Poly, PolyRing
 from .rings import QuotientRing
 
@@ -49,17 +56,18 @@ class FreeModule:
         return len(self.twists)
 
     def basis_vector(self, j: int) -> dict:
-        return {(j, (0,) * self.ring.nvars): 1}
+        return {pack(j, (0,) * self.ring.nvars): 1}
 
 
 class ModMap:
     """A degree zero map between twisted free modules over R.
 
     cols[j] is the image of source basis j as a J-normal vector of the
-    target.  The constructor checks every term of a column (position in
-    range, one exponent per variable, degree twist_source(j) -
-    twist_target(position)) and reduces the column modulo J*target, so
-    callers may pass any representatives with coefficients in 1..p-1.
+    target.  The constructor checks every packed term of a column
+    (degree below the engine's cap, position in range, degree
+    twist_source(j) - twist_target(position)) and reduces the column
+    modulo J*target, so callers may pass any representatives with
+    coefficients in 1..p-1.
     """
 
     def __init__(self, source: FreeModule, target: FreeModule, cols: Sequence):
@@ -73,10 +81,11 @@ class ModMap:
         nvars, rank, twists = ring.nvars, target.rank, target.twists
         for j, col in enumerate(cols):
             want = source.twists[j]
-            for i, e in col:
-                if not (0 <= i < rank and len(e) == nvars and sum(e) == want - twists[i]):
-                    raise UsageError(f"column {j}: term {(i, e)} needs a row below {rank}, "
-                                     f"{nvars} exponents and degree {want} - twist(row)")
+            for t in col:
+                d, i = degree(t, nvars), position(t, nvars)
+                if not (0 <= i < rank and d == want - twists[i]):
+                    raise UsageError(f"column {j}: term {unpack(t, nvars)} needs a row below "
+                                     f"{rank} and degree {want} - twist(row)")
         basis = ring.module_reducer(rank)
         self.cols = tuple(submodule_nf(col, basis) if col else {} for col in cols)
 
@@ -96,7 +105,7 @@ class ModMap:
                 if f.ring is not poly_ring and f.ring != poly_ring:
                     raise UsageError("matrix entry from a different ring")
                 for e, c in f.terms:
-                    cols[j][(i, e)] = c
+                    cols[j][pack(i, e)] = c
         return cls(source, target, cols)
 
     @property
@@ -132,23 +141,28 @@ class ModMap:
         return not any(self.cols)
 
     def entries_in_maximal_ideal(self) -> bool:
-        return all(any(e) for col in self.cols for _, e in col)
+        n = self.ring.nvars
+        return all(degree(t, n) for col in self.cols for t in col)
 
     def compose(self, other: "ModMap") -> "ModMap":
         """self after other.
 
         Column j of the result sums c * x^e times column k of self over
         the terms c * x^e at position k of other's column j, so only the
-        products that exist are formed; the constructor J-normalises it.
+        products that exist are formed; the constructor checks and
+        J-normalises it.  Subtracting the packed x^0 at position k from
+        the term gives the shift that multiplies by x^e.
         """
         if other.target != self.source:
             raise UsageError("maps are not composable")
-        p = self.ring.char
+        p, n = self.ring.char, self.ring.nvars
+        zero = (0,) * n
         cols = []
         for other_col in other.cols:
             acc: dict = {}
-            for (k, e), c in other_col.items():
-                vec_add_scaled(acc, c, e, self.cols[k], p)
+            for u, c in other_col.items():
+                k = position(u, n)
+                vec_add_scaled(acc, c, u - pack(k, zero), self.cols[k], p)
             cols.append(acc)
         return ModMap(other.source, self.target, cols)
 
@@ -171,7 +185,8 @@ class ModMap:
 def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
     """v as one polynomial per position, for the dense view and evidence strings."""
     per: list = [dict() for _ in range(rank)]
-    for (pos, e), c in v.items():
+    for t, c in v.items():
+        pos, e = unpack(t, ring.nvars)
         per[pos][e] = c
     zero = ring.zero()
     return tuple(ring.from_dict(d) if d else zero for d in per)
@@ -190,7 +205,8 @@ class SubmoduleGB:
 
     @cached_property
     def _reducer(self):
-        return reducer(self.gb, self.free.ring.char)
+        ring = self.free.ring
+        return reducer(self.gb, ring.nvars, ring.char)
 
     def nf(self, v: dict) -> dict:
         return submodule_nf(v, self._reducer)
@@ -216,8 +232,9 @@ def syzygies(phi: ModMap) -> ModMap:
     checks that every term has the same degree.
     """
     kernel = phi.kernel_and_image[0]
-    source = phi.source
-    twists = tuple(source.twists[pos] + sum(e) for pos, e in (next(iter(v)) for v in kernel))
+    source, n = phi.source, phi.ring.nvars
+    twists = tuple(source.twists[position(t, n)] + degree(t, n)
+                   for t in (next(iter(v)) for v in kernel))
     return ModMap(FreeModule(phi.ring, twists), source, kernel)
 
 
@@ -253,10 +270,12 @@ def transpose_map(phi: ModMap) -> ModMap:
     ring = phi.ring
     dual_source = FreeModule(ring, tuple(-t for t in phi.target.twists))
     dual_target = FreeModule(ring, tuple(-t for t in phi.source.twists))
+    n = ring.nvars
     cols: list = [{} for _ in range(phi.target.rank)]
     for j, col in enumerate(phi.cols):
-        for (i, e), c in col.items():
-            cols[i][(j, e)] = c
+        for t, c in col.items():
+            i = position(t, n)
+            cols[i][t + position_shift(j - i, n)] = c
     return ModMap(dual_source, dual_target, cols)
 
 
@@ -270,14 +289,14 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
     ideal_intersection, and the colon holds J*free because N does.
     """
     ring = free.ring
-    r = free.rank
+    r, n = free.rank, ring.nvars
     t = len(ideal_gens)
     if t == 0:
         raise UsageError("colon by an empty generator list")
-    tracked = [{(i * r + k, e): c for i, f in enumerate(ideal_gens) for e, c in f.terms}
+    tracked = [{pack(i * r + k, e): c for i, f in enumerate(ideal_gens) for e, c in f.terms}
                for k in range(r)]
-    untracked = [{(i * r + pos, e): c for (pos, e), c in u.items()}
-                 for u in n_gb.gb for i in range(t)]
+    blocks = [position_shift(i * r, n) for i in range(t)]
+    untracked = [{u + shift: c for u, c in g.items()} for g in n_gb.gb for shift in blocks]
     syz, _ = relative_syzygies(tracked, untracked, rank=r * t, nvars=ring.nvars, p=ring.char)
     return SubmoduleGB(free, syz)
 
@@ -307,14 +326,17 @@ def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[dict], f: Poly) -> b
     Iterates w <- nf(f * w) from w = v.  Since N is a submodule,
     nf(f * nf(f^(s-1) v)) = nf(f^s v), so w reaching zero proves that
     f^s kills the class of v, with s the witness.  False says only that
-    the cap ran out.
+    the cap ran out.  f * w is formed on packed terms, and the normal
+    form against N, whose basis may be empty, checks each of its terms
+    against the degree cap.
     """
     p = n_gb.free.ring.char
+    shifts = [(monomial_shift(e), c) for e, c in f.terms]
     for w in vectors:
         for _ in range(_EXPONENT_CAP):
             fw: dict = {}
-            for e, c in f.terms:
-                vec_add_scaled(fw, c, e, w, p)
+            for shift, c in shifts:
+                vec_add_scaled(fw, c, shift, w, p)
             w = n_gb.nf(fw)
             if not w:
                 break
@@ -399,5 +421,5 @@ def frank(rels: ModMap) -> int:
     # vector lists the values of a functional on the generators of M
     hom = transpose_map(rels).kernel_and_image[0]
     zero = (0,) * rels.ring.nvars
-    pairing = [[vec.get((j, zero), 0) for j in range(rels.target.rank)] for vec in hom]
+    pairing = [[vec.get(pack(j, zero), 0) for j in range(rels.target.rank)] for vec in hom]
     return linalg.rank(pairing, rels.ring.char)

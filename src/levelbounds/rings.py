@@ -13,7 +13,7 @@ relations built over R per sequence tuple.
 from __future__ import annotations
 
 from .errors import UsageError
-from .gbcore import reducer
+from .gbcore import pack, reducer
 from .groebner import IdealData, krull_dim, zero_ideal
 from .polys import Poly, PolyRing
 
@@ -53,7 +53,7 @@ class QuotientRing:
 
     def defining_multiples(self, rank: int) -> list:
         """J's basis at each position in turn: J * P^rank's reduced basis, in module_gb's order."""
-        return [{(k, e): c for e, c in g.terms} for k in range(rank) for g in self.defining.gb]
+        return [{pack(k, e): c for e, c in g.terms} for k in range(rank) for g in self.defining.gb]
 
     def owned(self, key: tuple, build):
         """What R keeps under key, made by build() on the first request."""
@@ -68,7 +68,7 @@ class QuotientRing:
         vector against it is the ring normal form of each component.
         """
         return self.owned(("reducer", rank),
-                          lambda: reducer(self.defining_multiples(rank), self.char))
+                          lambda: reducer(self.defining_multiples(rank), self.nvars, self.char))
 
     def extension(self, gens) -> IdealData:
         """(gens) + J, kept per generator tuple (J itself for none).

@@ -9,7 +9,8 @@ count, direct sums, diagonal maps, free modules, and the passage
 between a presented module and a subquotient) make fixtures for the
 tests.  Presented modules are the oracles' GradedModule; the vectors
 the engine hands out (map columns, kernels, subquotient generators) are
-its dicts from (position, exponents) to coefficient.
+its dicts from packed terms to coefficient, which oracles.unpacked
+reads as (position, exponents).
 """
 
 import random
@@ -91,7 +92,7 @@ def build_corpus(count=24, seed=20260819):
 
 def vec_degree(free, v):
     """The degree of a nonzero homogeneous vector of free, read off one term."""
-    pos, e = next(iter(v))
+    pos, e = next(iter(oracles.unpacked(v, free.ring.nvars)))
     return free.twists[pos] + sum(e)
 
 

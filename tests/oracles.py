@@ -26,9 +26,12 @@ Hilbert function references that read minimal generators; the engine's
 frank reads any presentation.  The degreewise oracles read a vector as
 a tuple of polynomials, one per position: polyvecs turns the engine's
 dicts, map columns among them, into such tuples, and vec_from_polyvec
-turns one back into a dict.  ideal_sum is the plain sum of two ideals
-from their generators, for tests that compare ideals; the engine takes
-I + J from its ring.
+turns one back into a dict.  The engine keys its vectors by packed
+terms; the tuple-form adapter (packed, unpacked and the tuple_ views of
+module_gb, relative_syzygies, reducer and submodule_nf) is the one place
+where tests convert between those and (position, exponents) terms.
+ideal_sum is the plain sum of two ideals from their generators, for
+tests that compare ideals; the engine takes I + J from its ring.
 """
 
 import heapq
@@ -36,9 +39,10 @@ from itertools import combinations
 
 import numpy as np
 
+from levelbounds import gbcore
 from levelbounds.complexes import cancel_units
 from levelbounds.errors import UsageError
-from levelbounds.gbcore import module_gb, relative_syzygies, vec_add_scaled
+from levelbounds.gbcore import module_gb, relative_syzygies
 from levelbounds.groebner import IdealData, ideal_intersection
 from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, gamma_torsion, polyvec_from_vec
 from levelbounds.polys import Poly, drl_key, mono_lcm, mono_mul
@@ -78,7 +82,7 @@ def minimal_presentation(M):
     ring = M.ring
     twists = [list(M.gens.twists), list(M.rels.source.twists)]
     mats = [list(M.rels.cols)]
-    cancel_units(ring.char, twists, mats)
+    cancel_units(ring.char, ring.nvars, twists, mats)
     gen_twists, src_twists = twists
     gens = FreeModule(ring, tuple(gen_twists))
     rels = ModMap(FreeModule(ring, tuple(src_twists)), gens, mats[0])
@@ -100,7 +104,7 @@ def vec_from_polyvec(polys):
     for i, f in enumerate(polys):
         for e, c in f.terms:
             out[(i, e)] = c
-    return out
+    return packed(out)
 
 
 def polyvec_degree(free, polys):
@@ -564,11 +568,11 @@ def annihilator(M):
     result = None
     zero = (0,) * ring.nvars
     for k in range(M.gens.rank):
-        tracked = [{(k, zero): 1}]
+        tracked = [packed({(k, zero): 1})]
         syz, _ = relative_syzygies(tracked, u_vecs, rank=M.gens.rank, nvars=ring.nvars, p=ring.char)
         gens = []
         for s in syz:
-            f = ring.poly_ring.from_dict({e: c for (_, e), c in s.items()})
+            f = ring.poly_ring.from_dict({e: c for (_, e), c in unpacked(s, ring.nvars).items()})
             if not f.is_zero():
                 gens.append(f)
         colon = IdealData(ring.poly_ring, gens)
@@ -584,7 +588,7 @@ def span(free, vectors):
     wrap a basis some run already made, are compared with.
     """
     vecs = [dict(v) for v in vectors if v] + free.ring.defining_multiples(free.rank)
-    return SubmoduleGB(free, module_gb(vecs, free.ring.char))
+    return SubmoduleGB(free, module_gb(vecs, free.ring.nvars, free.ring.char))
 
 
 def torsion_generator_by_span(h0, I):
@@ -623,7 +627,7 @@ def radical_membership(f, I):
         else:
             one_minus_yf.pop(t, None)
     vecs.append(one_minus_yf)
-    gb = module_gb(vecs, p)
+    gb = tuple_module_gb(vecs, p)
     for v in gb:
         if len(v) == 1:
             (pos, e), _ = next(iter(v.items()))
@@ -670,6 +674,50 @@ def lead_divisible_terms(vectors, key):
 
 
 # ---------------------------------------------------------------------------
+# the tuple-form adapter: (position, exponents) terms on both sides of the
+# engine's packed vectors
+
+
+def packed(v):
+    """A vector keyed by (position, exponents) as the engine's packed dict."""
+    return {gbcore.pack(pos, e): c for (pos, e), c in v.items()}
+
+
+def unpacked(v, nvars):
+    """An engine vector in nvars variables keyed by (position, exponents), order kept."""
+    return {gbcore.unpack(t, nvars): c for t, c in v.items()}
+
+
+def _nvars(vectors):
+    """The exponent length of the first term among tuple-form vectors (0 for none)."""
+    return next((len(e) for v in vectors for _, e in v), 0)
+
+
+def tuple_module_gb(vectors, p):
+    """gbcore.module_gb on tuple-form vectors."""
+    vectors = list(vectors)
+    n = _nvars(vectors)
+    return [unpacked(g, n) for g in module_gb([packed(v) for v in vectors], n, p)]
+
+
+def tuple_relative_syzygies(tracked, untracked, rank, nvars, p):
+    """gbcore.relative_syzygies on tuple-form vectors."""
+    halves = relative_syzygies([packed(v) for v in tracked], [packed(v) for v in untracked],
+                               rank=rank, nvars=nvars, p=p)
+    return tuple([unpacked(v, nvars) for v in half] for half in halves)
+
+
+def tuple_reducer(gb, p, nvars=None):
+    """gbcore.reducer on a tuple-form basis; nvars is needed only when gb is empty."""
+    return gbcore.reducer([packed(g) for g in gb], _nvars(gb) if nvars is None else nvars, p)
+
+
+def tuple_submodule_nf(v, basis):
+    """gbcore.submodule_nf on a tuple-form vector, against a tuple_reducer basis."""
+    return unpacked(gbcore.submodule_nf(packed(v), basis), _nvars([v]))
+
+
+# ---------------------------------------------------------------------------
 # the tuple-form reference Buchberger
 
 
@@ -687,6 +735,17 @@ def mono_divides(a, b):
 
 def lead(v):
     return max(v, key=pot_key)
+
+
+def add_scaled(target, c, shift, src, p):
+    """target += c * x^shift * src in place, on tuple-form vectors."""
+    for (pos, e), k in src.items():
+        t = (pos, mono_mul(e, shift))
+        val = (target.get(t, 0) + c * k) % p
+        if val:
+            target[t] = val
+        else:
+            target.pop(t, None)
 
 
 def reference_nf(v, elems, p):
@@ -708,7 +767,7 @@ def reference_nf(v, elems, p):
             out[t] = c
             continue
         g = {u: k for u, k in elems[hit].items() if u != leads[hit]}
-        vec_add_scaled(work, p - c, tuple(a - b for a, b in zip(t[1], leads[hit][1])), g, p)
+        add_scaled(work, p - c, tuple(a - b for a, b in zip(t[1], leads[hit][1])), g, p)
     return out
 
 
@@ -717,8 +776,8 @@ def reference_spair(f, g, p):
     (_, ef), (_, eg) = lead(f), lead(g)
     m = mono_lcm(ef, eg)
     s = {}
-    vec_add_scaled(s, 1, tuple(a - b for a, b in zip(m, ef)), f, p)
-    vec_add_scaled(s, p - 1, tuple(a - b for a, b in zip(m, eg)), g, p)
+    add_scaled(s, 1, tuple(a - b for a, b in zip(m, ef)), f, p)
+    add_scaled(s, p - 1, tuple(a - b for a, b in zip(m, eg)), g, p)
     return s
 
 

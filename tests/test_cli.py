@@ -633,3 +633,52 @@ def test_koszul_fuzz_keeps_the_contract_through_the_colon_fallback(monkeypatch):
 
     check()
     assert steps > 0
+
+
+# Level tasks on Hom complexes: 2 or 3 variables, hom(koszul(A), koszul(B))
+# with 1 to 3 monomial or binomial entries of degree 1 or 2 in each of A
+# and B, p in {2, 3, 101}, and a free or monomial quotient.
+def _monomials(nvars, d):
+    return ["*".join(f"x{i}" for i in m)
+            for m in combinations_with_replacement(range(1, nvars + 1), d)]
+
+
+def _hom_entries(nvars, p):
+    def of_degree(d):
+        terms = st.lists(st.tuples(st.integers(1, p - 1), st.sampled_from(_monomials(nvars, d))),
+                         min_size=1, max_size=2, unique_by=lambda t: t[1])
+        return terms.map(lambda ts: " + ".join(f"{c}*{m}" for c, m in ts))
+    return st.lists(st.integers(1, 2).flatmap(of_degree), min_size=1, max_size=3).map(", ".join)
+
+
+def _hom_session(nvars, p):
+    monomial_quotient = st.lists(st.integers(1, 2).flatmap(
+        lambda d: st.sampled_from(_monomials(nvars, d))), min_size=1, max_size=3).map(", ".join)
+    return st.tuples(st.one_of(st.just("0"), monomial_quotient),
+                     _hom_entries(nvars, p), _hom_entries(nvars, p)).map(
+        lambda qab: (f"[ring]\np = {p}\nvars = {nvars}\nquotient = {qab[0]}\n\n"
+                     f"[seq A]\nelems = {qab[1]}\n\n[seq B]\nelems = {qab[2]}\n\n"
+                     "[task level]\ncomplex = hom(koszul(A), koszul(B))\n"))
+
+
+_HOM_SESSIONS = st.tuples(st.integers(2, 3), st.sampled_from([2, 3, 101])).flatmap(
+    lambda np_: _hom_session(*np_))
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_HOM_SESSIONS)
+def test_level_fuzz_on_hom_complexes_keeps_the_contract(text):
+    start = time.perf_counter()
+    try:
+        code, out = cli.run_session(session.parse_session(text), machine=True)
+    except session.SessionError as exc:
+        code, out = 2, ""
+        assert re.match(r"E_[A-Z_]+", str(exc))
+    assert time.perf_counter() - start < 10.0
+    assert code in (0, 1, 2)
+    for line in out.splitlines():
+        record = json.loads(line)
+        if record["ok"]:
+            assert record["result"]["lower"] <= record["result"]["upper"]
+        else:
+            assert "Traceback" not in record["result"]["error"]

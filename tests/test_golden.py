@@ -1,7 +1,8 @@
 """Byte-for-byte regression guard on the machine output of the CLI.
 
 The files under tests/golden hold the --machine output of the README
-quick-start commands, of the built-in suite at n = 3, of a session
+quick-start commands, of the built-in suite at n = 3 and n = 5 (the
+largest size the benchmark's suite workload runs), of a session
 file that drives the Groebner core through its callers and of the two
 benchmark session files (read from perfbench/sessions, never written).  They are a
 drift detector, not a correctness oracle: a change that alters any
@@ -19,6 +20,7 @@ SESSIONS = Path(__file__).parent.parent / "perfbench" / "sessions"
 
 CASES = [
     ("paper_suite_n3.jsonl", ["paper-suite", "--n", "3"]),
+    ("paper_suite_n5.jsonl", ["paper-suite", "--n", "5"]),
     ("koszul_free.jsonl", ["koszul", "--vars", "2", "--seq", "x1, x2"]),
     (
         "koszul_artinian.jsonl",

@@ -13,19 +13,20 @@ from levelbounds import gbcore, groebner, modules
 from levelbounds.cli import run_session
 from levelbounds.complexes import koszul_complex
 from levelbounds.errors import UnsupportedInputError, UsageError
-from levelbounds.gbcore import E_DEGREE_CAP, module_gb
+from levelbounds.gbcore import E_DEGREE_CAP
 from levelbounds.groebner import (E_VAR_CAP, IdealData, ideal, ideal_intersection,
                                   krull_dim, monomial_minimal_primes, zero_ideal)
 from levelbounds.invariants import bigheight_monomial, height_monomial
 from levelbounds.level import verify_factorization_example
-from levelbounds.modules import FreeModule, gamma_torsion
+from levelbounds.modules import FreeModule, ModMap, SubmoduleGB, gamma_torsion
 from levelbounds.polys import PolyRing, mono_lcm, mono_mul, parse_poly
 from levelbounds.rings import QuotientRing
 from levelbounds.session import parse_session
 
 import corpus
 import oracles
-from oracles import ideal_sum, mono_divides, pot_key
+from oracles import (ideal_sum, mono_divides, pot_key, tuple_module_gb, tuple_reducer,
+                     tuple_submodule_nf)
 
 P2 = PolyRing(2, 101)
 P3 = PolyRing(3, 101)
@@ -61,7 +62,7 @@ def test_normal_form_over_the_free_ring_returns_its_input():
     assert R.nf(f) is f
     vec = {(0, e): c for e, c in f.terms}
     assert P2.from_dict({e: c for (_, e), c in
-                         gbcore.submodule_nf(vec, gbcore.reducer([], 101)).items()}) == f
+                         tuple_submodule_nf(vec, tuple_reducer([], 101, nvars=2)).items()}) == f
     # over a quotient the reducer runs, and nf is still a normal form mod J
     rng = random.Random(5)
     quotients = [C.ring.defining for C in corpus.build_corpus(8, seed=7) if C.ring.defining.gb]
@@ -310,7 +311,7 @@ def test_interreduction_passes_only_the_tails_a_later_lead_reaches(monkeypatch):
         return out
 
     monkeypatch.setattr(gbcore, "_interreduce", spy)
-    gb = module_gb([{(0, e): c for e, c in f.terms} for f in fs], 101)
+    gb = tuple_module_gb([{(0, e): c for e, c in f.terms} for f in fs], 101)
     x1, _, x3 = P.variables()
     assert gb == [{(0, e): c for e, c in f.terms} for f in (x1**2, x1 * x3, x3**2)]
     (before, out), = seen
@@ -323,10 +324,10 @@ def test_interreduction_passes_only_the_tails_a_later_lead_reaches(monkeypatch):
 def test_module_gb_is_reduced_and_order_free(key, rank, data):
     vecs = data.draw(st.lists(homogeneous_vectors(3, rank), min_size=1, max_size=4))
     rng = data.draw(st.randoms(use_true_random=False))
-    gb = module_gb(vecs, 101)
+    gb = tuple_module_gb(vecs, 101)
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    assert module_gb(shuffled, 101) == gb
+    assert tuple_module_gb(shuffled, 101) == gb
     assert all(v[max(v, key=key)] == 1 for v in gb)
     assert oracles.lead_divisible_terms(gb, key) == []
 
@@ -335,10 +336,10 @@ def test_module_gb_is_reduced_and_order_free(key, rank, data):
 @given(rank=st.integers(1, 3), data=st.data())
 def test_module_gb_is_closed_under_all_spairs(key, rank, data):
     vecs = data.draw(st.lists(mixed_vectors(3, rank), min_size=1, max_size=5))
-    gb = module_gb(vecs, 101)
+    gb = tuple_module_gb(vecs, 101)
     assert oracles.buchberger_closed(gb, 101)
-    basis = gbcore.reducer(gb, 101)
-    assert all(not gbcore.submodule_nf(v, basis) for v in vecs)
+    basis = tuple_reducer(gb, 101)
+    assert all(not tuple_submodule_nf(v, basis) for v in vecs)
 
 
 @given(rank=st.integers(1, 2), data=st.data())
@@ -348,8 +349,8 @@ def test_relative_syzygies_image_half_is_the_span_basis(rank, data):
     # basis of tracked + untracked, element for element and in order
     tracked = data.draw(st.lists(homogeneous_vectors(3, rank), min_size=1, max_size=3))
     untracked = data.draw(st.lists(homogeneous_vectors(3, rank), max_size=3))
-    _, image = gbcore.relative_syzygies(tracked, untracked, rank=rank, nvars=3, p=101)
-    assert image == module_gb(tracked + untracked, 101)
+    _, image = oracles.tuple_relative_syzygies(tracked, untracked, rank=rank, nvars=3, p=101)
+    assert image == tuple_module_gb(tracked + untracked, 101)
 
 
 @KEYS
@@ -358,7 +359,7 @@ def test_coprime_leads_at_two_positions_still_pair(key):
     # not zero modulo them: the product criterion needs single positions.
     u = {(0, (1, 0)): 1, (1, (0, 0)): 1}
     v = {(0, (0, 1)): 1}
-    gb = module_gb([u, v], 101)
+    gb = tuple_module_gb([u, v], 101)
     assert any(max(g, key=key)[0] == 1 for g in gb)
     assert oracles.buchberger_closed(gb, 101)
 
@@ -377,19 +378,22 @@ def test_module_gb_on_many_single_terms_matches_plain_buchberger(rank, data):
     singles = data.draw(st.lists(single_terms(3, rank), min_size=2, max_size=8))
     others = data.draw(st.lists(mixed_vectors(3, rank), max_size=3))
     vecs = data.draw(st.permutations(singles + others))
-    assert module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
+    assert tuple_module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
 
 
 @contextmanager
 def module_gb_inputs():
-    """The vectors of every module_gb call made inside the block, through either binding."""
+    """The vectors of every module_gb call made inside the block, through either binding.
+
+    They are recorded in tuple form, through the oracles' adapter.
+    """
     seen = []
     real = gbcore.module_gb
 
-    def spy(vectors, p):
+    def spy(vectors, nvars, p):
         vectors = list(vectors)
-        seen.append((vectors, p))
-        return real(vectors, p)
+        seen.append(([oracles.unpacked(v, nvars) for v in vectors], p))
+        return real(vectors, nvars, p)
 
     gbcore.module_gb = groebner.module_gb = spy
     try:
@@ -430,7 +434,7 @@ def test_koszul_runs_over_a_monomial_quotient_match_plain_buchberger(data):
     assert len(seen) == 1
     vecs, p = seen[0]
     assert sum(len(v) == 1 for v in vecs) >= len(J.gb) * d.target.rank
-    assert module_gb(vecs, p) == oracles.reference_gb(vecs, p)
+    assert tuple_module_gb(vecs, p) == oracles.reference_gb(vecs, p)
 
 
 def sparse_exponents(nvars):
@@ -449,14 +453,14 @@ def test_find_reducer_returns_the_first_dividing_lead(key, data):
     terms = st.tuples(st.integers(0, 1), exps)
     vecs = st.dictionaries(terms, st.integers(1, 100), min_size=1, max_size=3)
     elems = data.draw(st.lists(vecs.map(lambda v: oracles.monic_vec(v, 101)), max_size=12))
-    basis = gbcore.reducer(elems, 101)
+    basis = tuple_reducer(elems, 101, nvars)
     queries = data.draw(st.lists(st.dictionaries(terms, st.integers(1, 100), max_size=3),
                                  max_size=6))
     for g in elems:
         pos, le = max(g, key=key)
         queries.append({(pos, mono_mul(le, data.draw(exps))): data.draw(st.integers(1, 100))})
     for v in queries:
-        assert gbcore.submodule_nf(v, basis) == oracles.reference_nf(v, elems, 101)
+        assert tuple_submodule_nf(v, basis) == oracles.reference_nf(v, elems, 101)
 
 
 def exponent_pairs(nvars):
@@ -502,7 +506,7 @@ def test_packed_terms_agree_with_the_tuple_forms(terms):
     _, low, guard, _ = gbcore._layout(n)
     assert ((((pa & low) | guard) - (pb & low)) & guard == guard) == mono_divides(a[1], b[1])
     lead_at_b = {(b[0], a[1]): 1}
-    gone = not gbcore.submodule_nf({b: 1}, gbcore.reducer([lead_at_b], 101))
+    gone = not tuple_submodule_nf({b: 1}, tuple_reducer([lead_at_b], 101))
     assert gone == mono_divides(a[1], b[1])
 
 
@@ -532,7 +536,7 @@ def narrow_fields():
 ], ids=["popped", "lcm", "input"])
 def test_degree_cap_refuses_terms_that_reach_it(vecs):
     with narrow_fields(), pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
-        module_gb(vecs, 101)
+        tuple_module_gb(vecs, 101)
 
 
 def test_two_single_terms_form_no_pair_and_build_no_lcm():
@@ -540,7 +544,53 @@ def test_two_single_terms_form_no_pair_and_build_no_lcm():
     # zero, so the pair is never formed and its lcm never packed
     vecs = [{(0, (40, 1)): 1}, {(0, (1, 40)): 1}]
     with narrow_fields():
-        assert module_gb(vecs, 101) == vecs
+        assert tuple_module_gb(vecs, 101) == vecs
+
+
+# Packed vectors leave the engine and come back: a composite map's
+# entries and the products of the exponent proof are formed outside it,
+# over the free ring, where the normal form against J has no basis to
+# reduce by.  Each must still be refused at the cap, never kept wrapped.
+
+def test_degree_cap_refuses_a_composite_of_composites():
+    with narrow_fields() as cap:
+        R = QuotientRing.free(P2)
+        F0, F1, F2, F3 = (FreeModule(R, (t,)) for t in (0, 31, cap - 1, 2 * cap - 2))
+        a = ModMap.from_rows(F1, F0, [[X**31]])
+        b = ModMap.from_rows(F2, F1, [[X**(cap - 32)]])
+        c = ModMap.from_rows(F3, F2, [[Y**(cap - 1)]])
+        ab = a.compose(b)  # x^63, one below the cap
+        assert ab.rows == ((X**(cap - 1),),)
+        with pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+            ab.compose(c)  # x^63 * y^63, degree 126 < 2^7: formed whole, then refused
+
+
+@pytest.mark.parametrize("power", [40, 70], ids=["product", "factor"])
+def test_degree_cap_refuses_the_exponent_proof_over_the_free_ring(power):
+    # N = 0: x^40 * e_0 passes, and x^80 * e_0 reaches the cap on the
+    # second step; x^70 is refused as soon as its shift is packed
+    with narrow_fields():
+        F = FreeModule(QuotientRing.free(P2), (0,))
+        with pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+            modules._kills_by_exponent(SubmoduleGB(F, []), [F.basis_vector(0)], X**power)
+
+
+def test_degree_cap_comes_before_the_twist_check_of_a_column():
+    # a packed x^70, made by one addition from checked parts, in a column
+    # whose twists ask for degree 0: the cap is named, not the twist
+    with narrow_fields():
+        F = FreeModule(QuotientRing.free(P2), (0,))
+        term = gbcore.pack(0, (40, 0)) + gbcore.monomial_shift((30, 0))
+        with pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+            ModMap(F, F, [{term: 1}])
+
+
+def test_degree_cap_refuses_a_matrix_entry_at_the_cap():
+    with narrow_fields() as cap:
+        R = QuotientRing.free(P2)
+        source = FreeModule(R, (cap,))
+        with pytest.raises(UnsupportedInputError, match=E_DEGREE_CAP):
+            ModMap.from_rows(source, FreeModule(R, (0,)), [[X**cap]])
 
 
 @given(rank=st.integers(1, 3), data=st.data())
@@ -549,7 +599,7 @@ def test_narrow_fields_below_the_cap_match_the_reference(rank, data):
     with narrow_fields() as cap:
         # a power well into the 8-bit fields, with room for the lcms
         vecs.append({(rank - 1, (0, 0, cap - 24)): 1})
-        assert module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
+        assert tuple_module_gb(vecs, 101) == oracles.reference_gb(vecs, 101)
 
 
 def test_factorization_example_spair_count(monkeypatch):

@@ -72,9 +72,9 @@ def test_invariant_report_runs_groebner_once_on_the_ideal_of_the_sequence(monkey
     runs = []
     real = gbcore.module_gb
 
-    def spy(vectors, p):
+    def spy(vectors, nvars, p):
         runs.append(vectors)
-        return real(vectors, p)
+        return real(vectors, nvars, p)
 
     monkeypatch.setattr(gbcore, "module_gb", spy)
     monkeypatch.setattr(groebner, "module_gb", spy)

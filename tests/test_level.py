@@ -89,6 +89,41 @@ def test_gap_certificate_cases():
         lb_gap(_nonminimal())
 
 
+def ascending_gap(F):
+    """(value, a, b) of the largest gap by the upward scan over every b, first b on ties."""
+    best = None
+    for b in range(1, F.hi + 1):
+        if F.diffs[b - 1].is_zero():
+            continue
+        a = next((a for a in range(b - 1, -1, -1) if not F.homology(a).is_zero), None)
+        if a is not None and (best is None or b - a + 1 > best[0]):
+            best = (b - a + 1, a, b)
+    return best
+
+
+def test_gap_scan_matches_the_upward_scan_on_corpus():
+    for C in corpus.build_corpus(8, seed=7):
+        M = minimalize(C)
+        cert = lb_gap(M)
+        want = ascending_gap(M)
+        got = None if cert is None else (cert.value, cert.evidence["a"], cert.evidence["b"])
+        assert got == want
+
+
+def test_gap_scan_stops_before_the_homology_no_larger_gap_needs():
+    # Hom(K(x1..x4), K(x1..x4)) over k[x1..x5] is K on eight entries, with
+    # H_0..H_4 nonzero: d_8 gives the gap 5 from a = 4, and below b = 4
+    # no gap can reach 5, so H_1 and H_2 are never computed
+    P5 = PolyRing(5, 101)
+    R5 = QuotientRing.free(P5)
+    K = koszul_complex(list(P5.variables()[:4]), R5)
+    H = minimalize(hom_complex(K, K))
+    cert = lb_gap(H)
+    assert (cert.value, cert.evidence) == (5, {"a": 4, "b": 8})
+    assert 1 not in H._homology and 2 not in H._homology
+    assert ascending_gap(H) == (5, 4, 8)
+
+
 def _nonminimal():
     F = FreeModule(R2, (0,))
     return ChainComplex(R2, [F, F], [ModMap.from_rows(F, F, [[P2.one()]])])

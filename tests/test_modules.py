@@ -26,7 +26,8 @@ from levelbounds.rings import QuotientRing
 
 import corpus
 import oracles
-from oracles import GradedModule, minimal_presentation, polyvec_degree, vec_from_polyvec
+from oracles import (GradedModule, minimal_presentation, packed, polyvec_degree, unpacked,
+                     vec_from_polyvec)
 
 P2 = PolyRing(2, 101)
 X, Y = P2.variables()
@@ -42,7 +43,7 @@ def coker(ring, gen_twists, rel_twists, rows):
 def test_free_module_basics():
     F = FreeModule(R2, (0, 1))
     assert F.rank == 2
-    assert F.basis_vector(1) == {(1, (0, 0)): 1}
+    assert F.basis_vector(1) == packed({(1, (0, 0)): 1})
 
 
 def test_modmap_validation():
@@ -65,8 +66,8 @@ def test_modmap_columns_are_checked_term_by_term():
     F = FreeModule(R2, (1,))
     G2 = FreeModule(R2, (0, 0))
     x = (1, 0)
-    assert ModMap(F, G2, [{(1, x): 1}]).cols == ({(1, x): 1},)
-    assert ModMap(F, G2, [{(1, x): 1}]).rows == ((P2.zero(),), (X,))
+    assert ModMap(F, G2, [packed({(1, x): 1})]).cols == (packed({(1, x): 1}),)
+    assert ModMap(F, G2, [packed({(1, x): 1})]).rows == ((P2.zero(),), (X,))
     assert ModMap(F, G2, [{}]).is_zero()
     bad_columns = [
         [],                              # no column for the one source basis vector
@@ -79,7 +80,7 @@ def test_modmap_columns_are_checked_term_by_term():
     ]
     for cols in bad_columns:
         with pytest.raises(UsageError):
-            ModMap(F, G2, cols)
+            ModMap(F, G2, [packed(col) for col in cols])
     with pytest.raises(UsageError):      # a zero from another ring
         ModMap.from_rows(F, G2, [[X], [PolyRing(3, 101).zero()]])
 
@@ -101,7 +102,7 @@ def entries_of(phi):
 def assert_j_normal(free, vecs):
     """Each vector is fixed by the normal form against J*free, and each of
     its components is the ring normal form of itself."""
-    j_basis = reducer(free.ring.defining_multiples(free.rank), free.ring.char)
+    j_basis = reducer(free.ring.defining_multiples(free.rank), free.ring.nvars, free.ring.char)
     for v in vecs:
         assert v and submodule_nf(v, j_basis) == v
         assert all(free.ring.nf(f) == f for f in oracles.polyvecs(free, [v])[0])
@@ -221,17 +222,21 @@ def test_cached_reducers_match_fresh_bases():
         ring = C.ring
         p = ring.char
         J = ring.defining
-        j_gb = [vec_from_polyvec((g,)) for g in J.gb]
+        n = ring.nvars
+        j_gb = [unpacked(vec_from_polyvec((g,)), n) for g in J.gb]
         for d in C.diffs:
             handle = oracles.span(d.target, d.cols[:1])
+            handle_gb = [unpacked(g, n) for g in handle.gb]
             for col in oracles.polyvecs(d.target, d.cols):
                 for x in ring.poly_ring.variables():
                     shifted = tuple(f * x for f in col)
                     for f in shifted:
-                        want = oracles.reference_nf(vec_from_polyvec((f,)), j_gb, p)
-                        assert J.normal_form(f) == polyvec_from_vec(ring.poly_ring, 1, want)[0]
+                        want = oracles.reference_nf(unpacked(vec_from_polyvec((f,)), n), j_gb, p)
+                        assert J.normal_form(f) == polyvec_from_vec(ring.poly_ring, 1,
+                                                                    packed(want))[0]
                     v = vec_from_polyvec(shifted)
-                    assert handle.nf(v) == oracles.reference_nf(v, handle.gb, p)
+                    assert unpacked(handle.nf(v), n) == oracles.reference_nf(unpacked(v, n),
+                                                                            handle_gb, p)
 
 
 def test_kernel_vanishes_after_inclusion():
@@ -474,7 +479,7 @@ def test_defining_multiples_are_the_reduced_basis_of_j_times_the_free_module():
               QuotientRing(ideal(P2, [a * a, a * b])), x1_line()[0].ring}
     for R in rings:
         for rank in range(1, 6):
-            assert module_gb(R.defining_multiples(rank), R.char) == R.defining_multiples(rank)
+            assert module_gb(R.defining_multiples(rank), R.nvars, R.char) == R.defining_multiples(rank)
 
 
 @pytest.mark.parametrize("case", range(len(exponent_cases())))
@@ -733,7 +738,7 @@ def test_zero_entries_and_disjoint_supports_cost_no_normal_form(monkeypatch):
     calls.clear()
     assert a.compose(b).is_zero() and calls == []
     # the other order meets in every index, and its one column is normalised
-    assert b_after_a.compose(a).cols[1] == {(0, (1, 1)): 64} and len(calls) == 1
+    assert b_after_a.compose(a).cols[1] == packed({(0, (1, 1)): 64}) and len(calls) == 1
 
 
 @given(st.data())
