@@ -7,12 +7,32 @@ is claimed only when the two meet.  lower > upper is an engine bug and
 raises InternalInconsistencyError with the full certificate dump.  Bounds
 reading R/I take I + J from the ring; FRANK reads the conormal relations
 R keeps for K's sequence, from the run of K's d_1.
+
+The homology of a Koszul complex is read off its trimmed sequence.  If
+y lies in (f) + J, say y = a_1 f_1 + .. + a_r f_r mod J, the change of
+basis e_y -> e_y - sum a_i e_(f_i) of the degree-one module carries
+K(f, y) onto K(f, 0) = K(f) (x) K(0), and K(0) is R + R(-deg y)[1] with
+zero differential; so K(f, y) = K(f) + K(f)[1](-deg y) (Bruns and
+Herzog, Cohen-Macaulay Rings, 1.6.21).  Each entry the trim drops lies
+in (kept) + J, and reordering a sequence permutes tensor factors, so
+with d entries dropped H_i(K(seq)) is the sum over j = 0..d of
+C(d, j) twisted copies of H_(i-j)(K(kept)).  Vanishing and I-power
+torsion see neither twists nor finite sums: H_i(K(seq)) is nonzero
+exactly when some H_k(K(kept)) with i - d <= k <= i is, and I-power
+torsion exactly when each such nonzero H_k(K(kept)) is.  H_0 has j = 0
+alone, and as a subquotient of R both H_0 have the same denominator,
+(seq) + J = (kept) + J, held by its unique reduced basis, so the
+TORSION_DIM witness read off either is the same.  GAP and TORSION_DIM
+therefore read K(kept), R's own Koszul complex on the trim that
+KOSZUL_TRIM reports, and the homology of K(seq) is never computed; with
+nothing dropped the base is the complex itself.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
@@ -79,15 +99,17 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     Hypotheses verified: every nonzero H_i, i >= 1, is I-power torsion,
     and H_0 has a minimal generator killed by a power of I (some element
     of the torsion submodule of H_0 survives in H_0 tensor k).  Returns
-    None when any hypothesis fails.
+    None when any hypothesis fails.  A Koszul complex's homology is read
+    off its trimmed sequence (see the module docstring).
     """
     _require_minimal(F)
     R = F.ring
     total = R.extension(I.gens)
-    h0 = F.homology(0)
+    base = _homology_base(F)
+    h0 = base[0].homology(0)
     if h0.is_zero:
         return None
-    torsion_checks = _positive_torsion_checks(F, I)
+    torsion_checks = _positive_torsion_checks(F, I, base)
     if not all(c["power_torsion"] for c in torsion_checks):
         return None
     witness = _torsion_generator_witness(h0, I)
@@ -107,12 +129,46 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     )
 
 
-def _positive_torsion_checks(F: ChainComplex, I: IdealData) -> list:
-    """{"degree": i, "power_torsion": ok} per nonzero H_i, i >= 1, up to the first failure."""
+def _homology_base(F: ChainComplex) -> tuple:
+    """(B, d) with H_i(F) the sum over j of C(d, j) copies of H_(i-j)(B), up to twist.
+
+    For a Koszul complex B is R's Koszul complex on the trimmed sequence
+    and d the number of entries the trim drops (see the module
+    docstring).  Any other complex, and a Koszul complex that drops
+    nothing, is its own base with d = 0.
+    """
+    if F.koszul is None:
+        return F, 0
+    kept = trim_koszul_sequence(F.koszul, F.ring)
+    d = len(F.koszul) - len(kept)
+    return (koszul_complex(kept, F.ring), d) if d else (F, 0)
+
+
+def _summand_degrees(base: tuple, i: int) -> range:
+    """The degrees k of B whose homology H_i(F) holds copies of: i - d <= k <= i."""
+    B, d = base
+    return range(max(i - d, 0), min(i, B.hi) + 1)
+
+
+def _homology_is_zero(base: tuple, i: int) -> bool:
+    B = base[0]
+    return all(B.homology(k).is_zero for k in _summand_degrees(base, i))
+
+
+def _positive_torsion_checks(F: ChainComplex, I: IdealData, base: tuple) -> list:
+    """{"degree": i, "power_torsion": ok} per nonzero H_i(F), i >= 1, up to the first failure.
+
+    base is (B, d) from _homology_base, or (F, 0) to read F's own
+    homology: H_i(F) is I-power torsion exactly when each nonzero H_k(B)
+    it holds copies of is, and each H_k(B) is checked once.
+    """
+    B = base[0]
+    torsion = cache(lambda k: is_power_torsion(B.homology(k), I))
     checks = []
     for i in range(1, F.hi + 1):
-        if not F.homology(i).is_zero:
-            checks.append({"degree": i, "power_torsion": is_power_torsion(F.homology(i), I)})
+        parts = [k for k in _summand_degrees(base, i) if not B.homology(k).is_zero]
+        if parts:
+            checks.append({"degree": i, "power_torsion": all(map(torsion, parts))})
             if not checks[-1]["power_torsion"]:
                 break
     return checks
@@ -141,9 +197,12 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
 
     b is scanned downward, and the scan stops once even a = 0 cannot
     reach the best gap, so low homology that no larger gap needs is
-    never computed.  Among equal gaps the smallest b is kept.
+    never computed.  Among equal gaps the smallest b is kept.  The
+    d_b != 0 tests read F; a Koszul complex's homology is read off its
+    trimmed sequence (see the module docstring).
     """
     _require_minimal(F)
+    base = _homology_base(F)
     best = None
     for b in range(F.hi, 0, -1):
         if best is not None and b + 1 < best[0]:
@@ -151,7 +210,7 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
         if F.diffs[b - 1].is_zero():
             continue
         for a in range(b - 1, -1, -1):
-            if not F.homology(a).is_zero:
+            if not _homology_is_zero(base, a):
                 if best is None or b - a + 1 >= best[0]:
                     best = (b - a + 1, a, b)
                 break
@@ -205,22 +264,28 @@ def ub_edim_koszul(R: QuotientRing) -> BoundCertificate:
 
 
 def trim_koszul_sequence(seq: Sequence[Poly], R: QuotientRing) -> tuple:
-    """Drop entries lying in the ideal of the remaining ones (mod J).
+    """seq's normal forms mod J, less the entries lying in the ideal of the rest.
 
-    Koszul complexes on the trimmed and full sequences generate each
-    other: adjoining y in (rest) splits off a shifted copy, so levels
-    agree.  The scan is restarted after each removal for determinism.
+    The scan is restarted after each removal for determinism.  The last
+    entry dropped lies in the ideal of the kept ones, and each earlier
+    one in that of the kept ones and those dropped after it, so every
+    dropped entry lies in (kept) + J: K(seq) is K(kept) plus twisted
+    copies of its shifts (see the module docstring), and the levels
+    agree.  R keeps the trim per sequence tuple.
     """
-    kept = list(seq)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            if R.extension(kept[:idx] + kept[idx + 1 :]).contains(kept[idx]):
-                kept.pop(idx)
-                changed = True
-                break
-    return tuple(kept)
+    def build():
+        kept = [R.nf(f) for f in seq]
+        changed = True
+        while changed:
+            changed = False
+            for idx in range(len(kept)):
+                if R.extension(kept[:idx] + kept[idx + 1 :]).contains(kept[idx]):
+                    kept.pop(idx)
+                    changed = True
+                    break
+        return tuple(kept)
+
+    return R.owned(("trim", tuple(seq)), build)
 
 
 def ub_koszul_trim(seq: Sequence[Poly], R: QuotientRing) -> BoundCertificate:
@@ -247,7 +312,7 @@ def level_interval(
     if M.is_zero_complex():
         certs.append(ub_length(M))
         return LevelReport(label=label, lower=0, upper=0, exact=True, certificates=certs)
-    if M.homology(0).is_zero:
+    if _homology_base(M)[0].homology(0).is_zero:
         raise InternalInconsistencyError(
             "minimal nonzero complex with vanishing bottom homology"
         )
@@ -269,7 +334,7 @@ def level_interval(
     if M.koszul is not None:
         certs.append(lb_frank_koszul(M))
         certs.append(ub_edim_koszul(M.ring))
-        certs.append(ub_koszul_trim(tuple(M.ring.nf(f) for f in M.koszul), M.ring))
+        certs.append(ub_koszul_trim(M.koszul, M.ring))
     certs.append(ub_length(M))
     lower = max(c.value for c in certs if c.is_lower)
     upper = min(c.value for c in certs if not c.is_lower)
@@ -354,6 +419,7 @@ def verify_factorization_example(
         ("composite_is_x1",
          beta0.compose(alpha0) == ModMap.from_rows(R0, R1, [[xs[0]]])),
     ]
-    torsion_ok = all(c["power_torsion"] for c in _positive_torsion_checks(K, tail))
+    # K's own homology: the sequence drops nothing, and its trim would cost runs
+    torsion_ok = all(c["power_torsion"] for c in _positive_torsion_checks(K, tail, (K, 0)))
     checks.append(("positive_homology_torsion", torsion_ok))
     return FactorizationReport(n=n, checks=checks, passed=all(v for _, v in checks))

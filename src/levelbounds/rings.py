@@ -6,8 +6,8 @@ R are represented by their normal forms modulo J, and vectors of R^rank
 by their normal forms modulo J*R^rank.  The ring computes what it
 derives from J once and keeps it (owned): J*R^rank's division structure
 per rank, the ideal (gens) + J per generator tuple, which is read
-wherever R/I is, and the Koszul complexes, sequence maps and conormal
-relations built over R per sequence tuple.
+wherever R/I is, and the Koszul complexes, sequence maps, conormal
+relations and trimmed sequences built over R per sequence tuple.
 """
 
 from __future__ import annotations

@@ -512,8 +512,11 @@ def test_one_shot_verb_matches_its_session_task(tmp_path, capsys, argv, text):
 
 # Session files for the exit-code fuzz: sections built from the grammar,
 # then up to three pieces of noise inserted anywhere.  Rings have at most
-# 3 variables and only invariants and lech tasks occur, so each example
-# takes well under a second.
+# 3 variables; the tasks are invariants, lech, a Koszul level, the level
+# of hom(koszul(S), koszul(S)), which always splits, and the
+# factorization example and suite at sizes inside and outside their
+# ranges (E_N_RANGE, and E_VAR_CAP at n = 12), so each example takes
+# well under a second.
 _POLYS = st.lists(
     st.sampled_from(["x1", "x2", "x3", "x1*x2", "x2^2", "2*x3", "x1 + x3", "0"]),
     min_size=1, max_size=3,
@@ -530,7 +533,11 @@ _RING = st.tuples(
 ).map(lambda parts: "[ring]\n" + "".join(parts))
 _TASKS = st.lists(
     st.sampled_from(["[task invariants]", "[task invariants]\nideal = B",
-                     "[task invariants]\nseq = S", "[task lech]\nseq = S"]),
+                     "[task invariants]\nseq = S", "[task lech]\nseq = S",
+                     "[task koszul-level]\nseq = S\nideal = B",
+                     "[task level]\ncomplex = hom(koszul(S), koszul(S))"]
+                    + [f"[task factorization-example]\nn = {n}" for n in (2, 3, 12)]
+                    + [f"[task paper-suite]\nn = {n}" for n in (0, 3, 7)]),
     min_size=1, max_size=3,
 )
 _NOISE = st.one_of(
@@ -575,8 +582,16 @@ def test_run_on_arbitrary_bytes_keeps_the_exit_code_contract(tmp_path_factory, d
     _exit_code_contract_holds(tmp_path_factory.getbasetemp() / "bytes.session", data)
 
 
+_SPLIT_SESSION = ("[ring]\nvars = 3\nquotient = x1*x2\n[ideal B]\ngens = x1, x2\n"
+                  "[seq S]\nelems = x1, x2, x1 + x2\n[task koszul-level]\nseq = S\nideal = B\n"
+                  "[task level]\ncomplex = hom(koszul(S), koszul(S))\n")
+
+
 @settings(max_examples=150)
 @given(text=_NOISY_SESSION)
+@example(text=_SPLIT_SESSION)
+@example(text="[ring]\nvars = 2\n[task factorization-example]\nn = 12\n"
+              "[task paper-suite]\nn = 0\n[task paper-suite]\nn = 7\n")
 def test_run_on_noisy_session_text_keeps_the_exit_code_contract(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "noisy.session"
     _exit_code_contract_holds(path, text.encode("utf-8"))

@@ -1,14 +1,16 @@
 """Level intervals and their certificates."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from levelbounds import modules
+from levelbounds import complexes, modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
-from levelbounds.level import (_torsion_generator_witness, check_torsion_dim, lb_frank_koszul,
-                               lb_gap, level_interval, trim_koszul_sequence, ub_edim_koszul,
-                               ub_length, ub_koszul_trim, verify_factorization_example)
+from levelbounds.level import (_homology_base, _torsion_generator_witness, check_torsion_dim,
+                               lb_frank_koszul, lb_gap, level_interval, trim_koszul_sequence,
+                               ub_edim_koszul, ub_length, ub_koszul_trim,
+                               verify_factorization_example)
 from levelbounds.modules import FreeModule, ModMap
 from levelbounds.polys import PolyRing, format_poly
 from levelbounds.rings import QuotientRing
@@ -113,11 +115,13 @@ def test_gap_scan_matches_the_upward_scan_on_corpus():
 def test_gap_scan_stops_before_the_homology_no_larger_gap_needs():
     # Hom(K(x1..x4), K(x1..x4)) over k[x1..x5] is K on eight entries, with
     # H_0..H_4 nonzero: d_8 gives the gap 5 from a = 4, and below b = 4
-    # no gap can reach 5, so H_1 and H_2 are never computed
+    # no gap can reach 5, so H_1 and H_2 are never computed.  The copy
+    # carries no sequence, so its own homology is read, not the trim's
     P5 = PolyRing(5, 101)
     R5 = QuotientRing.free(P5)
     K = koszul_complex(list(P5.variables()[:4]), R5)
-    H = minimalize(hom_complex(K, K))
+    hom = hom_complex(K, K)
+    H = ChainComplex(R5, hom.modules, hom.diffs)
     cert = lb_gap(H)
     assert (cert.value, cert.evidence) == (5, {"a": 4, "b": 8})
     assert 1 not in H._homology and 2 not in H._homology
@@ -139,8 +143,10 @@ def test_frank_certificate_values():
 
 
 def test_frank_reads_the_kernel_that_homology_took(monkeypatch):
-    # three runs for the homology of the three differentials and one for
-    # FRANK's dual: the conormal relations are d_1's kernel, from its run
+    # x1 lies in (x2, x1 + x2), so the homology is read off K(x2, x1 + x2):
+    # two runs for its two differentials, one for FRANK's conormal
+    # relations, the kernel of the full complex's d_1, and one for
+    # FRANK's dual
     calls = []
     real = modules.relative_syzygies
 
@@ -153,6 +159,101 @@ def test_frank_reads_the_kernel_that_homology_took(monkeypatch):
                          I=ideal(P2, seq))
     assert len(calls) == 4
     assert certmap(rep)["FRANK"].evidence == {"frank_conormal": 2, "seq": ["x1", "x2", "x1 + x2"]}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_split_hom_runs_only_the_first_differential():
+    # family A's hom(K(x1..x4), K(x1..x4)) is K on eight entries (rank
+    # 256); its homology is read off K(x1..x4), so of its own
+    # differentials only d_1 runs, for FRANK's conormal relations
+    P5 = PolyRing(5, 101)
+    R5 = QuotientRing.free(P5)
+    K = koszul_complex(list(P5.variables()[:4]), R5)
+    H = hom_complex(K, K)
+    rep = level_interval(H)
+    assert [i for i in range(1, H.hi + 1) if "kernel_and_image" in vars(H.diff(i))] == [1]
+    assert not H._homology
+    assert _homology_base(H) == (K, 4)
+    assert certmap(rep)["GAP"].evidence == {"a": 4, "b": 8}
+
+
+def test_a_sequence_that_drops_nothing_is_its_own_base(monkeypatch):
+    # one run on each of d_1 and d_2, whose kernel FRANK also reads, and
+    # no second complex is built
+    P = PolyRing(2, 101)
+    x, y = P.variables()
+    K = koszul_complex([x, y], QuotientRing.free(P))
+    assert _homology_base(K) == (K, 0)
+    runs = _count_calls(monkeypatch, modules, "relative_syzygies")
+    built = _count_calls(monkeypatch, complexes.ChainComplex, "__init__")
+    rep = level_interval(K, I=ideal(P, [x, y]))
+    assert (rep.lower, rep.upper) == (3, 3)
+    assert len(runs) == 2 and not built
+    assert set(K._homology) == {0, 1, 2}
+
+
+# Koszul complexes with one redundant entry injected: a scaled copy of an
+# entry, a combination of the entries, or a member of J, at any
+# position, over a free or monomial quotient in 2 or 3 variables.
+@st.composite
+def _redundant_koszul(draw):
+    nvars, p = draw(st.integers(2, 3)), draw(st.sampled_from([2, 3, 101]))
+    P = PolyRing(nvars, p)
+
+    def form(d):
+        mons = draw(st.lists(st.sampled_from(list(oracles.monomials(nvars, d))),
+                             min_size=1, max_size=2, unique=True))
+        return P.from_dict({e: draw(st.integers(1, p - 1)) for e in mons})
+
+    def monomial(d):
+        return P.from_dict({draw(st.sampled_from(list(oracles.monomials(nvars, d)))): 1})
+
+    J = draw(st.lists(st.sampled_from(list(oracles.monomials(nvars, 2))), max_size=2, unique=True))
+    R = QuotientRing(ideal(P, [P.from_dict({e: 1}) for e in J]))
+    base = draw(st.lists(st.integers(1, 2).map(form), min_size=1, max_size=2))
+    def scalar(low):
+        return P.from_dict({(0,) * nvars: draw(st.integers(low, p - 1))})
+
+    kind = draw(st.sampled_from(["copy", "combination", "defining"]))
+    y = scalar(1) * draw(st.sampled_from(base))
+    if kind == "defining" and J:
+        y = monomial(draw(st.integers(0, 1))) * P.from_dict({draw(st.sampled_from(J)): 1})
+    elif kind == "combination":
+        top = max(f.degree() for f in base) + draw(st.integers(0, 1))
+        total = P.from_dict({})
+        for f in base:
+            total = total + scalar(0) * monomial(top - f.degree()) * f
+        y = total if not total.is_zero() else y
+    at = draw(st.integers(0, len(base)))
+    seq = base[:at] + [y] + base[at:]
+    I = draw(st.sampled_from([None, ideal(P, seq), ideal(P, list(P.variables()[:1]))]))
+    return R, seq, I
+
+
+@given(_redundant_koszul())
+def test_split_homology_matches_the_direct_path(case):
+    R, seq, I = case
+    K = koszul_complex(seq, R)
+    rep = level_interval(K, I=I)
+    cm = certmap(rep)
+    assert cm["KOSZUL_TRIM"].evidence["dropped_count"] >= 1
+    # the copy carries no sequence, so lb_gap and check_torsion_dim read
+    # its own homology
+    direct = ChainComplex(R, K.modules, K.diffs)
+    gap = lb_gap(direct)
+    td = None if I is None else check_torsion_dim(direct, I)
+    for kind, cert in (("GAP", gap), ("TORSION_DIM", td)):
+        assert (cm[kind].as_dict() if kind in cm else None) == (cert and cert.as_dict())
 
 
 def test_upper_bound_certificates():
