@@ -144,16 +144,12 @@ def sequence_map(seq: Sequence[Poly], ring: QuotientRing) -> ModMap:
     return ring.owned(("sequence", seq), build)
 
 
-def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
-    """R's Koszul complex on seq, basis e_S ordered lex in each degree.
+def check_koszul_sequence(seq: Sequence[Poly], ring: QuotientRing) -> None:
+    """Refuse what no Koszul complex over R is built on.
 
-    The differential takes e_S for S = (i_1 < .. < i_k) to the
-    alternating sum of f_(i_j) e_(S minus i_j) with sign +1 on the first
-    entry, and d_1 is R's sequence_map.  Sequence entries must be
-    nonzero homogeneous polynomials of positive degree; their images in
-    R may vanish.  More than _KOSZUL_CAP entries is refused.  After the
-    checks, R returns its complex for the tuple, built and d-squared
-    checked on the first request, so callers share its runs and homology.
+    Entries must be nonzero homogeneous polynomials of positive degree
+    from R's ambient ring; their images in R may vanish.  More than
+    _KOSZUL_CAP entries is refused.
     """
     check_koszul_length(len(seq))
     for f in seq:
@@ -161,6 +157,19 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
             raise UsageError("sequence entries must come from the ambient ring")
         if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
             raise UsageError(f"sequence entry must be homogeneous of positive degree: {f}")
+
+
+def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
+    """R's Koszul complex on seq, basis e_S ordered lex in each degree.
+
+    The differential takes e_S for S = (i_1 < .. < i_k) to the
+    alternating sum of f_(i_j) e_(S minus i_j) with sign +1 on the first
+    entry, and d_1 is R's sequence_map.  seq must pass
+    check_koszul_sequence.  After the check, R returns its complex for
+    the tuple, built and d-squared checked on the first request, so
+    callers share its runs and homology.
+    """
+    check_koszul_sequence(seq, ring)
     elems = tuple(seq)
     return ring.owned(("koszul", elems), lambda: _build_koszul(elems, ring))
 

@@ -26,6 +26,25 @@ TORSION_DIM witness read off either is the same.  GAP and TORSION_DIM
 therefore read K(kept), R's own Koszul complex on the trim that
 KOSZUL_TRIM reports, and the homology of K(seq) is never computed; with
 nothing dropped the base is the complex itself.
+
+The trim makes no Groebner run of its own: it reads the kernel Z of
+K(seq)'s d_1, R's sequence map, whose run FRANK and H_1 read too, by
+graded Nakayama (Bruns and Herzog, 1.5).  Put I = (seq)R, V = I/mI and
+v_j the image of f_j in V.  A relation sum c_j v_j = 0 over k says
+that sum c_j f_j lies in mI + J, that is sum (c_j - a_j) f_j = 0 in R
+for some a_j in m: the relations are the constant parts z(0) of the z
+in Z, and as (r z)(0) = r(0) z(0), the constant parts of Z's generators
+span them, the rows of a matrix C over F_p.  Let S be a set of entries
+with (S) + J = (seq) + J, and i in S.  If f_i lies in (S minus i) + J,
+the coefficients of degree zero give v_i in the span of the other v_j
+of S.  Conversely such a span puts f_i - sum c_j f_j in mI + J =
+m(S) + J, whose coefficients on the entries of S are homogeneous of
+positive degree, so only entries of degree below deg f_i carry them
+and f_i is not among them.  So f_i lies in (S minus i) + J exactly when
+some relation supported in S has c_i != 0, that is when the column of
+C at i is independent of the columns outside S.  Dropping entries only
+shrinks S, so an entry kept once stays kept and one scan in order
+drops what a scan restarted after each drop would.
 """
 
 from __future__ import annotations
@@ -35,9 +54,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
-from .complexes import ChainComplex, check_koszul_length, koszul_complex, minimalize
+from . import linalg
+from .complexes import (ChainComplex, check_koszul_length, check_koszul_sequence,
+                        koszul_complex, minimalize, sequence_map)
 from .errors import InternalInconsistencyError, UsageError
-from .gbcore import degree
+from .gbcore import degree, pack
 from .groebner import IdealData, ideal, ideal_intersection, krull_dim
 from .invariants import edim, frank_conormal
 from .modules import (
@@ -266,24 +287,29 @@ def ub_edim_koszul(R: QuotientRing) -> BoundCertificate:
 def trim_koszul_sequence(seq: Sequence[Poly], R: QuotientRing) -> tuple:
     """seq's normal forms mod J, less the entries lying in the ideal of the rest.
 
-    The scan is restarted after each removal for determinism.  The last
-    entry dropped lies in the ideal of the kept ones, and each earlier
-    one in that of the kept ones and those dropped after it, so every
+    The entries are scanned in order, and one lying in the ideal of the
+    others not yet dropped, plus J, is dropped.  Each dropped entry lies
+    in the ideal of the kept ones and those dropped after it, so every
     dropped entry lies in (kept) + J: K(seq) is K(kept) plus twisted
-    copies of its shifts (see the module docstring), and the levels
-    agree.  R keeps the trim per sequence tuple.
+    copies of its shifts, and the levels agree.  Membership is read off
+    the constant parts of the kernel of K(seq)'s d_1 by F_p rank (see
+    the module docstring): entry i is dropped exactly when its column of
+    constant parts is independent of the dropped entries' columns.  seq
+    must pass check_koszul_sequence, as the argument needs its entries
+    homogeneous of positive degree.  R keeps the trim per sequence
+    tuple.
     """
     def build():
-        kept = [R.nf(f) for f in seq]
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(kept)):
-                if R.extension(kept[:idx] + kept[idx + 1 :]).contains(kept[idx]):
-                    kept.pop(idx)
-                    changed = True
-                    break
-        return tuple(kept)
+        check_koszul_sequence(seq, R)
+        zero = (0,) * R.nvars
+        kernel = sequence_map(seq, R).kernel_and_image[0]
+        consts = [[z.get(pack(j, zero), 0) for j in range(len(seq))] for z in kernel]
+        dropped: list = []
+        for i in range(len(seq)):
+            cols = dropped + [i]
+            if linalg.rank([[row[j] for j in cols] for row in consts], R.char) == len(cols):
+                dropped.append(i)
+        return tuple(R.nf(f) for i, f in enumerate(seq) if i not in dropped)
 
     return R.owned(("trim", tuple(seq)), build)
 

@@ -1,8 +1,9 @@
 """Rank over F_p of small dense matrices, on plain Python integers.
 
-The only caller is the free rank, whose evaluation pairings stay a few
-rows and columns wide, so forward elimination on lists of ints is all
-that is needed and holds for any prime p.
+The callers are the free rank, on its evaluation pairing, and the
+Koszul trim, on the constant parts of a sequence's syzygies.  Both
+matrices stay a few rows and columns wide, so forward elimination on
+lists of ints is all that is needed and holds for any prime p.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Everything here works one graded piece at a time: the degree d slice of
 a homogeneous ideal is the row span of monomial multiples of its raw
 generators, free modules get explicit (slot, monomial) coordinates, and
 homology dimensions fall out of rank counting on the raw differential
-matrices.  Nothing touches normal forms, Groebner bases or syzygy
+matrices, and trim_by_membership trims a Koszul sequence by degreewise
+ideal membership.  Nothing touches normal forms, Groebner bases or syzygy
 computations, so agreement with the engine is a genuine cross-check.
 The row reduction is this module's own, on numpy int64 matrices, and
 rank_mod_p is a second one on Python ints; neither shares code with
@@ -268,6 +269,28 @@ def in_ideal(f, gens):
     rows = ideal_rows(gens, nvars, d, p)
     fv = as_matrix([_coords(f, d, index)], p)
     return matrix_rank(np.vstack([rows, fv]), p) == matrix_rank(rows, p)
+
+
+def trim_by_membership(seq, R):
+    """seq's normal forms mod J, less the entries lying in the ideal of the rest, plus J.
+
+    The membership scan, restarted after each drop, whose result the
+    package's rank trim must equal.  in_ideal decides each membership
+    degreewise on the given entries and J's generators, so no Groebner
+    basis, normal form or syzygy is involved; R's normal form only
+    reports the kept entries, as the package's trim does.
+    """
+    kept = list(seq)
+    j_gens = list(R.defining.gens)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            if in_ideal(kept[idx], kept[:idx] + kept[idx + 1:] + j_gens):
+                kept.pop(idx)
+                changed = True
+                break
+    return tuple(R.nf(f) for f in kept)
 
 
 def free_piece(twists, nvars, d):

@@ -1,9 +1,9 @@
 """Level intervals and their certificates."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from levelbounds import complexes, modules
+from levelbounds import complexes, groebner, modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
@@ -188,14 +188,14 @@ def test_split_hom_runs_only_the_first_differential():
 
 
 def test_a_sequence_that_drops_nothing_is_its_own_base(monkeypatch):
-    # one run on each of d_1 and d_2, whose kernel FRANK also reads, and
-    # no second complex is built
+    # one run on each of d_1 and d_2: the trim, H_1 and FRANK read d_1's
+    # kernel, made while the base is found, and no second complex is built
     P = PolyRing(2, 101)
     x, y = P.variables()
     K = koszul_complex([x, y], QuotientRing.free(P))
-    assert _homology_base(K) == (K, 0)
     runs = _count_calls(monkeypatch, modules, "relative_syzygies")
     built = _count_calls(monkeypatch, complexes.ChainComplex, "__init__")
+    assert _homology_base(K) == (K, 0)
     rep = level_interval(K, I=ideal(P, [x, y]))
     assert (rep.lower, rep.upper) == (3, 3)
     assert len(runs) == 2 and not built
@@ -254,6 +254,83 @@ def test_split_homology_matches_the_direct_path(case):
     td = None if I is None else check_torsion_dim(direct, I)
     for kind, cert in (("GAP", gap), ("TORSION_DIM", td)):
         assert (cm[kind].as_dict() if kind in cm else None) == (cert and cert.as_dict())
+
+
+# Sequences over a free, monomial or non-monomial quotient in 2 to 4
+# variables, with up to two entries injected at any position: a scaled
+# copy, a combination of the entries, a multiple of an entry plus a
+# member of J, or a member of J itself, zero mod J.
+@st.composite
+def _trim_case(draw):
+    nvars, p = draw(st.integers(2, 4)), draw(st.sampled_from([2, 3, 101]))
+    P = PolyRing(nvars, p)
+
+    def form(d, terms):
+        mons = draw(st.lists(st.sampled_from(list(oracles.monomials(nvars, d))),
+                             min_size=1, max_size=terms, unique=True))
+        return P.from_dict({e: draw(st.integers(1, p - 1)) for e in mons})
+
+    def monomial(d):
+        return P.from_dict({draw(st.sampled_from(list(oracles.monomials(nvars, d)))): 1})
+
+    quotient = draw(st.sampled_from(["free", "monomial", "forms"]))
+    J = []
+    if quotient == "monomial":
+        J = draw(st.lists(st.integers(1, 2).map(monomial), min_size=1, max_size=2))
+    elif quotient == "forms":
+        J = draw(st.lists(st.integers(1, 2).map(lambda d: form(d, 3)), min_size=1, max_size=2))
+    R = QuotientRing(ideal(P, J))
+    seq = draw(st.lists(st.integers(1, 2).map(lambda d: form(d, 3)), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["copy", "combination", "plus_member", "member"]))
+        f = draw(st.sampled_from(seq))
+        y = f.scale(draw(st.integers(1, p - 1)))
+        top = max(g.degree() for g in seq) + draw(st.integers(0, 1))
+        if kind == "combination":
+            total = P.zero()
+            for g in seq:
+                total = total + monomial(top - g.degree()).scale(draw(st.integers(0, p - 1))) * g
+            y = total if not total.is_zero() else y
+        elif kind in ("plus_member", "member") and J:
+            g = draw(st.sampled_from(J))
+            member = monomial(top - g.degree()) * g if top >= g.degree() else g
+            y = member if kind == "member" else monomial(member.degree() - f.degree()) * y + member
+            y = y if not y.is_zero() else member
+        seq.insert(draw(st.integers(0, len(seq))), y)
+    return R, seq
+
+
+@settings(max_examples=150)
+@given(_trim_case())
+def test_rank_trim_matches_the_membership_scan(case):
+    R, seq = case
+    assert trim_koszul_sequence(seq, R) == oracles.trim_by_membership(seq, R)
+
+
+def test_the_suite_torsion_trim_makes_the_run_h1_reads(monkeypatch):
+    # the suite's K(x1x2, .., x1x4) over the free ring drops nothing: its
+    # trim makes d_1's run and no ideal run, and H_1 reuses that kernel,
+    # so the one further run it needs is d_2's
+    P = PolyRing(4, 101)
+    R = QuotientRing.free(P)
+    K = koszul_complex(list(ideal_intersection(ideal(P, [P.var(0)]),
+                                               ideal(P, list(P.variables()[1:]))).gens), R)
+    runs = _count_calls(monkeypatch, modules, "relative_syzygies")
+    ideal_runs = _count_calls(monkeypatch, groebner, "module_gb")
+    assert trim_koszul_sequence(K.koszul, R) == K.koszul
+    assert len(runs) == 1 and not ideal_runs
+    assert runs[0][0] == K.diff(1).cols
+    K.homology(1)
+    assert len(runs) == 2 and runs[1][0] == K.diff(2).cols and not ideal_runs
+
+
+def test_trim_refuses_what_the_koszul_complex_refuses():
+    for seq in ([X + Y**2], [P2.zero()], [P2.one()], [X1], [X] * 11):
+        with pytest.raises(UsageError) as trimmed:
+            trim_koszul_sequence(seq, R2)
+        with pytest.raises(UsageError) as built:
+            koszul_complex(seq, R2)
+        assert str(trimmed.value) == str(built.value)
 
 
 def test_upper_bound_certificates():
