@@ -278,7 +278,9 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     cancel_units); zero modules left at either end are trimmed.  The
     result is homotopy equivalent to C and has all entries in m.  A
     complex with nothing to cancel or trim is returned as it is, with
-    its cached homology and its maps' runs.
+    its cached homology and its maps' runs; R's Koszul complexes are
+    such, as their entries lie in m and their end modules have rank 1.
+    A rebuilt complex carries no sequence.
     """
     if C.is_minimal() and (C.hi == 0 or (C.modules[0].rank and C.modules[-1].rank)):
         return C
@@ -298,7 +300,7 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     mats = mats[lo_trim : hi_trim - 1]
     modules = [FreeModule(ring, tuple(t)) for t in twists]
     diffs = [ModMap(modules[k + 1], modules[k], mat) for k, mat in enumerate(mats)]
-    return ChainComplex(ring, modules, diffs, koszul=C.koszul)
+    return ChainComplex(ring, modules, diffs)
 
 
 # ---------------------------------------------------------------------------

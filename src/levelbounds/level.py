@@ -5,8 +5,10 @@ BoundCertificate.  level_interval minimalizes the complex, collects all
 applicable certificates, and reports [max lower, min upper].  Exactness
 is claimed only when the two meet.  lower > upper is an engine bug and
 raises InternalInconsistencyError with the full certificate dump.  Bounds
-reading R/I take I + J from the ring; FRANK reads the conormal relations
-R keeps for K's sequence, from the run of K's d_1.
+reading R/I take I + J from the ring.  A sequence's J-normal entries
+are read in one place, the row of R's sequence map, which is K's d_1:
+FRANK reports them, beside the conormal relations R keeps for K's
+sequence from the run of that map, and the trim returns them.
 
 The homology of a Koszul complex is read off its trimmed sequence.  If
 y lies in (f) + J, say y = a_1 f_1 + .. + a_r f_r mod J, the change of
@@ -22,10 +24,10 @@ exactly when some H_k(K(kept)) with i - d <= k <= i is, and I-power
 torsion exactly when each such nonzero H_k(K(kept)) is.  H_0 has j = 0
 alone, and as a subquotient of R both H_0 have the same denominator,
 (seq) + J = (kept) + J, held by its unique reduced basis, so the
-TORSION_DIM witness read off either is the same.  GAP and TORSION_DIM
-therefore read K(kept), R's own Koszul complex on the trim that
-KOSZUL_TRIM reports, and the homology of K(seq) is never computed; with
-nothing dropped the base is the complex itself.
+TORSION_DIM witness read off either is the same.  So GAP, TORSION_DIM
+and the H_0 check read H_i(K(seq)) through one reader, _homology_parts,
+as those nonzero H_k of K(kept), R's own Koszul complex on the trim that
+KOSZUL_TRIM reports; the homology of K(seq) is never computed.
 
 The trim makes no Groebner run of its own: it reads the kernel Z of
 K(seq)'s d_1, R's sequence map, whose run FRANK and H_1 read too, by
@@ -120,19 +122,25 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
     Hypotheses verified: every nonzero H_i, i >= 1, is I-power torsion,
     and H_0 has a minimal generator killed by a power of I (some element
     of the torsion submodule of H_0 survives in H_0 tensor k).  Returns
-    None when any hypothesis fails.  A Koszul complex's homology is read
-    off its trimmed sequence (see the module docstring).
+    None when any hypothesis fails.  H_i is I-power torsion exactly when
+    each of its parts is (see _homology_parts), and a part shared by
+    several degrees is checked once.
     """
     _require_minimal(F)
     R = F.ring
     total = R.extension(I.gens)
-    base = _homology_base(F)
-    h0 = base[0].homology(0)
-    if h0.is_zero:
+    parts = _homology_parts(F)
+    h0 = next(parts(0), None)
+    if h0 is None:
         return None
-    torsion_checks = _positive_torsion_checks(F, I, base)
-    if not all(c["power_torsion"] for c in torsion_checks):
-        return None
+    torsion = cache(lambda H: is_power_torsion(H, I))
+    degrees = []
+    for i in range(1, F.hi + 1):
+        nonzero = list(parts(i))
+        if not all(map(torsion, nonzero)):
+            return None
+        if nonzero:
+            degrees.append(i)
     witness = _torsion_generator_witness(h0, I)
     if witness is None:
         return None
@@ -144,55 +152,27 @@ def check_torsion_dim(F: ChainComplex, I: IdealData) -> Optional[BoundCertificat
         evidence={
             "dim_R": d_R,
             "dim_RmodI": d_RI,
-            "torsion_checks": torsion_checks,
+            "torsion_checks": [{"degree": i, "power_torsion": True} for i in degrees],
             "torsion_generator": [str(f) for f in witness],
         },
     )
 
 
-def _homology_base(F: ChainComplex) -> tuple:
-    """(B, d) with H_i(F) the sum over j of C(d, j) copies of H_(i-j)(B), up to twist.
+def _homology_parts(F: ChainComplex):
+    """i -> the nonzero H_k(B), i - d <= k <= i, whose copies sum to H_i(F) up to twist.
 
-    For a Koszul complex B is R's Koszul complex on the trimmed sequence
-    and d the number of entries the trim drops (see the module
-    docstring).  Any other complex, and a Koszul complex that drops
-    nothing, is its own base with d = 0.
+    For a Koszul complex that drops d entries B is R's K(kept) (see the
+    module docstring); any other complex is its own B with d = 0.  The
+    parts come lazily, so a caller that stops at the first computes no
+    homology past it.
     """
-    if F.koszul is None:
-        return F, 0
-    kept = trim_koszul_sequence(F.koszul, F.ring)
-    d = len(F.koszul) - len(kept)
-    return (koszul_complex(kept, F.ring), d) if d else (F, 0)
-
-
-def _summand_degrees(base: tuple, i: int) -> range:
-    """The degrees k of B whose homology H_i(F) holds copies of: i - d <= k <= i."""
-    B, d = base
-    return range(max(i - d, 0), min(i, B.hi) + 1)
-
-
-def _homology_is_zero(base: tuple, i: int) -> bool:
-    B = base[0]
-    return all(B.homology(k).is_zero for k in _summand_degrees(base, i))
-
-
-def _positive_torsion_checks(F: ChainComplex, I: IdealData, base: tuple) -> list:
-    """{"degree": i, "power_torsion": ok} per nonzero H_i(F), i >= 1, up to the first failure.
-
-    base is (B, d) from _homology_base, or (F, 0) to read F's own
-    homology: H_i(F) is I-power torsion exactly when each nonzero H_k(B)
-    it holds copies of is, and each H_k(B) is checked once.
-    """
-    B = base[0]
-    torsion = cache(lambda k: is_power_torsion(B.homology(k), I))
-    checks = []
-    for i in range(1, F.hi + 1):
-        parts = [k for k in _summand_degrees(base, i) if not B.homology(k).is_zero]
-        if parts:
-            checks.append({"degree": i, "power_torsion": all(map(torsion, parts))})
-            if not checks[-1]["power_torsion"]:
-                break
-    return checks
+    B, d = F, 0
+    if F.koszul is not None:
+        kept = trim_koszul_sequence(F.koszul, F.ring)
+        if len(kept) < len(F.koszul):
+            B, d = koszul_complex(kept, F.ring), len(F.koszul) - len(kept)
+    return lambda i: (H for H in map(B.homology, range(max(i - d, 0), min(i, B.hi) + 1))
+                      if not H.is_zero)
 
 
 def _torsion_generator_witness(h0: Subquotient, I: IdealData):
@@ -219,11 +199,11 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
     b is scanned downward, and the scan stops once even a = 0 cannot
     reach the best gap, so low homology that no larger gap needs is
     never computed.  Among equal gaps the smallest b is kept.  The
-    d_b != 0 tests read F; a Koszul complex's homology is read off its
-    trimmed sequence (see the module docstring).
+    d_b != 0 tests read F, and H_a is nonzero exactly when it has a part
+    (see _homology_parts).
     """
     _require_minimal(F)
-    base = _homology_base(F)
+    parts = _homology_parts(F)
     best = None
     for b in range(F.hi, 0, -1):
         if best is not None and b + 1 < best[0]:
@@ -231,7 +211,7 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
         if F.diffs[b - 1].is_zero():
             continue
         for a in range(b - 1, -1, -1):
-            if not _homology_is_zero(base, a):
+            if next(parts(a), None) is not None:
                 if best is None or b - a + 1 >= best[0]:
                     best = (b - a + 1, a, b)
                 break
@@ -249,13 +229,12 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
 def lb_frank_koszul(K: ChainComplex) -> BoundCertificate:
     """Free rank of the conormal module of a Koszul complex's sequence, plus one.
 
-    K's d_1 is R's sequence map for K's sequence, so frank_conormal reads
-    the kernel of the run homology also reads, and the relations and
-    free rank that an invariants or lech task may already have made.
+    K's d_1 is R's sequence map for K's sequence, whose row holds the
+    entries' normal forms, so frank_conormal reads the kernel of the run
+    homology also reads, and the relations and free rank that an
+    invariants or lech task may already have made.
     """
-    seq, fr = (), 0
-    if K.hi:  # on the empty sequence I = 0 and the conormal module is zero
-        seq, fr = K.diff(1).rows[0], frank_conormal(K.koszul, K.ring)
+    seq, fr = sequence_map(K.koszul, K.ring).rows[0], frank_conormal(K.koszul, K.ring)
     return BoundCertificate(
         kind="FRANK",
         value=fr + 1,
@@ -296,20 +275,21 @@ def trim_koszul_sequence(seq: Sequence[Poly], R: QuotientRing) -> tuple:
     the module docstring): entry i is dropped exactly when its column of
     constant parts is independent of the dropped entries' columns.  seq
     must pass check_koszul_sequence, as the argument needs its entries
-    homogeneous of positive degree.  R keeps the trim per sequence
-    tuple.
+    homogeneous of positive degree.  The kept normal forms are read off
+    the row of that map.  R keeps the trim per sequence tuple.
     """
     def build():
         check_koszul_sequence(seq, R)
         zero = (0,) * R.nvars
-        kernel = sequence_map(seq, R).kernel_and_image[0]
+        d1 = sequence_map(seq, R)
+        kernel = d1.kernel_and_image[0]
         consts = [[z.get(pack(j, zero), 0) for j in range(len(seq))] for z in kernel]
         dropped: list = []
         for i in range(len(seq)):
             cols = dropped + [i]
             if linalg.rank([[row[j] for j in cols] for row in consts], R.char) == len(cols):
                 dropped.append(i)
-        return tuple(R.nf(f) for i, f in enumerate(seq) if i not in dropped)
+        return tuple(f for i, f in enumerate(d1.rows[0]) if i not in dropped)
 
     return R.owned(("trim", tuple(seq)), build)
 
@@ -338,7 +318,7 @@ def level_interval(
     if M.is_zero_complex():
         certs.append(ub_length(M))
         return LevelReport(label=label, lower=0, upper=0, exact=True, certificates=certs)
-    if _homology_base(M)[0].homology(0).is_zero:
+    if next(_homology_parts(M)(0), None) is None:
         raise InternalInconsistencyError(
             "minimal nonzero complex with vanishing bottom homology"
         )
@@ -445,7 +425,7 @@ def verify_factorization_example(
         ("composite_is_x1",
          beta0.compose(alpha0) == ModMap.from_rows(R0, R1, [[xs[0]]])),
     ]
-    # K's own homology: the sequence drops nothing, and its trim would cost runs
-    torsion_ok = all(c["power_torsion"] for c in _positive_torsion_checks(K, tail, (K, 0)))
-    checks.append(("positive_homology_torsion", torsion_ok))
+    checks.append(("positive_homology_torsion",
+                   all(is_power_torsion(H, tail) for H in map(K.homology, range(1, K.hi + 1))
+                       if not H.is_zero)))
     return FactorizationReport(n=n, checks=checks, passed=all(v for _, v in checks))

@@ -7,7 +7,8 @@ by their normal forms modulo J*R^rank.  The ring computes what it
 derives from J once and keeps it (owned): J*R^rank's division structure
 per rank, the ideal (gens) + J per generator tuple, which is read
 wherever R/I is, and the Koszul complexes, sequence maps, conormal
-relations and trimmed sequences built over R per sequence tuple.
+relations, free ranks and trimmed sequences built over R per sequence
+tuple.
 """
 
 from __future__ import annotations

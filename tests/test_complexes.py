@@ -220,9 +220,19 @@ def test_minimalize_keeps_minimal_complexes():
 
 
 def test_minimalize_returns_a_minimal_complex_itself():
+    # R's Koszul complexes, one with an entry in J and the Hom K(a, a)
+    # among them, have entries in m and rank-one ends, so each comes back
+    # as it is; padded with a zero module on top, one is rebuilt, and a
+    # rebuilt complex carries no sequence
     K = koszul_complex([X, Y], R2)
-    H0 = K.homology(0)
-    assert minimalize(K) is K and minimalize(K).homology(0) is H0
+    RJ = QuotientRing(ideal(P2, [X * Y]))
+    for C in (K, koszul_complex([X, X * Y], RJ), hom_complex(K, K)):
+        H0 = C.homology(0)
+        assert minimalize(C) is C and minimalize(C).homology(0) is H0
+        top, none = C.modules[-1], FreeModule(C.ring, ())
+        padded = ChainComplex(C.ring, list(C.modules) + [none],
+                              list(C.diffs) + [ModMap(none, top, [])], koszul=C.koszul)
+        assert minimalize(padded).koszul is None
 
 
 def test_minimalize_shortcut_keeps_level_intervals_over_corpus():

@@ -3,15 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levelbounds import complexes, groebner, modules
+from levelbounds import complexes, groebner, linalg, modules
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
-from levelbounds.level import (_homology_base, _torsion_generator_witness, check_torsion_dim,
+from levelbounds.level import (_homology_parts, _torsion_generator_witness, check_torsion_dim,
                                lb_frank_koszul, lb_gap, level_interval, trim_koszul_sequence,
                                ub_edim_koszul, ub_length, ub_koszul_trim,
                                verify_factorization_example)
-from levelbounds.modules import FreeModule, ModMap
+from levelbounds.modules import FreeModule, ModMap, is_power_torsion
 from levelbounds.polys import PolyRing, format_poly
 from levelbounds.rings import QuotientRing
 
@@ -183,19 +183,20 @@ def test_split_hom_runs_only_the_first_differential():
     rep = level_interval(H)
     assert [i for i in range(1, H.hi + 1) if "kernel_and_image" in vars(H.diff(i))] == [1]
     assert not H._homology
-    assert _homology_base(H) == (K, 4)
+    assert list(_homology_parts(H)(4)) == [K.homology(0)]
     assert certmap(rep)["GAP"].evidence == {"a": 4, "b": 8}
 
 
 def test_a_sequence_that_drops_nothing_is_its_own_base(monkeypatch):
-    # one run on each of d_1 and d_2: the trim, H_1 and FRANK read d_1's
-    # kernel, made while the base is found, and no second complex is built
+    # the reader's parts of H_0 are K's own H_0, and one run on each of
+    # d_1 and d_2 serves all: the trim, H_1 and FRANK read d_1's kernel,
+    # made while the reader is set up, and no second complex is built
     P = PolyRing(2, 101)
     x, y = P.variables()
     K = koszul_complex([x, y], QuotientRing.free(P))
     runs = _count_calls(monkeypatch, modules, "relative_syzygies")
     built = _count_calls(monkeypatch, complexes.ChainComplex, "__init__")
-    assert _homology_base(K) == (K, 0)
+    assert list(_homology_parts(K)(0)) == [K.homology(0)]
     rep = level_interval(K, I=ideal(P, [x, y]))
     assert (rep.lower, rep.upper) == (3, 3)
     assert len(runs) == 2 and not built
@@ -331,6 +332,68 @@ def test_trim_refuses_what_the_koszul_complex_refuses():
         with pytest.raises(UsageError) as built:
             koszul_complex(seq, R2)
         assert str(trimmed.value) == str(built.value)
+
+
+def test_the_trim_reads_normal_forms_off_the_sequence_map(monkeypatch):
+    # x1*x2 + x3^2 is not J-normal over k[x1,x2,x3]/(x1*x2); the kept
+    # entries come from the row of the sequence map, reduced when that
+    # map was built, so the trim makes no ideal normal form of its own
+    R = QuotientRing(ideal(P3, [X1 * X2]))
+    seq = [X1 * X2 + X3**2, X1]
+    normal_forms = _count_calls(monkeypatch, groebner.IdealData, "normal_form")
+    kept = trim_koszul_sequence(seq, R)
+    assert kept == (X3**2, X1) and not normal_forms
+    assert kept == complexes.sequence_map(seq, R).rows[0]
+
+
+def test_the_factorization_example_reads_its_own_homology(monkeypatch):
+    # K(x2..x5) drops nothing, so its positive homology is checked on K
+    # itself: no trim is kept and no rank is taken, and the five runs
+    # are the ring's intersection and d_1..d_4
+    P = PolyRing(5, 101)
+    xs = P.variables()
+    runs = [_count_calls(monkeypatch, m, "relative_syzygies") for m in (groebner, modules)]
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    R = QuotientRing(ideal_intersection(ideal(P, [xs[0]]), ideal(P, list(xs[1:]))))
+    assert verify_factorization_example(5, ring=R).passed
+    assert sum(map(len, runs)) == 5 and not ranks
+    assert [key for key in R._owned if key[0] == "trim"] == []
+
+
+# Koszul complexes on one to three forms over a free or form quotient in
+# 2 or 3 variables, with an ideal I: the sequence, a variable, the
+# maximal ideal or a random form.
+@st.composite
+def _koszul_with_ideal(draw):
+    nvars, p = draw(st.integers(2, 3)), draw(st.sampled_from([2, 3, 101]))
+    P = PolyRing(nvars, p)
+
+    def form(d):
+        mons = draw(st.lists(st.sampled_from(list(oracles.monomials(nvars, d))),
+                             min_size=1, max_size=3, unique=True))
+        return P.from_dict({e: draw(st.integers(1, p - 1)) for e in mons})
+
+    J = draw(st.lists(st.integers(1, 2).map(form), max_size=2))
+    R = QuotientRing(ideal(P, J))
+    seq = draw(st.lists(st.integers(1, 2).map(form), min_size=1, max_size=3))
+    gens = draw(st.sampled_from([seq, list(P.variables()[:1]), list(P.variables()),
+                                 [form(draw(st.integers(1, 2)))]]))
+    return R, seq, ideal(P, gens)
+
+
+@settings(max_examples=60)
+@given(_koszul_with_ideal())
+def test_koszul_torsion_dim_follows_its_bottom_homology(case):
+    # Koszul homology is killed by (seq), so TORSION_DIM holds exactly
+    # when H_0 = R/(seq) is nonzero and I-power torsion, and then every
+    # positive-degree check it records passed
+    R, seq, I = case
+    K = koszul_complex(seq, R)
+    td = check_torsion_dim(K, I)
+    h0 = K.homology(0)
+    assert (td is not None) == (not h0.is_zero and is_power_torsion(h0, I))
+    if td is not None:
+        assert all(c["power_torsion"] for c in td.evidence["torsion_checks"])
 
 
 def test_upper_bound_certificates():

@@ -7,8 +7,10 @@ its own definition is dead code, and so is a method of a package class,
 other than a dunder, whose attribute access .name appears nowhere there
 outside its own definition; the references the tests compare the
 engine against, and the helpers only the tests call, live in tests/.
-Every name a package module imports is used in that module.  The
-command line loads no third-party module.  And the benchmark tracer in
+Every name a package module imports is used in that module, and no
+package module imports or reads another one's underscore name, so each
+private helper stays inside the module that owns it.  The command line
+loads no third-party module.  And the benchmark tracer in
 perfbench/, which wraps package functions by name, still finds every
 name it wraps and reports every per-layer metric of BENCHMARK.json.
 """
@@ -93,6 +95,34 @@ def _unused_imports():
 
 def test_every_imported_name_is_used():
     assert _unused_imports() == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _borrowed_private_names():
+    """path:line name for each underscore name a package module takes from another."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (node.level or node.module == "levelbounds"):
+                continue
+            if node.module in (None, "levelbounds"):  # from . import x binds the module x
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                out += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                        if _private(alias.name)]
+        out += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)]
+    return out
+
+
+def test_no_module_borrows_another_modules_private_name():
+    assert _borrowed_private_names() == []
 
 
 def test_only_the_ring_builds_an_ideal_plus_its_defining_ideal():
