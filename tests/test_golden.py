@@ -4,7 +4,8 @@ The files under tests/golden hold the --machine output of the README
 quick-start commands, of the built-in suite at n = 3 and n = 5 (the
 largest size the benchmark's suite workload runs), of a session
 file that drives the Groebner core through its callers, of one whose
-Koszul sequences repeat entries modulo the others, and of the two
+Koszul sequences repeat entries modulo the others, of one whose Hom of
+a Koszul complex with itself sits at the sequence cap, and of the two
 benchmark session files (read from perfbench/sessions, never written).  They are a
 drift detector, not a correctness oracle: a change that alters any
 certificate, evidence field or pivot order shows up here as a diff.
@@ -33,6 +34,7 @@ CASES = [
     ),
     ("groebner_session.jsonl", ["run", str(GOLDEN / "groebner_session.session")]),
     ("koszul_split.jsonl", ["run", str(GOLDEN / "koszul_split.session")]),
+    ("koszul_self_hom.jsonl", ["run", str(GOLDEN / "koszul_self_hom.session")]),
     ("family_a.jsonl", ["run", str(SESSIONS / "family_a.session")]),
     ("family_b.jsonl", ["run", str(SESSIONS / "family_b.session")]),
 ]
