@@ -2,14 +2,16 @@
 
 Complexes are stored with homological degrees 0..length-1: a level does
 not change under a shift, so none is recorded.  Maps have degree zero,
-their grading is in the twists, and the composite of consecutive
-differentials is checked to vanish at construction time.  Homology H_i is
-a Subquotient of F_i: the kernel generators of d_i that lie outside D =
-im d_(i+1) + J*F_i, with the reduced basis of D; no presentation of it is
-built.  Each differential d_i owns one elimination run: its kernel goes
-to H_i (and, for a Koszul d_1, to the conormal bound), and the basis of
-im d_i + J*F_(i-1) it holds goes to H_(i-1); on top, J's basis at each
-position is already the reduced basis of J*F_hi.
+and their grading is in the twists.  A differential is checked when it
+is built, a list of maps at construction and a Koszul d_k on its first
+read: its composite with each neighbour already built must vanish.
+Homology H_i is a Subquotient of F_i: the kernel generators of d_i that
+lie outside D = im d_(i+1) + J*F_i, with the reduced basis of D; no
+presentation of it is built.  Each differential d_i owns one elimination
+run: its kernel goes to H_i (and, for a Koszul d_1, to the conormal
+bound), and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1);
+on top, J's basis at each position is already the reduced basis of
+J*F_hi.
 
 Differentials hold packed vectors, as every map does: a Koszul entry is
 packed once per sequence entry and moved to its row by one addition,
@@ -17,7 +19,9 @@ and unit cancellation reads a unit as a term of degree zero and drops a
 row by moving the rows below it up one position.
 
 Koszul complexes carry their defining sequence, which level bounds read,
-and the ring keeps one per sequence tuple.  The only Hom built is that
+and the ring keeps one per sequence tuple.  Every entry of a Koszul d_k
+is 0 or plus or minus a J-normal entry of d_1, so minimality, and
+whether d_k is zero, are read off d_1 alone.  The only Hom built is that
 of two Koszul complexes, and by Koszul self-duality it is the Koszul
 complex on the concatenated sequence up to a shift, which no level
 reads; hom_complex returns exactly that complex.
@@ -26,7 +30,7 @@ reads; hom_complex returns exactly that complex.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import UnsupportedInputError, UsageError
 from .gbcore import degree, pack, position, position_shift, vec_add_scaled
@@ -45,6 +49,10 @@ from .rings import QuotientRing
 class ChainComplex:
     """A finite complex of twisted free modules.
 
+    diffs is the list d_1..d_hi, built and checked at construction, or
+    a function k -> d_k that builds each differential on its first read.
+    A differential is checked when it is built: it must map F_k to
+    F_(k-1) and compose to zero with each neighbour already built.
     koszul is the sequence of a Koszul complex, as given to
     koszul_complex, or None for any other complex.
     """
@@ -53,37 +61,52 @@ class ChainComplex:
         self,
         ring: QuotientRing,
         modules: Sequence[FreeModule],
-        diffs: Sequence[ModMap],
+        diffs: Union[Sequence[ModMap], Callable[[int], ModMap]],
         koszul: Optional[tuple] = None,
     ):
         if not modules:
             raise UsageError("a complex needs at least one module")
-        if len(diffs) != len(modules) - 1:
-            raise UsageError("expected one differential per adjacent pair")
         for m in modules:
             if m.ring != ring:
                 raise UsageError("module over a different ring")
-        for i, d in enumerate(diffs, start=1):
-            if d.source != modules[i] or d.target != modules[i - 1]:
-                raise UsageError(f"differential {i} does not match adjacent modules")
-        for i in range(2, len(modules)):
-            if not diffs[i - 2].compose(diffs[i - 1]).is_zero():
-                raise UsageError(f"differentials at {i} do not compose to zero")
         self.ring = ring
         self.modules = tuple(modules)
-        self.diffs = tuple(diffs)
         self.koszul = koszul
         self._homology: dict = {}
+        self._diffs: dict = {}
+        if callable(diffs):
+            self._make = diffs
+        else:
+            if len(diffs) != len(modules) - 1:
+                raise UsageError("expected one differential per adjacent pair")
+            self._make = lambda k: diffs[k - 1]
+            for k in range(1, self.hi + 1):
+                self.diff(k)
 
     @property
     def hi(self) -> int:
         return len(self.modules) - 1
 
+    @property
+    def diffs(self) -> tuple:
+        """d_1..d_hi, each built and checked on its first read."""
+        return tuple(map(self.diff, range(1, self.hi + 1)))
+
     def diff(self, i: int) -> ModMap:
         """The differential F_i -> F_(i-1), for 1 <= i <= hi."""
         if not 1 <= i <= self.hi:
             raise UsageError(f"no differential at {i}")
-        return self.diffs[i - 1]
+        if i not in self._diffs:
+            d = self._make(i)
+            if d.source != self.modules[i] or d.target != self.modules[i - 1]:
+                raise UsageError(f"differential {i} does not match adjacent modules")
+            below, above = self._diffs.get(i - 1), self._diffs.get(i + 1)
+            if below is not None and not below.compose(d).is_zero():
+                raise UsageError(f"differentials at {i} do not compose to zero")
+            if above is not None and not d.compose(above).is_zero():
+                raise UsageError(f"differentials at {i + 1} do not compose to zero")
+            self._diffs[i] = d
+        return self._diffs[i]
 
     def nonzero_degrees(self) -> list:
         return [i for i in range(len(self.modules)) if self.modules[i].rank > 0]
@@ -92,7 +115,9 @@ class ChainComplex:
         return not self.nonzero_degrees()
 
     def is_minimal(self) -> bool:
-        return all(d.entries_in_maximal_ideal() for d in self.diffs)
+        """Every entry of every differential lies in m; read off d_1 for a Koszul complex."""
+        top = min(self.hi, 1) if self.koszul is not None else self.hi
+        return all(self.diff(k).entries_in_maximal_ideal() for k in range(1, top + 1))
 
     def homology(self, i: int) -> Subquotient:
         """d_i's kernel over d_(i+1)'s image; basis vectors at 0, J*F_hi on top."""
@@ -166,8 +191,9 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
     alternating sum of f_(i_j) e_(S minus i_j) with sign +1 on the first
     entry, and d_1 is R's sequence_map.  seq must pass
     check_koszul_sequence.  After the check, R returns its complex for
-    the tuple, built and d-squared checked on the first request, so
-    callers share its runs and homology.
+    the tuple, so callers share its runs and homology: its modules are
+    built on the first request, and each d_k on its first read, checked
+    then against its built neighbours.
     """
     check_koszul_sequence(seq, ring)
     elems = tuple(seq)
@@ -181,12 +207,12 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
     packed = [[(pack(0, e), c) for e, c in f.terms] for f in elems]
     degs = [f.degree() for f in elems]
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
-    modules = []
-    for k in range(n + 1):
-        twists = tuple(sum(degs[i] for i in s) for s in subsets[k])
-        modules.append(FreeModule(ring, twists))
-    diffs = [sequence_map(elems, ring)] if n else []
-    for k in range(2, n + 1):
+    modules = [FreeModule(ring, tuple(sum(degs[i] for i in s) for s in subsets[k]))
+               for k in range(n + 1)]
+
+    def diff(k: int) -> ModMap:
+        if k == 1:
+            return sequence_map(elems, ring)
         index = {s: idx for idx, s in enumerate(subsets[k - 1])}
         cols = []
         for s in subsets[k]:
@@ -196,8 +222,9 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
                 for u, c in packed[i]:
                     col[u + shift] = p - c if j % 2 else c
             cols.append(col)
-        diffs.append(ModMap(modules[k], modules[k - 1], cols))
-    return ChainComplex(ring, modules, diffs, koszul=elems)
+        return ModMap(modules[k], modules[k - 1], cols)
+
+    return ChainComplex(ring, modules, diff, koszul=elems)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +306,9 @@ def minimalize(C: ChainComplex) -> ChainComplex:
     result is homotopy equivalent to C and has all entries in m.  A
     complex with nothing to cancel or trim is returned as it is, with
     its cached homology and its maps' runs; R's Koszul complexes are
-    such, as their entries lie in m and their end modules have rank 1.
-    A rebuilt complex carries no sequence.
+    such, as their entries lie in m and their end modules have rank 1,
+    and C.is_minimal() reads d_1 alone for them, so none of their other
+    differentials is built here.  A rebuilt complex carries no sequence.
     """
     if C.is_minimal() and (C.hi == 0 or (C.modules[0].rank and C.modules[-1].rank)):
         return C

@@ -27,7 +27,11 @@ alone, and as a subquotient of R both H_0 have the same denominator,
 TORSION_DIM witness read off either is the same.  So GAP, TORSION_DIM
 and the H_0 check read H_i(K(seq)) through one reader, _homology_parts,
 as those nonzero H_k of K(kept), R's own Koszul complex on the trim that
-KOSZUL_TRIM reports; the homology of K(seq) is never computed.
+KOSZUL_TRIM reports; the homology of K(seq) is never computed.  Nor are
+its differentials past d_1 built: each entry of its d_k is 0 or plus or
+minus an entry of d_1, R's sequence map, and each entry of d_1 is one of
+d_k's for k <= len(seq), so d_k has its entries in m, or is zero,
+exactly when d_1 has or is; minimality and lb_gap read d_1 alone.
 
 The trim makes no Groebner run of its own: it reads the kernel Z of
 K(seq)'s d_1, R's sequence map, whose run FRANK and H_1 read too, by
@@ -199,7 +203,8 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
     b is scanned downward, and the scan stops once even a = 0 cannot
     reach the best gap, so low homology that no larger gap needs is
     never computed.  Among equal gaps the smallest b is kept.  The
-    d_b != 0 tests read F, and H_a is nonzero exactly when it has a part
+    d_b != 0 tests read F, d_1 alone for a Koszul complex (see the
+    module docstring), and H_a is nonzero exactly when it has a part
     (see _homology_parts).
     """
     _require_minimal(F)
@@ -208,7 +213,7 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
     for b in range(F.hi, 0, -1):
         if best is not None and b + 1 < best[0]:
             break
-        if F.diffs[b - 1].is_zero():
+        if F.diff(1 if F.koszul is not None else b).is_zero():
             continue
         for a in range(b - 1, -1, -1):
             if next(parts(a), None) is not None:

@@ -115,10 +115,12 @@ class Poly:
     """Immutable polynomial in canonical form.
 
     terms: tuple of (exponent tuple, coefficient) sorted strictly
-    descending in degrevlex, coefficients in 1..p-1.
+    descending in degrevlex, coefficients in 1..p-1.  The hash is
+    computed on the first request and kept, as R keys what it owns by
+    tuples of Polys.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         object.__setattr__(self, "ring", ring)
@@ -214,7 +216,11 @@ class Poly:
         return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.ring, self.terms)))
+            return self._hash
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"

@@ -83,6 +83,28 @@ def test_complex_validation():
         ChainComplex(R1, [F0, F1], [mul(F2, F1)])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("first", ["below", "flipped"])
+def test_a_flipped_sign_fails_the_square_check_in_either_order(k, first):
+    # K(x1, x2, x3) built lazily with one sign of d_k flipped: reading
+    # d_(k-1) and d_k, whichever comes first, refuses the second, and
+    # the refused map is not kept
+    R3 = QuotientRing.free(P3)
+    K = koszul_complex(list(P3.variables()), R3)
+    d = K.diff(k)
+    cols = [dict(c) for c in d.cols]
+    t = next(iter(cols[0]))
+    cols[0][t] = 101 - cols[0][t]
+    bad = ModMap(d.source, d.target, cols)
+    C = ChainComplex(R3, K.modules, lambda i: bad if i == k else K.diff(i))
+    C.diff(k - 1 if first == "below" else k)
+    with pytest.raises(UsageError, match="do not compose to zero"):
+        C.diff(k if first == "below" else k - 1)
+    assert set(C._diffs) == {k - 1 if first == "below" else k}
+    with pytest.raises(UsageError, match="do not compose to zero"):
+        C.diffs
+
+
 def test_regular_sequence_resolves_the_quotient():
     K = koszul_complex([X, Y], R2)
     assert not K.homology(0).is_zero

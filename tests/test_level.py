@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levelbounds import complexes, groebner, linalg, modules
+from levelbounds import complexes, groebner, linalg, modules, session
+from levelbounds.cli import run_session
 from levelbounds.complexes import ChainComplex, hom_complex, koszul_complex, minimalize
 from levelbounds.errors import UsageError
 from levelbounds.groebner import ideal, ideal_intersection
@@ -181,7 +182,7 @@ def test_split_hom_runs_only_the_first_differential():
     K = koszul_complex(list(P5.variables()[:4]), R5)
     H = hom_complex(K, K)
     rep = level_interval(H)
-    assert [i for i in range(1, H.hi + 1) if "kernel_and_image" in vars(H.diff(i))] == [1]
+    assert list(H._diffs) == [1] and "kernel_and_image" in vars(H.diff(1))
     assert not H._homology
     assert list(_homology_parts(H)(4)) == [K.homology(0)]
     assert certmap(rep)["GAP"].evidence == {"a": 4, "b": 8}
@@ -306,6 +307,33 @@ def _trim_case(draw):
 def test_rank_trim_matches_the_membership_scan(case):
     R, seq = case
     assert trim_koszul_sequence(seq, R) == oracles.trim_by_membership(seq, R)
+
+
+@settings(max_examples=80)
+@given(_trim_case(), st.data())
+def test_koszul_differentials_built_on_read_match_the_eager_build(case, data):
+    # minimality and lb_gap's zero test read d_1 alone; every other d_k,
+    # built in any order, is the dense oracle's matrix
+    R, seq = case
+    K = koszul_complex(seq, R)
+    minimal = K.is_minimal()
+    zero = K.diff(1).is_zero()
+    assert set(K._diffs) == {1}
+    for k in data.draw(st.permutations(range(1, K.hi + 1))):
+        assert K.diff(k).rows == tuple(map(tuple, oracles.dense_koszul(seq, R)[k - 1]))
+    assert minimal == all(d.entries_in_maximal_ideal() for d in K.diffs)
+    assert all(K.diff(b).is_zero() == zero for b in range(1, K.hi + 1))
+
+
+def test_a_self_hom_level_task_builds_only_the_first_differential():
+    s = session.parse_session(
+        "[ring]\nvars = 5\n\n[seq S4]\nelems = x1, x2, x3, x4\n\n"
+        "[task level]\ncomplex = hom(koszul(S4), koszul(S4))\n")
+    code, out = run_session(s, machine=True)
+    assert code == 0 and '"lower": 5' in out
+    S4 = tuple(s.ring.poly_ring.variables()[:4])
+    H = koszul_complex(S4 + S4, s.ring)
+    assert H.hi == 8 and list(H._diffs) == [1]
 
 
 def test_the_suite_torsion_trim_makes_the_run_h1_reads(monkeypatch):

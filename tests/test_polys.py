@@ -140,3 +140,16 @@ def test_leading_term_is_multiplicative(f, g):
     else:
         lm = tuple(a + b for a, b in zip(f.leading_monomial(), g.leading_monomial()))
         assert (f * g).leading_monomial() == lm
+
+
+@given(polys(P2), polys(P2))
+def test_hash_is_kept_and_matches_the_value(f, g):
+    copy = P2.from_dict(dict(f.terms))
+    assert copy is not f and copy == f
+    assert hash(f) == hash(f) == hash((f.ring, f.terms)) == hash(copy)
+    if f == g:
+        assert hash(f) == hash(g)
+    for name in ("ring", "terms", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert hash(f) == hash((f.ring, f.terms))
