@@ -53,8 +53,8 @@ class ChainComplex:
     a function k -> d_k that builds each differential on its first read.
     A differential is checked when it is built: it must map F_k to
     F_(k-1) and compose to zero with each neighbour already built.
-    koszul is the sequence of a Koszul complex, as given to
-    koszul_complex, or None for any other complex.
+    koszul is the sequence of a Koszul complex, set by koszul_complex
+    alone as bounds read it in place of the maps, or None.
     """
 
     def __init__(
@@ -62,7 +62,6 @@ class ChainComplex:
         ring: QuotientRing,
         modules: Sequence[FreeModule],
         diffs: Union[Sequence[ModMap], Callable[[int], ModMap]],
-        koszul: Optional[tuple] = None,
     ):
         if not modules:
             raise UsageError("a complex needs at least one module")
@@ -71,7 +70,7 @@ class ChainComplex:
                 raise UsageError("module over a different ring")
         self.ring = ring
         self.modules = tuple(modules)
-        self.koszul = koszul
+        self.koszul: Optional[tuple] = None
         self._homology: dict = {}
         self._diffs: dict = {}
         if callable(diffs):
@@ -224,7 +223,9 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
             cols.append(col)
         return ModMap(modules[k], modules[k - 1], cols)
 
-    return ChainComplex(ring, modules, diff, koszul=elems)
+    K = ChainComplex(ring, modules, diff)
+    K.koszul = elems
+    return K
 
 
 # ---------------------------------------------------------------------------

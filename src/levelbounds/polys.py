@@ -115,9 +115,8 @@ class Poly:
     """Immutable polynomial in canonical form.
 
     terms: tuple of (exponent tuple, coefficient) sorted strictly
-    descending in degrevlex, coefficients in 1..p-1.  The hash is
-    computed on the first request and kept, as R keys what it owns by
-    tuples of Polys.
+    descending in degrevlex, coefficients in 1..p-1.  The hash is kept
+    once computed: R keys what it owns by tuples of Polys.
     """
 
     __slots__ = ("ring", "terms", "_hash")

@@ -244,8 +244,8 @@ def test_minimalize_keeps_minimal_complexes():
 def test_minimalize_returns_a_minimal_complex_itself():
     # R's Koszul complexes, one with an entry in J and the Hom K(a, a)
     # among them, have entries in m and rank-one ends, so each comes back
-    # as it is; padded with a zero module on top, one is rebuilt, and a
-    # rebuilt complex carries no sequence
+    # as it is; padded with a zero module on top and tagged by hand with
+    # the sequence, one is rebuilt, and a rebuilt complex carries none
     K = koszul_complex([X, Y], R2)
     RJ = QuotientRing(ideal(P2, [X * Y]))
     for C in (K, koszul_complex([X, X * Y], RJ), hom_complex(K, K)):
@@ -253,7 +253,8 @@ def test_minimalize_returns_a_minimal_complex_itself():
         assert minimalize(C) is C and minimalize(C).homology(0) is H0
         top, none = C.modules[-1], FreeModule(C.ring, ())
         padded = ChainComplex(C.ring, list(C.modules) + [none],
-                              list(C.diffs) + [ModMap(none, top, [])], koszul=C.koszul)
+                              list(C.diffs) + [ModMap(none, top, [])])
+        padded.koszul = C.koszul
         assert minimalize(padded).koszul is None
 
 
