@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import degree, pack, position, position_shift, vec_add_scaled
+from .gbcore import degree, pack, position, position_shift, vec_add_scaled, vector
 from .groebner import E_VAR_CAP
 from .modules import (
     FreeModule,
@@ -203,7 +203,7 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
     n = len(elems)
     p, nvars = ring.char, ring.nvars
     # each entry's terms packed once at position 0, then moved to their row
-    packed = [[(pack(0, e), c) for e, c in f.terms] for f in elems]
+    packed = [vector(f) for f in elems]
     degs = [f.degree() for f in elems]
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     modules = [FreeModule(ring, tuple(sum(degs[i] for i in s) for s in subsets[k]))
@@ -218,7 +218,7 @@ def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
             col = {}
             for j, i in enumerate(s):
                 shift = position_shift(index[s[:j] + s[j + 1:]], nvars)
-                for u, c in packed[i]:
+                for u, c in packed[i].items():
                     col[u + shift] = p - c if j % 2 else c
             cols.append(col)
         return ModMap(modules[k], modules[k - 1], cols)

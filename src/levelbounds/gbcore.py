@@ -9,11 +9,11 @@ primitive, relative_syzygies, which eliminates tracked coordinate
 columns through that order and returns both halves of its one run.
 
 A vector is a dict mapping packed terms (below) to nonzero coefficients
-in 1..p-1.  That is the form callers pass and get back: a term is packed
-where a vector is made from a polynomial or a basis index (pack), and
-unpacked only where a polynomial is made from a vector (unpack).  Every
-vector this module returns lists its terms in descending order, lead
-first.
+in 1..p-1.  That is the form callers pass and get back, and a vector and
+a polynomial meet only here, at two crossings: vector packs a
+polynomial's terms at one position, and polyvec_from_vec makes one
+polynomial per position from a vector.  Every vector this module returns
+lists its terms in descending order, lead first.
 
 module_gb skips a pair only when its S-vector is known to have a
 standard representation, which is all Buchberger's criterion asks of a
@@ -53,8 +53,8 @@ While every field lies in [0, 2^W) the int order is the term order: the
 position field comes first, then the degree, then the exponents from the
 last variable down, a smaller exponent giving a larger field, which is
 degrevlex.  The map is affine in (pos, e), so multiplying a term by x^s
-adds the constant pack(0, s) - pack(0, 0) (monomial_shift), moving it d
-positions on adds -d << W(n+1) (position_shift), the shift that takes a
+adds the constant pack(0, s) - pack(0, 0), moving it d positions on
+adds -d << W(n+1) (position_shift), the shift that takes a
 lead le to a term t it divides is t - le, and the lead of a vector is
 max(v).  Every exponent field is at most B, so its top bit is clear, and
 x^a divides x^b (same position) exactly when each field of a is at
@@ -68,15 +68,14 @@ field fits while the degree stays below 2^(W-1).  Every term that is
 kept anywhere has degree below 2^(W-2), the cap: a term of degree 2^(W-2)
 or more is refused with E_DEGREE_CAP where it is made or first read.
 
-- pack refuses it, on every term made from exponents: a vector made
-  from a polynomial or a basis index, a monomial_shift, the tracking
-  coordinates of relative_syzygies, and the lcm of each pair as its
-  S-vector is formed.  A skipped pair builds no term, so its lcm needs
-  no check.
+- pack refuses it, on every term made from exponents: a basis index,
+  each term vector packs from a polynomial, the tracking coordinates of
+  relative_syzygies, and the lcm of each pair as its S-vector is
+  formed.  A skipped pair builds no term, so its lcm needs no check.
 - degree refuses it.  The ModMap constructor reads every term's degree
   for its twist check, so each map column holds checked terms.
-- normal_form refuses it on each term it pops, once per step, and
-  against an empty basis on each term it returns.
+- normal_form refuses it on each term it pops, once per step, whatever
+  the basis; every term it returns was popped.
 
 Every other term is a sum of checked parts.  A term of an S-vector has
 degree below deg(term) + deg(lcm), a term that a reduction step creates
@@ -99,7 +98,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedInputError
-from .polys import mono_lcm
+from .polys import Poly, PolyRing, mono_lcm
 
 E_DEGREE_CAP = "E_DEGREE_CAP"
 
@@ -171,13 +170,28 @@ def position_shift(d: int, n: int) -> int:
     return -d << (_W * (n + 1))
 
 
-def monomial_shift(e: tuple) -> int:
-    """What multiplies a packed term by x^e, when added; refuses the degree cap."""
-    return _pack((0, e)) - _pack((0, (0,) * len(e)))
+def vector(f: Poly, pos: int = 0) -> Vec:
+    """The terms of f packed at position pos; refuses the degree cap."""
+    return {_pack((pos, e)): c for e, c in f.terms}
+
+
+def polyvec_from_vec(ring: PolyRing, rank: int, v: Vec) -> tuple:
+    """v as one polynomial per position, for the dense view and evidence strings.
+
+    Sorted once in descending order, the packed terms run position by
+    position, each run in degrevlex, and their coefficients lie in
+    1..p-1: each run is the canonical term tuple of its polynomial.
+    """
+    n = ring.nvars
+    per: list = [[] for _ in range(rank)]
+    for t, c in sorted(v.items(), reverse=True):
+        pos, e = _unpack(t, n)
+        per[pos].append((e, c))
+    return tuple(Poly(ring, tuple(terms)) for terms in per)
 
 
 def vec_add_scaled(target: Vec, c: int, shift: int, src: Vec, p: int) -> None:
-    """target += c * x^s * src in place, for shift = monomial_shift(s)."""
+    """target += c * x^s * src in place, for shift = pack(0, s) - pack(0, 0)."""
     for u, k in src.items():
         u += shift
         val = (target.get(u, 0) + c * k) % p
@@ -209,16 +223,12 @@ class _Basis:
 def normal_form(v: dict, basis: _Basis) -> dict:
     """Fully reduced remainder of a packed vector against a monic basis.
 
-    Each step pops the largest term and cancels it with the first
-    element of its position's bucket whose lead divides it.  Against an
-    empty basis the remainder is v itself, its terms checked and sorted.
+    Each step pops the largest term, refuses it at the degree cap, and
+    cancels it with the first element of its position's bucket whose
+    lead divides it, or else keeps it: the remainder lists checked terms
+    in descending order, and against an empty basis it is v itself.
     """
     psh, low, guard, top = basis.layout
-    if not basis.elems:
-        for t in v:
-            if t & top:
-                _refuse((t >> (psh - _W)) & ((1 << _W) - 1))
-        return dict(sorted(v.items(), reverse=True))
     p = basis.p
     by_pos = basis.by_pos
     work = dict(v)

@@ -4,9 +4,11 @@ Everything routes through the rank one case of the module engine, under
 its one term order.  The degrevlex reduced Groebner basis is the
 canonical form of an ideal, and an intersection is one relative syzygy
 computation in P^2, not an elimination under a block order.  Dimension
-theory here is combinatorial: the Krull dimension comes from independent
-variable subsets of the initial ideal, and minimal primes of monomial
-ideals are minimal vertex covers of the generator supports.
+theory here is combinatorial, one walk over the vertex covers of a
+hypergraph of monomial supports: the Krull dimension is n less the
+smallest cover for the leading monomials of the reduced basis, and the
+minimal primes of a monomial ideal are the minimal covers for its
+generators.
 """
 
 from __future__ import annotations
@@ -16,29 +18,14 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import UnsupportedInputError, UsageError
-from .gbcore import module_gb, pack, reducer, relative_syzygies, submodule_nf, unpack
+from .gbcore import module_gb, polyvec_from_vec, reducer, relative_syzygies, submodule_nf, vector
 from .polys import Poly, PolyRing
 
-# Both enumerations below walk every subset of a variable set, so the set
-# size is capped; minimal primes also filter all covers pairwise.
+# The cover walk below may visit every subset of a variable set, so the
+# set size is capped; minimal primes also filter all covers pairwise.
 _KRULL_VAR_CAP = 16
 _MINPRIMES_VAR_CAP = 12
 E_VAR_CAP = "E_VAR_CAP"
-
-
-def _poly_to_vec(f: Poly, pos: int = 0) -> dict:
-    return {pack(pos, e): c for e, c in f.terms}
-
-
-def _vec_to_poly(ring: PolyRing, v: dict) -> Poly:
-    """The polynomial of an engine vector at position 0, such as a normal form.
-
-    The packed order at one position is degrevlex, and the engine's
-    coefficients lie in 1..p-1, so sorting the packed terms gives the
-    canonical term tuple.
-    """
-    n = ring.nvars
-    return Poly(ring, tuple((unpack(t, n)[1], c) for t, c in sorted(v.items(), reverse=True)))
 
 
 class IdealData:
@@ -64,22 +51,19 @@ class IdealData:
     @cached_property
     def gb(self) -> tuple:
         """Reduced degrevlex Groebner basis, monic, descending leads."""
-        gb = module_gb([_poly_to_vec(f) for f in self.gens], self.ring.nvars, self.ring.char)
-        return tuple(_vec_to_poly(self.ring, v) for v in gb)
+        gb = module_gb([vector(f) for f in self.gens], self.ring.nvars, self.ring.char)
+        return tuple(polyvec_from_vec(self.ring, 1, v)[0] for v in gb)
 
     @cached_property
     def _reducer(self):
-        return reducer([_poly_to_vec(g) for g in self.gb], self.ring.nvars, self.ring.char)
+        return reducer([vector(g) for g in self.gb], self.ring.nvars, self.ring.char)
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring is not self.ring and f.ring != self.ring:
             raise UsageError("polynomial from a different ring")
         if not self.gb:
             return f
-        return _vec_to_poly(self.ring, submodule_nf(_poly_to_vec(f), self._reducer))
-
-    def contains(self, f: Poly) -> bool:
-        return self.normal_form(f).is_zero()
+        return polyvec_from_vec(self.ring, 1, submodule_nf(vector(f), self._reducer))[0]
 
     def is_zero(self) -> bool:
         return not self.gb
@@ -126,11 +110,11 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
     if I.ring != J.ring:
         raise UsageError("ideals from different rings")
     ring = I.ring
-    zero = (0,) * ring.nvars
-    untracked = [_poly_to_vec(f) for f in I.gens] + [_poly_to_vec(g, 1) for g in J.gens]
-    syz, _ = relative_syzygies([{pack(0, zero): 1, pack(1, zero): 1}], untracked,
+    one = ring.one()
+    untracked = [vector(f) for f in I.gens] + [vector(g, 1) for g in J.gens]
+    syz, _ = relative_syzygies([vector(one) | vector(one, 1)], untracked,
                                rank=2, nvars=ring.nvars, p=ring.char)
-    result = IdealData(ring, [_vec_to_poly(ring, v) for v in syz])
+    result = IdealData(ring, [polyvec_from_vec(ring, 1, v)[0] for v in syz])
     result.__dict__["gb"] = result.gens  # fills the cached property
     return result
 
@@ -139,32 +123,40 @@ def ideal_intersection(I: IdealData, J: IdealData) -> IdealData:
 # combinatorial dimension theory
 
 
+def _supports(I: IdealData) -> set:
+    """The variable supports of I's leading monomials, as frozensets of indices."""
+    return {frozenset(i for i, e in enumerate(m) if e) for m in I.leading_monomials()}
+
+
+def _covers(edges, universe: list):
+    """The subsets of universe that meet every edge, in increasing size."""
+    for size in range(len(universe) + 1):
+        for combo in combinations(universe, size):
+            s = frozenset(combo)
+            if all(s & e for e in edges):
+                yield s
+
+
 def krull_dim(I: IdealData) -> int:
     """Krull dimension of P/I; the unit ideal reports -1.
 
-    The dimension is the largest size of a variable subset S such that
-    no leading monomial of the reduced basis is supported inside S.  All
-    supports lie in the set U of variables that occur in some leading
-    monomial, so only subsets of U are walked and the variables outside
-    U are added to every S.  More than _KRULL_VAR_CAP variables in U is
-    refused.
+    The dimension is the largest size of a variable subset S inside
+    which no leading monomial of the reduced basis is supported, that is
+    n less the smallest size of a cover, a complement of such an S: a
+    set meeting every support.  The set U of variables that occur in
+    some leading monomial is a cover, so only subsets of U are walked.
+    More than _KRULL_VAR_CAP variables in U is refused.
     """
     if not I.is_proper():
         return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in I.leading_monomials()]
+    supports = _supports(I)
     used = sorted(frozenset().union(*supports))
     if len(used) > _KRULL_VAR_CAP:
         raise UnsupportedInputError(
             f"{E_VAR_CAP}: Krull dimension enumeration capped at {_KRULL_VAR_CAP} "
             f"variables in leading monomials, got {len(used)}"
         )
-    outside = I.ring.nvars - len(used)
-    for size in range(len(used), -1, -1):
-        for combo in combinations(used, size):
-            s = frozenset(combo)
-            if not any(sup <= s for sup in supports):
-                return outside + size
-    return outside
+    return I.ring.nvars - len(next(_covers(supports, used)))
 
 
 def monomial_minimal_primes(I: IdealData) -> list:
@@ -183,14 +175,8 @@ def monomial_minimal_primes(I: IdealData) -> list:
         )
     if I.is_zero():
         return [frozenset()]
-    edges = {frozenset(i for i, e in enumerate(m) if e) for m in I.leading_monomials()}
+    edges = _supports(I)
     edges = [e for e in edges if not any(other < e for other in edges)]
-    universe = sorted(set().union(*edges))
-    covers = []
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            s = frozenset(combo)
-            if all(s & e for e in edges):
-                covers.append(s)
+    covers = list(_covers(edges, sorted(set().union(*edges))))
     minimal = [c for c in covers if not any(other < c for other in covers)]
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))

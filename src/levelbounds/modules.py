@@ -2,16 +2,17 @@
 
 A vector of a free module is the Groebner engine's dict from packed
 terms to coefficients, in J-normal form, from the map column or
-elimination run that makes it to the checks that read it.  Terms are
-packed where a vector is made from polynomials or a basis index
-(from_rows, basis_vector) and unpacked only where polynomials are made
-from one (polyvec_from_vec, for the dense view and evidence strings);
-in between, moving a term to another position and multiplying it by a
-monomial are additions on the packed int, and a constant term is one of
-degree zero.  A map keeps the image of each source basis vector as one
-such vector.  Every operation (syzygies, kernels, colons, torsion, Hom,
-free rank) reduces to the relative syzygy primitive of the Groebner
-engine, with J folded in by appending J-multiples of the ambient basis.
+elimination run that makes it to the checks that read it.  Polynomials
+cross into vectors only through the engine's vector (from_rows, the
+colon's tracked coordinates, the exponent proof) and back only through
+its polyvec_from_vec (the dense view and evidence strings), and a basis
+vector is one packed term; in between, moving a term to another
+position and multiplying it by a monomial are additions on the packed
+int, and a constant term is one of degree zero.  A map keeps the image
+of each source basis vector as one such vector.  Every operation
+(syzygies, kernels, colons, torsion, Hom, free rank) reduces to the
+relative syzygy primitive of the Groebner engine, with J folded in by
+appending J-multiples of the ambient basis.
 A submodule handle holds a reduced basis that some run already made
 (the image half of a map's kernel run, the relation half of a colon
 step), so no handle runs Groebner itself, and a map makes that run once.
@@ -36,9 +37,9 @@ from typing import Sequence
 
 from . import linalg
 from .errors import UsageError
-from .gbcore import (degree, monomial_shift, pack, position, position_shift, reducer,
-                     relative_syzygies, submodule_nf, unpack, vec_add_scaled)
-from .polys import Poly, PolyRing
+from .gbcore import (degree, pack, polyvec_from_vec, position, position_shift, reducer,
+                     relative_syzygies, submodule_nf, unpack, vec_add_scaled, vector)
+from .polys import Poly
 from .rings import QuotientRing
 
 
@@ -104,8 +105,7 @@ class ModMap:
             for j, f in enumerate(row):
                 if f.ring is not poly_ring and f.ring != poly_ring:
                     raise UsageError("matrix entry from a different ring")
-                for e, c in f.terms:
-                    cols[j][pack(i, e)] = c
+                cols[j].update(vector(f, i))
         return cls(source, target, cols)
 
     @property
@@ -176,20 +176,6 @@ class ModMap:
 
     def __repr__(self):
         return f"ModMap({self.target.rank}x{self.source.rank})"
-
-
-# ---------------------------------------------------------------------------
-# vector plumbing
-
-
-def polyvec_from_vec(ring: PolyRing, rank: int, v: dict) -> tuple:
-    """v as one polynomial per position, for the dense view and evidence strings."""
-    per: list = [dict() for _ in range(rank)]
-    for t, c in v.items():
-        pos, e = unpack(t, ring.nvars)
-        per[pos][e] = c
-    zero = ring.zero()
-    return tuple(ring.from_dict(d) if d else zero for d in per)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +279,7 @@ def _colon_submodule(free: FreeModule, n_gb: SubmoduleGB, ideal_gens: Sequence[P
     t = len(ideal_gens)
     if t == 0:
         raise UsageError("colon by an empty generator list")
-    tracked = [{pack(i * r + k, e): c for i, f in enumerate(ideal_gens) for e, c in f.terms}
+    tracked = [{u: c for i, f in enumerate(ideal_gens) for u, c in vector(f, i * r + k).items()}
                for k in range(r)]
     blocks = [position_shift(i * r, n) for i in range(t)]
     untracked = [{u + shift: c for u, c in g.items()} for g in n_gb.gb for shift in blocks]
@@ -326,12 +312,13 @@ def _kills_by_exponent(n_gb: SubmoduleGB, vectors: Sequence[dict], f: Poly) -> b
     Iterates w <- nf(f * w) from w = v.  Since N is a submodule,
     nf(f * nf(f^(s-1) v)) = nf(f^s v), so w reaching zero proves that
     f^s kills the class of v, with s the witness.  False says only that
-    the cap ran out.  f * w is formed on packed terms, and the normal
-    form against N, whose basis may be empty, checks each of its terms
-    against the degree cap.
+    the cap ran out.  f * w is formed on packed terms, x^e less the
+    packed 1 being the shift by x^e, and the normal form against N,
+    whose basis may be empty, checks each of its terms against the
+    degree cap.
     """
-    p = n_gb.free.ring.char
-    shifts = [(monomial_shift(e), c) for e, c in f.terms]
+    p, one = n_gb.free.ring.char, pack(0, (0,) * n_gb.free.ring.nvars)
+    shifts = [(u - one, c) for u, c in vector(f).items()]
     for w in vectors:
         for _ in range(_EXPONENT_CAP):
             fw: dict = {}

@@ -14,7 +14,7 @@ tuple.
 from __future__ import annotations
 
 from .errors import UsageError
-from .gbcore import pack, reducer
+from .gbcore import reducer, vector
 from .groebner import IdealData, krull_dim, zero_ideal
 from .polys import Poly, PolyRing
 
@@ -54,7 +54,7 @@ class QuotientRing:
 
     def defining_multiples(self, rank: int) -> list:
         """J's basis at each position in turn: J * P^rank's reduced basis, in module_gb's order."""
-        return [{pack(k, e): c for e, c in g.terms} for k in range(rank) for g in self.defining.gb]
+        return [vector(g, k) for k in range(rank) for g in self.defining.gb]
 
     def owned(self, key: tuple, build):
         """What R keeps under key, made by build() on the first request."""

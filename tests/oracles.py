@@ -711,6 +711,19 @@ def unpacked(v, nvars):
     return {gbcore.unpack(t, nvars): c for t, c in v.items()}
 
 
+def polyvec_per_position(ring, rank, v):
+    """A packed vector as one polynomial per position, each made by PolyRing.from_dict.
+
+    The reference for gbcore.polyvec_from_vec: it sorts each position's
+    terms by drl_key, where the engine sorts the packed ints once.
+    """
+    per = [{} for _ in range(rank)]
+    for t, c in v.items():
+        pos, e = gbcore.unpack(t, ring.nvars)
+        per[pos][e] = c
+    return tuple(ring.from_dict(d) for d in per)
+
+
 def _nvars(vectors):
     """The exponent length of the first term among tuple-form vectors (0 for none)."""
     return next((len(e) for v in vectors for _, e in v), 0)

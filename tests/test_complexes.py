@@ -161,7 +161,7 @@ def test_redundant_generator_homology():
     K = koszul_complex([X, X * Y], R2)
     H1 = K.homology(1)
     assert corpus.min_gens(corpus.present(H1)) == 1
-    assert oracles.annihilator(corpus.present(H1)).contains(X)
+    assert oracles.annihilator(corpus.present(H1)).normal_form(X).is_zero()
     assert is_power_torsion(H1, ideal(P2, [X, X * Y]))
 
 

@@ -9,8 +9,10 @@ outside its own definition; the references the tests compare the
 engine against, and the helpers only the tests call, live in tests/.
 Every name a package module imports is used in that module, and no
 package module imports or reads another one's underscore name, so each
-private helper stays inside the module that owns it.  The command line
-loads no third-party module.  And the benchmark tracer in
+private helper stays inside the module that owns it.  Polynomials and
+packed vectors meet only in gbcore: no other module walks a
+polynomial's terms, and none but polys builds one from a dict.  The
+command line loads no third-party module.  And the benchmark tracer in
 perfbench/, which wraps package functions by name, still finds every
 name it wraps and reports every per-layer metric of BENCHMARK.json.
 """
@@ -135,6 +137,29 @@ def test_only_the_ring_builds_an_ideal_plus_its_defining_ideal():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef) and node.name == "ideal_sum"]
     assert defined == []
+
+
+def _crossings():
+    """path:line of each term walk of a polynomial outside polys and gbcore, and
+    of each from_dict call outside polys."""
+    walks, built = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "polys.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.For, ast.comprehension)) and path.name != "gbcore.py"
+                    and isinstance(node.iter, ast.Attribute) and node.iter.attr == "terms"):
+                walks.append(f"{path.name}:{node.iter.lineno}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_dict"):
+                built.append(f"{path.name}:{node.lineno}")
+    return sorted(walks), sorted(built)
+
+
+def test_only_the_engine_crosses_between_polynomials_and_vectors():
+    # a polynomial's terms are packed only by gbcore.vector, and a
+    # vector becomes polynomials only through gbcore.polyvec_from_vec
+    assert _crossings() == ([], [])
 
 
 def test_cli_imports_only_the_standard_library():
