@@ -13,8 +13,8 @@ bound), and the basis of im d_i + J*F_(i-1) it holds goes to H_(i-1);
 on top, J's basis at each position is already the reduced basis of
 J*F_hi.
 
-Differentials hold packed vectors, as every map does: a Koszul entry is
-packed once per sequence entry and moved to its row by one addition,
+Differentials hold packed vectors, as every map does: a Koszul d_k
+packs each sequence entry once and moves it to each row by one addition,
 and unit cancellation reads a unit as a term of degree zero and drops a
 row by moving the rows below it up one position.
 
@@ -202,19 +202,16 @@ def koszul_complex(seq: Sequence[Poly], ring: QuotientRing) -> ChainComplex:
 def _build_koszul(elems: tuple, ring: QuotientRing) -> ChainComplex:
     n = len(elems)
     p, nvars = ring.char, ring.nvars
-    # each entry's terms packed once at position 0, then moved to their row
-    packed = [vector(f) for f in elems]
     degs = [f.degree() for f in elems]
-    subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
-    modules = [FreeModule(ring, tuple(sum(degs[i] for i in s) for s in subsets[k]))
-               for k in range(n + 1)]
+    modules = [FreeModule(ring, tuple(map(sum, combinations(degs, k)))) for k in range(n + 1)]
 
     def diff(k: int) -> ModMap:
         if k == 1:
             return sequence_map(elems, ring)
-        index = {s: idx for idx, s in enumerate(subsets[k - 1])}
+        packed = [vector(f) for f in elems]
+        index = {s: idx for idx, s in enumerate(combinations(range(n), k - 1))}
         cols = []
-        for s in subsets[k]:
+        for s in combinations(range(n), k):
             col = {}
             for j, i in enumerate(s):
                 shift = position_shift(index[s[:j] + s[j + 1:]], nvars)

@@ -33,6 +33,18 @@ minus an entry of d_1, R's sequence map, and each entry of d_1 is one of
 d_k's for k <= len(seq), so d_k has its entries in m, or is zero,
 exactly when d_1 has or is; minimality and lb_gap read d_1 alone.
 
+Koszul homology is rigid: for homogeneous f_1..f_n in m over a graded
+R = P/J, if H_i(K(f)) = 0 then H_j(K(f)) = 0 for every j >= i, so its
+nonzero degrees are exactly 0..h for some h.  By induction on n, from
+K() = R in degree 0: with f = (f', f_n), the long exact sequence of
+K(f) = K(f') (x) K(f_n) (Bruns and Herzog, section 1.6) gives
+0 -> H_i(f')/f_n H_i(f') -> H_i(f) -> (0 :_(H_(i-1)(f')) f_n) -> 0.
+If H_i(f) = 0, then H_i(f') = f_n H_i(f'), so H_i(f') = 0 by graded
+Nakayama, as f_n has positive degree; by induction H_j(f') = 0 for
+j >= i, and then both ends of the sequence vanish at every j > i.  So
+lb_gap reads H_a of a Koszul complex as nonzero once it has found some
+degree at or above a nonzero.
+
 The trim makes no Groebner run of its own: it reads the kernel Z of
 K(seq)'s d_1, R's sequence map, whose run FRANK and H_1 read too, by
 graded Nakayama (Bruns and Herzog, 1.5).  Put I = (seq)R, V = I/mI and
@@ -205,10 +217,26 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
     never computed.  Among equal gaps the smallest b is kept.  The
     d_b != 0 tests read F, d_1 alone for a Koszul complex (see the
     module docstring), and H_a is nonzero exactly when it has a part
-    (see _homology_parts).
+    (see _homology_parts).  Koszul homology is rigid: its nonzero
+    degrees are 0..h for some h (see the module docstring).  So for a
+    Koszul complex, once the scan at b = hi finds the top nonzero
+    degree a* below hi, every H_a with a <= a* is read as nonzero
+    without a homology run, and each lower b settles at a = b - 1.
     """
     _require_minimal(F)
     parts = _homology_parts(F)
+    top = -1  # a Koszul complex's highest degree found nonzero, or -1
+
+    def nonzero(a: int) -> bool:
+        nonlocal top
+        if a <= top:
+            return True
+        if next(parts(a), None) is None:
+            return False
+        if F.koszul is not None:
+            top = a
+        return True
+
     best = None
     for b in range(F.hi, 0, -1):
         if best is not None and b + 1 < best[0]:
@@ -216,7 +244,7 @@ def lb_gap(F: ChainComplex) -> Optional[BoundCertificate]:
         if F.diff(1 if F.koszul is not None else b).is_zero():
             continue
         for a in range(b - 1, -1, -1):
-            if next(parts(a), None) is not None:
+            if nonzero(a):
                 if best is None or b - a + 1 >= best[0]:
                     best = (b - a + 1, a, b)
                 break
@@ -372,9 +400,6 @@ class FactorizationReport:
     n: int
     checks: list
     passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def as_dict(self) -> dict:
         return {

@@ -253,11 +253,6 @@ def ideal_piece_dim(gens, nvars, d, p):
     return matrix_rank(ideal_rows(gens, nvars, d, p), p)
 
 
-def ring_piece_dim(j_gens, nvars, d, p):
-    """dim over k of the degree d piece of the quotient by the j_gens."""
-    return len(monomials(nvars, d)) - ideal_piece_dim(j_gens, nvars, d, p)
-
-
 def in_ideal(f, gens):
     """Membership of a homogeneous f, by degreewise span comparison."""
     if f.is_zero():

@@ -389,24 +389,34 @@ def test_the_factorization_example_reads_its_own_homology(monkeypatch):
     assert [key for key in R._owned if key[0] == "trim"] == []
 
 
-# Koszul complexes on one to three forms over a free or form quotient in
-# 2 or 3 variables, with an ideal I: the sequence, a variable, the
-# maximal ideal or a random form.
+def _form(draw, P, d, terms=3):
+    """A form of degree d in P with one to terms monomials and nonzero coefficients."""
+    mons = draw(st.lists(st.sampled_from(list(oracles.monomials(P.nvars, d))),
+                         min_size=1, max_size=terms, unique=True))
+    return P.from_dict({e: draw(st.integers(1, P.char - 1)) for e in mons})
+
+
+# Koszul complexes on one to max_len forms of degree 1 or 2 over a
+# quotient in 2 to max_vars variables by nothing, by up to two monomials
+# or by up to two forms.
+@st.composite
+def _koszul_case(draw, max_vars, max_len):
+    P = PolyRing(draw(st.integers(2, max_vars)), draw(st.sampled_from([2, 3, 101])))
+    terms = draw(st.sampled_from([1, 3]))
+    J = draw(st.lists(st.integers(1, 2).map(lambda d: _form(draw, P, d, terms)), max_size=2))
+    seq = draw(st.lists(st.integers(1, 2).map(lambda d: _form(draw, P, d)),
+                        min_size=1, max_size=max_len))
+    return QuotientRing(ideal(P, J)), seq
+
+
+# Koszul complexes on one to three forms in 2 or 3 variables, with an
+# ideal I: the sequence, a variable, the maximal ideal or a random form.
 @st.composite
 def _koszul_with_ideal(draw):
-    nvars, p = draw(st.integers(2, 3)), draw(st.sampled_from([2, 3, 101]))
-    P = PolyRing(nvars, p)
-
-    def form(d):
-        mons = draw(st.lists(st.sampled_from(list(oracles.monomials(nvars, d))),
-                             min_size=1, max_size=3, unique=True))
-        return P.from_dict({e: draw(st.integers(1, p - 1)) for e in mons})
-
-    J = draw(st.lists(st.integers(1, 2).map(form), max_size=2))
-    R = QuotientRing(ideal(P, J))
-    seq = draw(st.lists(st.integers(1, 2).map(form), min_size=1, max_size=3))
+    R, seq = draw(_koszul_case(3, 3))
+    P = R.poly_ring
     gens = draw(st.sampled_from([seq, list(P.variables()[:1]), list(P.variables()),
-                                 [form(draw(st.integers(1, 2)))]]))
+                                 [_form(draw, P, draw(st.integers(1, 2)))]]))
     return R, seq, ideal(P, gens)
 
 
@@ -423,6 +433,35 @@ def test_koszul_torsion_dim_follows_its_bottom_homology(case):
     assert (td is not None) == (not h0.is_zero and is_power_torsion(h0, I))
     if td is not None:
         assert all(c["power_torsion"] for c in td.evidence["torsion_checks"])
+
+
+@settings(max_examples=100)
+@given(_koszul_case(4, 4))
+def test_koszul_homology_is_rigid_and_its_gap_matches_the_general_scan(case):
+    # the nonzero degrees of Koszul homology are 0..h; the scan that reads
+    # the degrees below a nonzero one as nonzero gives the certificate of
+    # the scan over an untagged copy, which computes each degree it reads
+    R, seq = case
+    K = koszul_complex(seq, R)
+    gap = lb_gap(K)
+    nonzero = [i for i in range(K.hi + 1) if not K.homology(i).is_zero]
+    assert nonzero == list(range(len(nonzero)))
+    plain = lb_gap(ChainComplex(R, K.modules, K.diffs))
+    assert (gap and gap.as_dict()) == (plain and plain.as_dict())
+
+
+def test_a_koszul_gap_reads_the_degrees_below_the_first_nonzero_one_as_nonzero():
+    # family B's hom(K(x1), K(x2..x5)) is R's K(x1..x5), which drops
+    # nothing.  The scan at b = 5 finds H_4 nonzero, so by rigidity each
+    # lower b settles at a = b - 1 with no homology run: H_1..H_3 are never
+    # computed, nor d_2 and d_3, which only they read
+    P = PolyRing(5, 101)
+    xs = P.variables()
+    R = QuotientRing(ideal_intersection(ideal(P, [xs[0]]), ideal(P, list(xs[1:]))))
+    H = hom_complex(koszul_complex([xs[0]], R), koszul_complex(list(xs[1:]), R))
+    rep = level_interval(H)
+    assert certmap(rep)["GAP"].evidence == {"a": 0, "b": 1}
+    assert set(H._homology) == {0, 4} and set(H._diffs) == {1, 4, 5}
 
 
 def test_upper_bound_certificates():
@@ -544,7 +583,7 @@ def test_factorization_example():
     names = ["alpha_chain_map", "beta_chain_map", "composite_is_x1", "positive_homology_torsion"]
     for n in range(3, 9):
         rep = verify_factorization_example(n)
-        assert rep.passed and bool(rep)
+        assert rep.passed
         assert [(c["name"], c["ok"]) for c in rep.as_dict()["checks"]] == [
             (name, True) for name in names]
         free = verify_factorization_example(n, ring=QuotientRing.free(PolyRing(n, 101)))
